@@ -17,7 +17,7 @@ from .laurent import LaurentPoly
 from .partitions import normalize, parse_partition
 from .xpoly import XPoly, xvars
 from .alphabets import parse_alphabet
-from .tableaux import charge, charge_tableau, enumerate_ssyt
+from .tableaux import NonDominantWeightError, charge, charge_tableau, enumerate_ssyt
 from .hall_littlewood import (
     BasisExpansion,
     add_one,
@@ -134,17 +134,22 @@ def _cmd_tableaux(args):
     shape = parse_partition(args.shape)
     weight = parse_partition(args.weight) if args.weight else None
     tabs = list(enumerate_ssyt(shape, weight=weight, nletters=args.nletters))
-    gen = LaurentPoly()
-    lines = []
-    for tab in tabs:
-        lines.append(" / ".join(" ".join(str(x) for x in row) for row in tab))
-        gen = gen + LaurentPoly.t_power(charge_tableau(tab))
+    lines = [" / ".join(" ".join(str(x) for x in row) for row in tab) for tab in tabs]
     lines.append(f"count: {len(tabs)}")
-    lines.append(f"charge polynomial: {gen}")
+    try:
+        gen = LaurentPoly()
+        for tab in tabs:
+            gen = gen + LaurentPoly.t_power(charge_tableau(tab))
+        lines.append(f"charge polynomial: {gen}")
+    except NonDominantWeightError:
+        gen = None
+        lines.append(
+            "charge polynomial: undefined (some fillings have non-partition weight)"
+        )
     payload = {
         "tableaux": [[list(row) for row in tab] for tab in tabs],
         "count": len(tabs),
-        "charge_polynomial": gen.to_json(),
+        "charge_polynomial": None if gen is None else gen.to_json(),
     }
     _emit(args, "\n".join(lines), payload)
     return 0

@@ -11,8 +11,10 @@ each other:
 
 On top of that sit the one-letter skew values (closed form and column
 rule), the argument shifts by +1 and -1, general skew extraction, the
-plane-partition expansion, and the factorization of Q' at arguments of
-the form t^r minus a finite variable set.
+plane-partition expansion (the shift by one letter applied once per
+variable, as a branching recursion over the one-letter skew values),
+and the factorization of Q' at arguments of the form t^r minus a finite
+variable set.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .partitions import (
     t_binomial,
     t_factorial,
 )
-from .tableaux import charge_tableau, enumerate_ssyt, layer_chains
+from .tableaux import charge_tableau, enumerate_ssyt
 from .symmetrize import kernel_schur
 from .alphabets import Alphabet, letter, schur_eval, schur_on_xvars, skew_schur_eval
 from .xpoly import XPoly, X_ONE, X_ZERO, xvars
@@ -218,10 +220,6 @@ def q_on_xvars(lam, n):
     return q_on_alphabet(normalize(lam), Alphabet.of_vars(*xvars(n)))
 
 
-def qprime_on_xvars(lam, n):
-    return qprime_on_alphabet(normalize(lam), Alphabet.of_vars(*xvars(n)))
-
-
 # ------------------------------------------------------- one-letter skew values
 
 
@@ -371,33 +369,40 @@ def skew_qprime(lam, mu, A):
 # ------------------------------------------------------ plane-partition route
 
 
-def chain_weight(chain):
-    """Weight of one layer chain: product over steps of the one-letter
-    skew value times x_i to the size of the step."""
-    n = len(chain) - 1
-    coeff = L_ONE
-    exps = []
-    for i in range(1, n + 1):
-        outer, inner = chain[i - 1], chain[i]
-        coeff = coeff * skew_qprime_one(outer, inner)
-        exps.append(sum(outer) - sum(inner))
-    if not coeff:
-        return X_ZERO
-    return XPoly.monomial(xvars(n), tuple(exps), coeff)
-
-
 def plane_partition_qprime(lam, n):
-    """Q'_lam on n variables as a sum over layer chains.
+    """Q'_lam on n variables by the one-letter branching rule.
 
-    Each chain of partitions from lam down to the empty one is a plane
-    partition with entries at most n; its weight multiplies the
-    one-letter skew values of the successive layers.
+    Q'_lam(x_i..x_n) = sum over mu inside lam of
+    aleph(lam, mu) x_i^{|lam/mu|} Q'_mu(x_{i+1}..x_n); unrolled to the
+    empty partition this sums over the plane partitions of shape lam
+    with entries at most n.  Each (mu, letters left) is expanded once.
     """
-    lam = normalize(lam)
-    acc = X_ZERO
-    for chain in layer_chains(lam, n):
-        acc = acc + chain_weight(chain)
-    return acc
+    if n < 0:
+        raise ValueError(f"variable count must be nonnegative, got {n}")
+
+    @cache
+    def expand(mu, k):
+        """{exponents of x_{n-k+1}..x_n: coefficient} of Q'_mu."""
+        if k == 0:
+            return {} if mu else {(): L_ONE}
+        out = {}
+        size = sum(mu)
+        for nu in subpartitions(mu):
+            a = skew_qprime_one(mu, nu)
+            if not a:
+                continue
+            d = size - sum(nu)
+            for exps, c in expand(nu, k - 1).items():
+                e = (d,) + exps
+                prev = out.get(e)
+                term = a * c if prev is None else prev + a * c
+                if term:
+                    out[e] = term
+                else:
+                    del out[e]
+        return out
+
+    return XPoly(xvars(n), expand(normalize(lam), n))
 
 
 def tableau_route_xpoly(lam, n):

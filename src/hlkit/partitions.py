@@ -140,17 +140,6 @@ def t_binomial(m, a):
     return t_factorial(m).exact_div(t_factorial(a) * t_factorial(m - a))
 
 
-def suffix_sums(v):
-    """All trailing sums of an integer vector, longest first."""
-    out = []
-    s = 0
-    for x in reversed(v):
-        s += x
-        out.append(s)
-    out.reverse()
-    return out
-
-
 def suffix_nonneg(v):
     """True when every trailing sum of v is >= 0."""
     s = 0

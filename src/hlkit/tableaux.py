@@ -8,6 +8,7 @@ computed on such words.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 
 from .partitions import is_partition, normalize, subpartitions
@@ -29,11 +30,16 @@ def word_weight(word, nletters=None):
 
 
 def enumerate_ssyt(shape, weight=None, nletters=None):
-    """All semistandard tableaux of the given shape.
+    """All semistandard tableaux of the given shape, in lexicographic order.
 
     With `weight`, entries have exactly those multiplicities (letter i
     appears weight[i-1] times); otherwise any filling with entries in
     1..nletters.  Rows weakly increase, columns strictly increase.
+
+    Letters are placed one at a time: letter i fills a horizontal strip
+    at the ends of the rows (at most one box per column), of exactly
+    weight[i-1] boxes or of any size that fits.  A strip never leaves a
+    column taller than the letters still to come can fill.
     """
     shape = normalize(shape)
     if weight is not None:
@@ -45,31 +51,39 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
         raise ValueError("need a weight or a letter bound")
     if shape and len(shape) > nletters:
         return []
-    rows = [[0] * r for r in shape]
-    counts = [0] * nletters
-    cells = [(r, c) for r, ln in enumerate(shape) for c in range(ln)]
+    if nletters <= 0:
+        return [()]
+    ell = len(shape)
+    top = shape[0] if shape else 0
+    rows = [[] for _ in shape]
     results = []
 
-    def rec(k):
-        if k == len(cells):
-            results.append(tuple(tuple(row) for row in rows))
+    def place(v, r, above, left):
+        """Put letter v at the ends of rows r, r+1, ...: `above` is the
+        length row r-1 had before letter v, `left` the boxes of v still
+        to place (None when free)."""
+        if r == ell or r == v:
+            if left:
+                return
+            if v == nletters:
+                results.append(tuple(map(tuple, rows)))
+            else:
+                place(v + 1, 0, top, None if weight is None else weight[v])
             return
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, nletters + 1):
-            if weight is not None and counts[v - 1] >= weight[v - 1]:
-                continue
-            rows[r][c] = v
-            counts[v - 1] += 1
-            rec(k + 1)
-            counts[v - 1] -= 1
-            rows[r][c] = 0
+        row = rows[r]
+        have = len(row)
+        later = r + nletters - v
+        lo = max(have, shape[later] if later < ell else 0)
+        hi = min(shape[r], above)
+        if left is not None:
+            hi = min(hi, have + left)
+        for new in range(hi, lo - 1, -1):
+            row.extend([v] * (new - have))
+            place(v, r + 1, have, None if left is None else left - new + have)
+            del row[have:]
 
-    rec(0)
+    place(1, 0, top, None if weight is None else weight[0])
+    results.sort()
     return results
 
 
@@ -92,7 +106,8 @@ def charge(word):
     scan circularly leftward for a 2, then a 3, and so on while a next
     letter remains; the subword contributes the sum of its letter
     indices, where the index steps up exactly when the next letter sits
-    to the right of the previous one.
+    to the right of the previous one.  Each letter keeps the sorted list
+    of its unused positions, so every step is one bisection.
     """
     word = tuple(word)
     if not word:
@@ -100,27 +115,23 @@ def charge(word):
     wt = word_weight(word)
     if not is_partition(wt):
         raise NonDominantWeightError(f"weight {wt} is not a partition")
-    positions = list(range(len(word)))
+    positions = [[] for _ in wt]
+    for p, a in enumerate(word):
+        positions[a - 1].append(p)
     total = 0
-    while positions:
-        ones = [p for p in positions if word[p] == 1]
-        cur = ones[-1]
-        chosen = [cur]
-        letter = 2
-        while any(word[p] == letter for p in positions):
-            k = positions.index(cur)
-            left = positions[k - 1 :: -1] if k > 0 else []
-            order = left + positions[: k : -1]
-            cur = next(p for p in order if word[p] == letter)
-            chosen.append(cur)
-            letter += 1
+    for _ in range(wt[0]):
+        cur = positions[0].pop()
         idx = 0
-        for a, b in zip(chosen, chosen[1:]):
-            if b > a:
+        for free in positions[1:]:
+            if not free:
+                break
+            k = bisect_left(free, cur)
+            if k:
+                cur = free.pop(k - 1)
+            else:
+                cur = free.pop()
                 idx += 1
             total += idx
-        chosen_set = set(chosen)
-        positions = [p for p in positions if p not in chosen_set]
     return total
 
 
@@ -150,7 +161,8 @@ def layer_chains(shape, n):
     """All weakly decreasing chains shape = s_0 >= s_1 >= ... >= s_n = ().
 
     Each step is containment of partitions; chains are returned as
-    (n+1)-tuples of partitions including both endpoints.
+    (n+1)-tuples of partitions including both endpoints.  Listing them
+    checks the branching rule of `hall_littlewood.plane_partition_qprime`.
     """
     shape = normalize(shape)
     if n == 0:

@@ -94,6 +94,19 @@ class TestCombinatoricsVerbs:
         assert code == 0
         assert "count: 1" in out
 
+    def test_tableaux_nletters_non_partition_weights(self, capsys):
+        code, out = run(capsys, "tableaux", "3,2,1", "--nletters", "3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-2:] == [
+            "count: 8",
+            "charge polynomial: undefined (some fillings have non-partition weight)",
+        ]
+        code, out = run(capsys, "tableaux", "3,2,1", "--nletters", "3", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["count"] == 8 and data["charge_polynomial"] is None
+
 
 class TestScalarAndFactor:
     def test_scalar_value(self, capsys):
@@ -155,6 +168,11 @@ class TestErrorsAndDefaults:
 
     def test_bad_partition_exits_2(self, capsys):
         assert main(["aleph", "3,-1", "1"]) == 2
+
+    def test_pp_expand_negative_count_exits_2(self, capsys):
+        assert main(["pp-expand", "2,1", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_deg_default_env(self, monkeypatch):
         monkeypatch.delenv("HLKIT_DEG", raising=False)

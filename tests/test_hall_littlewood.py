@@ -9,12 +9,14 @@ specializations (t=0 Schur, t=1 monomial).
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import (
     b_poly,
     n_stat,
     normalize,
+    partitions_of,
     partitions_up_to,
     subpartitions,
     t_binomial,
@@ -26,7 +28,6 @@ from hlkit.hall_littlewood import (
     DecompositionError,
     add_one,
     aleph,
-    chain_weight,
     compose_shift,
     kostka_foulkes,
     one_minus_x_factorization_check,
@@ -49,6 +50,8 @@ from hlkit.hall_littlewood import (
     two_letter_factorization_check,
     two_letter_shape,
 )
+from hlkit.tableaux import layer_chains
+from oracles import chain_weight
 
 T = LaurentPoly.t_power
 
@@ -280,6 +283,19 @@ class TestPlanePartitionRoute:
             assert plane_partition_qprime(lam, n) == tableau_route_xpoly(
                 lam, n
             ), (lam, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 7).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+        st.integers(0, 4),
+    )
+    def test_branching_matches_chains_and_tableaux(self, lam, n):
+        got = plane_partition_qprime(lam, n)
+        by_chains = XPoly.zero()
+        for chain in layer_chains(lam, n):
+            by_chains = by_chains + chain_weight(chain)
+        assert got == by_chains
+        assert got == tableau_route_xpoly(lam, n)
 
     def test_chain_weight_example(self):
         w = chain_weight(((2, 1), (1,), ()))

@@ -9,7 +9,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly
 from hlkit.partitions import (
@@ -30,6 +30,7 @@ from hlkit.tableaux import (
     tableau_weight,
     word_weight,
 )
+from oracles import charge_by_scanning, enumerate_ssyt_by_cells
 
 FROZEN_CHARGES = {
     (1, 2): 1,
@@ -42,6 +43,20 @@ FROZEN_CHARGES = {
     (2, 1, 1, 3): 1,
     (1, 1, 2, 3): 3,
 }
+
+
+small_partitions = st.integers(0, 7).flatmap(
+    lambda m: st.sampled_from(partitions_of(m))
+)
+
+
+def compositions(m):
+    """Weights of total m with up to five letters, zeros allowed."""
+    return st.lists(st.integers(0, m), max_size=4).map(
+        lambda cuts: tuple(
+            b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [m])
+        )
+    )
 
 
 def weyl_count(shape, n):
@@ -120,6 +135,17 @@ class TestCharge:
             assert charge_tableau(tabs[0]) == 0
 
 
+    @given(
+        small_partitions.filter(bool).flatmap(
+            lambda mu: st.permutations(
+                [i for i, m in enumerate(mu, start=1) for _ in range(m)]
+            )
+        )
+    )
+    def test_matches_scanning_oracle(self, word):
+        assert charge(word) == charge_by_scanning(word)
+
+
 class TestKnuthMoves:
     def test_window_example(self):
         # 2 1 2: c < a <= b fails, b < a <= c gives (2, 2, 1)
@@ -164,6 +190,23 @@ class TestEnumeration:
                 assert all(a <= b for a, b in zip(row, row[1:]))
             for c in range(2):
                 assert tab[0][c] < tab[1][c]
+
+    @settings(deadline=None)
+    @given(small_partitions, st.integers(-1, 5))
+    def test_letter_bound_matches_cell_oracle(self, shape, n):
+        got = enumerate_ssyt(shape, nletters=n)
+        assert got == enumerate_ssyt_by_cells(shape, nletters=n)
+
+    @settings(deadline=None)
+    @given(
+        small_partitions.flatmap(
+            lambda shape: st.tuples(st.just(shape), compositions(sum(shape)))
+        )
+    )
+    def test_weight_matches_cell_oracle(self, case):
+        shape, weight = case
+        got = enumerate_ssyt(shape, weight)
+        assert got == enumerate_ssyt_by_cells(shape, weight)
 
     def test_weight_filter(self):
         for tab in enumerate_ssyt((2, 2), (2, 1, 1)):
