@@ -11,16 +11,15 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T
+from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import (
     b_poly,
-    normalize,
     partitions_of,
     partitions_up_to,
     subpartitions,
     suffix_nonneg,
 )
-from .xpoly import XPoly, X_ZERO, xvars
+from .xpoly import XPoly, xvars
 from .alphabets import Alphabet
 from .symmetrize import kernel_schur, pi_i, straighten_schur
 from .hall_littlewood import (
@@ -37,7 +36,6 @@ from .hall_littlewood import (
     skew_qprime_one_columns,
     tableau_route_xpoly,
     two_letter_factorization_check,
-    two_letter_shape,
 )
 from .identities import (
     ct_scalar,
@@ -343,9 +341,8 @@ def criterion_13():
             c = LaurentPoly(
                 {rng.randint(-1, 2): rng.choice([-3, -2, -1, 1, 2, 3])}
             )
-            prev = terms.get(e, L_ZERO)
-            terms[e] = prev + c
-        return XPoly(xvars(n), {e: c for e, c in terms.items() if c})
+            _accumulate(terms, e, c)
+        return XPoly(xvars(n), terms)
 
     n_op = 0
     for n in (2, 3, 4):

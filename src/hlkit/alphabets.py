@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE as L_ONE
 from .xpoly import XPoly, X_ONE, X_ZERO, var_key
+from .xpoly import _flat, _mul_into, _sorted_vars, _unflatten
 
 
 class NonTerminatingSeriesError(ValueError):
@@ -160,48 +161,49 @@ def complete_series(A, D):
 
     Series product: multiply in each minus letter (one binomial factor)
     and each plus letter (geometric recurrence).  Finite at every fixed
-    index, whatever the letters' degrees.
+    index, whatever the letters' degrees.  The series is kept as flat
+    int coefficients over the variables of A until the end.
     """
-    h = [X_ONE] + [X_ZERO] * D
-    for b in A.minus:
-        bv = b.value()
-        for k in range(D, 0, -1):
-            h[k] = h[k] - bv * h[k - 1]
-    for a in A.plus:
-        av = a.value()
-        for k in range(1, D + 1):
-            h[k] = h[k] + av * h[k - 1]
-    return tuple(h)
+    vars = A.var_names()
+    h = [{(0,) * len(vars): {0: 1}}] + [{} for _ in range(D)]
+    for sign, letters, ks in (
+        (-1, A.minus, range(D, 0, -1)),
+        (1, A.plus, range(1, D + 1)),
+    ):
+        for l in letters:
+            factor = ((tuple(l.mono.count(v) for v in vars), {l.t_exp: 1}),)
+            for k in ks:
+                _mul_into(h[k], h[k - 1].items(), factor, sign)
+    return tuple(XPoly._trusted(vars, _unflatten(hk)) for hk in h)
 
 
 def _det(mat):
-    n = len(mat)
-    if n == 0:
-        return X_ONE
-    memo = {}
+    """Determinant by expansion along the first remaining row."""
+    vars = _sorted_vars(f for row in mat for f in row)
+    ent = [[_flat(f._expand_to(vars)) for f in row] for row in mat]
+    memo = {0: {(0,) * len(vars): L_ONE}}
+    return XPoly._trusted(vars, _minor(ent, memo, (1 << len(mat)) - 1))
 
-    def rec(mask):
-        if mask == 0:
-            return X_ONE
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        r = n - bin(mask).count("1")
-        acc = X_ZERO
+
+def _minor(ent, memo, mask):
+    """Terms of the minor of `ent` on its last popcount(mask) rows and
+    the columns in `mask`, each summed once over flat int coefficients.
+    A module-level function, not a closure, so that no reference cycle
+    keeps `memo` alive after the determinant is built."""
+    got = memo.get(mask)
+    if got is None:
+        n = len(ent)
+        r = n - mask.bit_count()
+        acc = {}
         sign = 1
         for c in range(n):
-            if not mask & (1 << c):
-                continue
-            entry = mat[r][c]
-            if entry:
-                sub = rec(mask ^ (1 << c))
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return rec((1 << n) - 1)
+            if mask & (1 << c):
+                if ent[r][c]:
+                    sub = _minor(ent, memo, mask ^ (1 << c))
+                    _mul_into(acc, ent[r][c], _flat(sub), sign)
+                sign = -sign
+        memo[mask] = got = _unflatten(acc)
+    return got
 
 
 @cache

@@ -14,12 +14,11 @@ import os
 import sys
 
 from .laurent import LaurentPoly
-from .partitions import normalize, parse_partition
-from .xpoly import XPoly, xvars
+from .partitions import parse_partition
+from .xpoly import XPoly, _linear_combination, xvars
 from .alphabets import parse_alphabet
 from .tableaux import NonDominantWeightError, charge, charge_tableau, enumerate_ssyt
 from .hall_littlewood import (
-    BasisExpansion,
     add_one,
     aleph,
     factorization_sides,
@@ -51,7 +50,24 @@ def _deg_default():
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"HLKIT_DEG must be an integer, got {raw!r}") from None
+
+
+def _deg(args):
+    """The degree cap: --deg, else HLKIT_DEG, else the default."""
+    deg = args.deg if args.deg is not None else _deg_default()
+    if deg < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {deg}")
+    return deg
+
+
+def _count(args, default):
+    """The -n option, or `default` when it is absent."""
+    if args.n is None:
+        return default
+    if args.n < 1:
+        raise ValueError(f"-n must be a positive integer, got {args.n}")
+    return args.n
 
 
 def _vector(text):
@@ -72,23 +88,24 @@ def _word(text):
 
 
 def _emit(args, text, payload):
-    if getattr(args, "json", False):
-        text = json.dumps(payload, sort_keys=True)
-    print(text)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
+    if getattr(args, "json", False):
+        text = json.dumps(payload, sort_keys=True)
+    print(text)
 
 
 def _cmd_qprime(args):
     v = _vector(args.index)
     if args.on is not None:
         A = parse_alphabet(args.on, nx=args.n, ny=args.n)
-        acc = XPoly.zero()
-        for mu, c in qprime_of_vector(v).coeffs.items():
-            acc = acc + qprime_on_alphabet(mu, A).scale(c)
+        acc = _linear_combination(
+            (qprime_on_alphabet(mu, A), c)
+            for mu, c in qprime_of_vector(v).coeffs.items()
+        )
         _emit(args, str(acc), acc.to_json())
         return 0
     if args.basis == "S":
@@ -137,9 +154,11 @@ def _cmd_tableaux(args):
     lines = [" / ".join(" ".join(str(x) for x in row) for row in tab) for tab in tabs]
     lines.append(f"count: {len(tabs)}")
     try:
-        gen = LaurentPoly()
+        counts = {}
         for tab in tabs:
-            gen = gen + LaurentPoly.t_power(charge_tableau(tab))
+            c = charge_tableau(tab)
+            counts[c] = counts.get(c, 0) + 1
+        gen = LaurentPoly(counts)
         lines.append(f"charge polynomial: {gen}")
     except NonDominantWeightError:
         gen = None
@@ -182,7 +201,7 @@ def _cmd_factor_check(args):
 def _cmd_scalar(args):
     lam = parse_partition(args.outer)
     mu = parse_partition(args.inner)
-    n = args.n if args.n else max(len(lam), len(mu), 1)
+    n = _count(args, max(len(lam), len(mu), 1))
     if len(lam) > n or len(mu) > n:
         print("partitions longer than the variable count", file=sys.stderr)
         return 2
@@ -194,19 +213,21 @@ def _cmd_scalar(args):
 
 
 def _cmd_verify(args):
-    deg = args.deg if args.deg is not None else _deg_default()
     what = args.what
     if what == "warnaar":
+        deg = _deg(args)
         lhs, rhs = warnaar_sides(args.nx, args.ny, deg)
         return _sides_report(
             f"warnaar nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs, args
         )
     if what == "sigmaxy":
+        deg = _deg(args)
         lhs, rhs = sigmaxy_sides(args.nx, args.ny, deg)
         return _sides_report(
             f"sigmaxy nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs, args
         )
     if what == "prodx":
+        deg = _deg(args)
         code = 0
         for name, fam in prodx_example_families(deg).items():
             for n in (1, 2):
@@ -219,7 +240,7 @@ def _cmd_verify(args):
     if what == "theta-scalar":
         lam = parse_partition(args.l or "")
         mu = parse_partition(args.m or "")
-        n = args.n or max(len(lam), len(mu), 1)
+        n = _count(args, max(len(lam), len(mu), 1))
         parts = theta_scalar_parts(lam, mu, n)
         ok = (
             parts["pairing"] == parts["theta"]
@@ -270,9 +291,10 @@ def _cmd_verify(args):
         return 1
     if what == "factor":
         lam = parse_partition(args.lam or "")
-        lhs, rhs = factorization_sides(lam, args.r, args.n or 2)
+        n = _count(args, 2)
+        lhs, rhs = factorization_sides(lam, args.r, n)
         return _sides_report(
-            f"factorization lam={list(lam)} r={args.r} n={args.n or 2}",
+            f"factorization lam={list(lam)} r={args.r} n={n}",
             lhs,
             rhs,
             args,
@@ -401,7 +423,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

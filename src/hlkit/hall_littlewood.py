@@ -25,6 +25,7 @@ from itertools import product as iproduct
 from math import comb
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
+from .laurent import _accumulate, _fmt_coeff
 from .partitions import (
     b_poly,
     conjugate,
@@ -39,21 +40,10 @@ from .partitions import (
     t_binomial,
     t_factorial,
 )
-from .tableaux import charge_tableau, enumerate_ssyt
+from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import kernel_schur
 from .alphabets import Alphabet, letter, schur_eval, schur_on_xvars, skew_schur_eval
-from .xpoly import XPoly, X_ONE, X_ZERO, xvars
-
-
-def _fmt_coeff(c, body):
-    cs = str(c)
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return f"-{body}"
-    if len(c.coeffs) == 1 and not cs.startswith("-"):
-        return f"{cs}*{body}"
-    return f"({cs})*{body}"
+from .xpoly import XPoly, X_ONE, X_ZERO, _linear_combination, xvars
 
 
 @dataclass
@@ -116,10 +106,11 @@ def kostka_foulkes(rho, mu):
     rho, mu = normalize(rho), normalize(mu)
     if sum(rho) != sum(mu) or not dominance_leq(mu, rho):
         return L_ZERO
-    acc = L_ZERO
+    counts = {}
     for tab in enumerate_ssyt(rho, mu):
-        acc = acc + LaurentPoly.t_power(charge_tableau(tab))
-    return acc
+        c = _charge(reading_word(tab), mu)
+        counts[c] = counts.get(c, 0) + 1
+    return LaurentPoly(counts)
 
 
 @cache
@@ -158,13 +149,8 @@ def schur_to_qprime(sdict):
                 continue
             out[nu] = d
             for rho, kf in _qprime_schur_cached(nu):
-                if rho == nu:
-                    continue
-                s = rem.get(rho, L_ZERO) - d * kf
-                if s:
-                    rem[rho] = s
-                else:
-                    rem.pop(rho, None)
+                if rho != nu:
+                    _accumulate(rem, rho, -(d * kf))
     if rem:
         raise AssertionError(f"back-substitution left a remainder: {rem}")
     return out
@@ -193,10 +179,9 @@ def qprime_vector_schur(u):
 def qprime_on_alphabet(lam, A):
     """Q'_lam evaluated on a formal alphabet, via the Schur expansion."""
     lam = normalize(lam)
-    acc = X_ZERO
-    for rho, kf in _qprime_schur_cached(lam):
-        acc = acc + schur_eval(rho, A).scale(kf)
-    return acc
+    return _linear_combination(
+        (schur_eval(rho, A), kf) for rho, kf in _qprime_schur_cached(lam)
+    )
 
 
 def q_on_alphabet(lam, A):
@@ -305,14 +290,7 @@ def sub_one(lam):
                 sign = -sign
             parts.extend([v] * (mults[v] - a))
             parts.extend([v - 1] * a)
-        mu = normalize(parts)
-        c = coeff if sign > 0 else -coeff
-        prev = out.get(mu)
-        s = c if prev is None else prev + c
-        if s:
-            out[mu] = s
-        else:
-            out.pop(mu, None)
+        _accumulate(out, normalize(parts), coeff if sign > 0 else -coeff)
     return BasisExpansion("Qp", out)
 
 
@@ -321,11 +299,7 @@ def compose_shift(expansion, shift_fn):
     out = {}
     for lam, c in expansion.coeffs.items():
         for mu, d in shift_fn(lam).coeffs.items():
-            s = out.get(mu, L_ZERO) + c * d
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
+            _accumulate(out, mu, c * d)
     return BasisExpansion("Qp", out)
 
 
@@ -341,19 +315,12 @@ def _skew_qprime_layer(lam, A, m):
     C_kappa = sum_{nu dominated by kappa} KF(kappa,nu) Q'_{lam/nu}(A);
     ascending lex refines dominance, so one sweep solves the system.
     """
-    lam = normalize(lam)
+    charge_route = _qprime_schur_cached(normalize(lam))
     solved = {}
     for kappa in sorted(partitions_of(m)):
-        c = X_ZERO
-        for rho, kf in _qprime_schur_cached(lam):
-            sk = skew_schur_eval(rho, kappa, A)
-            if sk:
-                c = c + sk.scale(kf)
-        for nu, q in solved.items():
-            kf = kostka_foulkes(kappa, nu)
-            if kf and q:
-                c = c - q.scale(kf)
-        solved[kappa] = c
+        known = [(skew_schur_eval(rho, kappa, A), kf) for rho, kf in charge_route]
+        lower = [(q, -kostka_foulkes(kappa, nu)) for nu, q in solved.items()]
+        solved[kappa] = _linear_combination(known + lower)
     return tuple(solved.items())
 
 
@@ -393,25 +360,21 @@ def plane_partition_qprime(lam, n):
                 continue
             d = size - sum(nu)
             for exps, c in expand(nu, k - 1).items():
-                e = (d,) + exps
-                prev = out.get(e)
-                term = a * c if prev is None else prev + a * c
-                if term:
-                    out[e] = term
-                else:
-                    del out[e]
+                _accumulate(out, (d,) + exps, a * c)
         return out
 
-    return XPoly(xvars(n), expand(normalize(lam), n))
+    terms = expand(normalize(lam), n)
+    expand.cache_clear()  # free the memo now, not at the next cycle collection
+    return XPoly._trusted(xvars(n), terms)
 
 
 def tableau_route_xpoly(lam, n):
     """Q'_lam on n variables via the charge-route Schur expansion."""
-    acc = X_ZERO
-    for rho, kf in _qprime_schur_cached(normalize(lam)):
-        if len(rho) <= n:
-            acc = acc + schur_on_xvars(rho, n).scale(kf)
-    return acc
+    return _linear_combination(
+        (schur_on_xvars(rho, n), kf)
+        for rho, kf in _qprime_schur_cached(normalize(lam))
+        if len(rho) <= n
+    )
 
 
 # ------------------------------------------------------------- factorizations
@@ -509,17 +472,13 @@ def two_letter_sides(k, nu, beta):
     for i in range(k):
         ti = XPoly.const(LaurentPoly.t_power(i))
         prod = prod * (ti - x1) * (ti - x2)
-    cleared = X_ZERO
+    cleared = {}  # each (j, l) comes from one i
     for i in range(beta + 1):
         for j in range(beta + 1 - i):
             l = beta - i - j
-            c = _t_multinomial(beta, (i, j, l)) * LaurentPoly.t_power(
-                comb(i, 2) + k * i
-            )
-            term = XPoly.monomial(("x1", "x2"), (j, l), c)
-            if (j + l) % 2:
-                term = -term
-            cleared = cleared + term
+            c = _t_multinomial(beta, (i, j, l)).shift(comb(i, 2) + k * i)
+            cleared[(j, l)] = -c if (j + l) % 2 else c
+    cleared = XPoly(("x1", "x2"), cleared)
     rhs = (prod * cleared).scale(LaurentPoly.t_power(n_stat(nu)))
     return lhs, rhs
 

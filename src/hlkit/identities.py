@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product as iproduct
+from operator import sub
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
+from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, _accumulate
 from .partitions import b_poly, conjugate, normalize, n_stat, partitions_of
-from .xpoly import XPoly, X_ONE, X_ZERO, xvars, yvars
+from .xpoly import XPoly, X_ONE, X_ZERO, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import kernel_schur, pi_omega
 from .hall_littlewood import (
@@ -67,11 +68,11 @@ def _coeff_as_xpoly(c):
 def extend_family(c, w):
     """Value at an arbitrary integer vector of a family defined on
     partitions, extended through the straightening expansion of Q'_w."""
-    acc = X_ZERO
-    for mu, d in qprime_of_vector(w).coeffs.items():
-        if mu in c:
-            acc = acc + _coeff_as_xpoly(c[mu]).scale(d)
-    return acc
+    return _linear_combination(
+        (_coeff_as_xpoly(c[mu]), d)
+        for mu, d in qprime_of_vector(w).coeffs.items()
+        if mu in c
+    )
 
 
 def prodx_sides(c, n, cap):
@@ -86,26 +87,23 @@ def prodx_sides(c, n, cap):
     sig = X_ONE
     for v in xvars(n):
         sig = sig * (X_ONE - XPoly.var(v))
-    lhs_sum = X_ZERO
+    lhs_sum = []
     for mu, cv in c.items():
         mu = normalize(mu)
-        if len(mu) > n:
-            continue
-        lhs_sum = lhs_sum + _coeff_as_xpoly(cv) * p_on_xvars(mu, n)
-    lhs = sig.mul_capped(lhs_sum, cap, xs)
-    rhs = X_ZERO
+        if len(mu) <= n:
+            lhs_sum.append((_coeff_as_xpoly(cv) * p_on_xvars(mu, n), 1))
+    lhs = sig.mul_capped(_linear_combination(lhs_sum), cap, xs)
+    rhs = []
     for m in range(cap + 1):
         for lam in partitions_of(m, max_length=n):
             lam_pad = lam + (0,) * (n - len(lam))
-            inner = X_ZERO
-            for v in iproduct((0, 1), repeat=n):
-                w = tuple(a - b for a, b in zip(lam_pad, v))
-                cw = extend_family(c, w)
-                if not cw:
-                    continue
-                inner = inner + (-cw if sum(v) % 2 else cw)
+            inner = _linear_combination(
+                (extend_family(c, tuple(map(sub, lam_pad, v))), (-1) ** sum(v))
+                for v in iproduct((0, 1), repeat=n)
+            )
             if inner:
-                rhs = rhs + inner * p_on_xvars(lam, n)
+                rhs.append((inner * p_on_xvars(lam, n), 1))
+    rhs = _linear_combination(rhs)
     return lhs.truncate_degree(cap, xs), rhs.truncate_degree(cap, xs)
 
 
@@ -160,7 +158,7 @@ def sigmaxy_sides(nx, ny, cap):
     AY = Alphabet.of_vars(*yvars(ny))
     A = AX + AX.times(AY).one_minus_t()
     lhs = sigma1_series(A, cap)
-    rhs = X_ZERO
+    rhs = []
     for m in range(cap + 1):
         for lam in partitions_of(m, max_length=nx):
             pl = p_on_xvars(lam, nx)
@@ -171,8 +169,8 @@ def sigmaxy_sides(nx, ny, cap):
                     continue
                 pm = _p_on_yvars(mu, ny)
                 if pm:
-                    rhs = rhs + (pl * pm).scale(bm)
-    return lhs, rhs.truncate_degree(cap)
+                    rhs.append((pl * pm, bm))
+    return lhs, _linear_combination(rhs).truncate_degree(cap)
 
 
 def sigmaxy_check(nx, ny, cap):
@@ -227,7 +225,7 @@ def warnaar_sides(nx, ny, cap):
     AXY = AX.times(AY)
     A = AX + AY + AXY.times_letter(letter(-1)) - AXY
     lhs = sigma1_series(A, cap)
-    rhs = X_ZERO
+    rhs = []
     for ml in range(cap + 1):
         for lam in partitions_of(ml, max_length=nx):
             pl = p_on_xvars(lam, nx)
@@ -237,8 +235,8 @@ def warnaar_sides(nx, ny, cap):
                 for mu in partitions_of(mm, max_length=ny):
                     pm = _p_on_yvars(mu, ny)
                     if pm:
-                        rhs = rhs + (pl * pm).scale(theta(lam, mu))
-    return lhs, rhs.truncate_degree(cap)
+                        rhs.append((pl * pm, theta(lam, mu)))
+    return lhs, _linear_combination(rhs).truncate_degree(cap)
 
 
 def warnaar_check(nx, ny, cap):
@@ -254,25 +252,19 @@ def warnaar3_sides(lam, n, cap):
 
     lam = normalize(lam)
     xs = set(xvars(n))
-    lhs = X_ZERO
-    for mu in subpartitions(lam):
-        if len(mu) > n:
-            continue
-        av = aleph(lam, mu)
-        if not av:
-            continue
-        lhs = lhs + q_on_xvars(mu, n).scale(
-            av * LaurentPoly.t_power(-sum(mu))
-        )
+    lhs = _linear_combination(
+        (q_on_xvars(mu, n), aleph(lam, mu).shift(-sum(mu)))
+        for mu in subpartitions(lam)
+        if len(mu) <= n
+    )
     sig = X_ONE
     for v in xvars(n):
         sig = sig * (X_ONE - XPoly.var(v))
-    inner = X_ZERO
-    for m in range(cap + 1):
-        for mu in partitions_of(m, max_length=n):
-            pm = p_on_xvars(mu, n)
-            if pm:
-                inner = inner + pm.scale(theta(lam, mu))
+    inner = _linear_combination(
+        (p_on_xvars(mu, n), theta(lam, mu))
+        for m in range(cap + 1)
+        for mu in partitions_of(m, max_length=n)
+    )
     rhs = sig.mul_capped(inner, cap, xs)
     return lhs.truncate_degree(cap, xs), rhs.truncate_degree(cap, xs)
 
@@ -368,13 +360,7 @@ def theta_scalar_parts(lam, mu, n):
                 continue
             w = tuple(a - b for a, b in zip(base, u))
             for kappa, d in reduce_monomial(w).items():
-                c = d.shift(s - total) if weighted else d
-                prev = out.get(kappa)
-                acc = c if prev is None else prev + c
-                if acc:
-                    out[kappa] = acc
-                else:
-                    out.pop(kappa, None)
+                _accumulate(out, kappa, d.shift(s - total) if weighted else d)
         return out
 
     f = series(lam_pad, sum(lam), True)
@@ -435,14 +421,7 @@ def ct_scalar(f, g, n):
                     w = list(e)
                     w[i - 1] += k
                     w[j - 1] -= k
-                    key = tuple(w)
-                    cc = c.shift(k) if k else c
-                    prev = nxt.get(key)
-                    acc = cc if prev is None else prev + cc
-                    if acc:
-                        nxt[key] = acc
-                    else:
-                        nxt.pop(key, None)
+                    _accumulate(nxt, tuple(w), c.shift(k) if k else c)
             cur = nxt
     acc = L_ZERO
     for e, c in cur.items():

@@ -13,6 +13,16 @@ class NotDivisibleError(ArithmeticError):
     """Raised when an exact division leaves a nonzero remainder."""
 
 
+def _accumulate(out, key, c):
+    """out[key] += c for a dict of coefficients, dropping a zero sum."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial sum_k c_k * t^k, stored as {k: c_k}."""
 
@@ -25,6 +35,13 @@ class LaurentPoly:
                 if c:
                     data[int(k)] = c
         self.coeffs = data
+
+    @classmethod
+    def _trusted(cls, coeffs):
+        """Wrap a dict of int exponents to nonzero ints without copying."""
+        res = object.__new__(cls)
+        res.coeffs = coeffs
+        return res
 
     @classmethod
     def from_int(cls, c):
@@ -60,21 +77,13 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
+            _accumulate(out, k, c)
+        return LaurentPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly()
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
+        return LaurentPoly._trusted({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -90,17 +99,12 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out = {}
+        b = other.coeffs.items()
         for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+            for k2, c2 in b:
                 k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
+                out[k] = out.get(k, 0) + c1 * c2
+        return LaurentPoly._trusted({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -118,9 +122,7 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by t^k."""
-        res = LaurentPoly()
-        res.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly._trusted({e + k: c for e, c in self.coeffs.items()})
 
     def exact_div(self, other):
         """Exact quotient self / other; NotDivisibleError if impossible."""
@@ -146,15 +148,8 @@ class LaurentPoly:
             qe = rdeg - bdeg
             quot[qe] = q
             for e, c in div.items():
-                k = e + qe
-                s = rem.get(k, 0) - q * c
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        res = LaurentPoly()
-        res.coeffs = {e + am - bm: c for e, c in quot.items()}
-        return res
+                _accumulate(rem, e + qe, -q * c)
+        return LaurentPoly._trusted({e + am - bm: c for e, c in quot.items()})
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
@@ -164,7 +159,7 @@ class LaurentPoly:
 
     def truncate_above(self, cap):
         """Drop all terms with exponent > cap (work mod t^(cap+1))."""
-        return LaurentPoly({k: c for k, c in self.coeffs.items() if k <= cap})
+        return LaurentPoly._trusted({k: c for k, c in self.coeffs.items() if k <= cap})
 
     def at_t_zero(self):
         """Value at t = 0; only defined when no exponent is negative."""
@@ -203,6 +198,16 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls({int(k): int(c) for k, c in data.items()})
+
+
+def _fmt_coeff(c, body):
+    """Render the product of the LaurentPoly c and the text `body`."""
+    cs = str(c)
+    if cs in ("1", "-1"):
+        return cs[:-1] + body  # no factor 1, only its sign
+    if len(c.coeffs) == 1 and not cs.startswith("-"):
+        return f"{cs}*{body}"
+    return f"({cs})*{body}"
 
 
 ZERO = LaurentPoly()

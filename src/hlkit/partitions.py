@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from operator import ge
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
 
@@ -80,12 +81,20 @@ def n_skew(lam, mu):
     return sum(comb(a - b, 2) for a, b in zip(lc, mc))
 
 
+def _is_normal(parts):
+    """True for a tuple that normalize would return unchanged."""
+    return (
+        type(parts) is tuple
+        and (not parts or parts[-1] > 0)
+        and all(map(ge, parts, parts[1:]))
+    )
+
+
 def contains(lam, mu):
     """True when mu fits inside lam row by row."""
-    lam, mu = normalize(lam), normalize(mu)
-    if len(mu) > len(lam):
-        return False
-    return all(m <= l for l, m in zip(lam, mu))
+    if not (_is_normal(lam) and _is_normal(mu)):
+        lam, mu = normalize(lam), normalize(mu)
+    return len(mu) <= len(lam) and all(map(ge, lam, mu))
 
 
 def is_horizontal_strip(lam, mu):
@@ -154,23 +163,28 @@ def partitions_of(m, max_length=None, max_part=None):
     """All partitions of m, as tuples, length/part bounded when asked."""
     if m < 0:
         return []
+    if m == 0:
+        return [()]
     out = []
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_length is not None and len(prefix) >= max_length:
-            return
-        top = min(remaining, largest)
-        for p in range(top, 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    first = m if max_part is None else min(m, max_part)
-    rec(m, first if m else 0, [])
+    rows = m if max_length is None else max_length
+    _partitions_into(out, m, m if max_part is None else max_part, (), rows)
     return out
+
+
+def _partitions_into(out, remaining, largest, prefix, rows):
+    """Append to `out` the partitions of `remaining` into parts <= largest
+    after `prefix`, at most `rows` parts in all.  A module-level function,
+    not a closure, so that no reference cycle keeps `out` alive."""
+    room = rows - len(prefix)
+    if room <= 0:
+        return
+    for p in range(min(remaining, largest), 1, -1):
+        if p == remaining:
+            out.append(prefix + (p,))
+        else:
+            _partitions_into(out, remaining - p, p, prefix + (p,), rows)
+    if largest > 0 and remaining <= room:  # the tail of ones
+        out.append(prefix + (1,) * remaining)
 
 
 def partitions_up_to(m, max_length=None, max_part=None):
@@ -195,6 +209,7 @@ def subpartitions(lam):
             prefix.pop()
 
     rec(0, lam[0] if lam else 0, [])
+    del rec  # break the closure's cycle, which would keep `out` alive
     return sorted(out, key=lambda m: (sum(m), m))
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
+from .laurent import ONE as L_ONE, _accumulate
 from .partitions import suffix_nonneg
-from .xpoly import XPoly, xvars
+from .xpoly import XPoly, _linear_combination, xvars
 
 
 def _parity_sign(perm):
@@ -81,10 +81,10 @@ def pi_omega(f, n):
     vars = xvars(n)
     delta = tuple(n - 1 - i for i in range(n))
     g = f * XPoly.monomial(vars, delta)
-    acc = XPoly.zero()
-    for perm in permutations(range(n)):
-        h = g.permute_exponents(perm, vars=vars)
-        acc = acc + (h if _parity_sign(perm) > 0 else -h)
+    acc = _linear_combination(
+        (g.permute_exponents(perm, vars=vars), _parity_sign(perm))
+        for perm in permutations(range(n))
+    )
     for i in range(n):
         for j in range(i + 1, n):
             acc = acc.exact_div_diff(vars[i], vars[j])
@@ -161,13 +161,7 @@ def to_schur(f, n):
         if st is None:
             continue
         sign, lam = st
-        c2 = c if sign > 0 else -c
-        prev = out.get(lam)
-        s = c2 if prev is None else prev + c2
-        if s:
-            out[lam] = s
-        else:
-            del out[lam]
+        _accumulate(out, lam, c if sign > 0 else -c)
     return out
 
 
@@ -175,10 +169,9 @@ def schur_dict_to_xpoly(coeffs, n):
     """Rebuild sum coeffs[lam] * S_lam(x_1..x_n) as an explicit XPoly."""
     from .alphabets import schur_on_xvars
 
-    acc = XPoly.zero()
-    for lam, c in coeffs.items():
-        acc = acc + schur_on_xvars(lam, n).scale(c)
-    return acc
+    return _linear_combination(
+        (schur_on_xvars(lam, n), c) for lam, c in coeffs.items()
+    )
 
 
 @cache
@@ -198,28 +191,14 @@ def _kernel_schur_cached(u):
                     w = list(v)
                     w[i - 1] += k
                     w[j - 1] -= k
-                    key = tuple(w)
-                    cc = c.shift(k)
-                    prev = new.get(key)
-                    acc = cc if prev is None else prev + cc
-                    if acc:
-                        new[key] = acc
-                    else:
-                        new.pop(key, None)
+                    _accumulate(new, tuple(w), c.shift(k))
             terms = new
     out = {}
     for v, c in terms.items():
         st = straighten_schur(v)
-        if st is None:
-            continue
-        sign, lam = st
-        c2 = c if sign > 0 else -c
-        prev = out.get(lam)
-        s = c2 if prev is None else prev + c2
-        if s:
-            out[lam] = s
-        else:
-            del out[lam]
+        if st is not None:
+            sign, lam = st
+            _accumulate(out, lam, c if sign > 0 else -c)
     return tuple(sorted(out.items()))
 
 

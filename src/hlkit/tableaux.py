@@ -83,6 +83,7 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
             del row[have:]
 
     place(1, 0, top, None if weight is None else weight[0])
+    del place  # break the closure's cycle: `results` is freed with its last user
     results.sort()
     return results
 
@@ -110,11 +111,16 @@ def charge(word):
     of its unused positions, so every step is one bisection.
     """
     word = tuple(word)
-    if not word:
-        return 0
     wt = word_weight(word)
     if not is_partition(wt):
         raise NonDominantWeightError(f"weight {wt} is not a partition")
+    return _charge(word, wt)
+
+
+def _charge(word, wt):
+    """Charge of a word whose weight is the partition wt, unchecked."""
+    if not wt:
+        return 0
     positions = [[] for _ in wt]
     for p, a in enumerate(word):
         positions[a - 1].append(p)

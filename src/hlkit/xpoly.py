@@ -11,13 +11,23 @@ to coefficients.  Values are canonical:
 
 Binary operations align variable lists automatically, so polynomials
 built over different alphabets compare and combine correctly.
+
+The public constructor validates and canonicalizes its input.  Results
+of arithmetic are canonical by construction and go through the private
+XPoly._trusted, which only drops the variables that cancellation left
+unused.  Products and sums of many terms accumulate flat int
+coefficients, {exponents: {t exponent: int}} (see _mul_into), and turn
+each output coefficient into a LaurentPoly once (_unflatten).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from operator import add
 
 from .laurent import LaurentPoly, NotDivisibleError, ZERO as L_ZERO, ONE as L_ONE
+from .laurent import _accumulate, _fmt_coeff
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
@@ -43,6 +53,69 @@ def merge_vars(a, b):
     return tuple(sorted(set(a) | set(b), key=var_key))
 
 
+def _mul_into(acc, a, b, sign=1):
+    """acc += sign * a * b over flat int coefficients.
+
+    `a` and `b` iterate over (exponent tuple, {t exponent: int}) pairs
+    over the same variables; `acc` maps exponent tuples to such dicts
+    and may keep zero entries, which _unflatten drops.
+    """
+    b = [(e2, c2.items()) for e2, c2 in b]
+    for e1, c1 in a:
+        c1 = [(t, sign * v) for t, v in c1.items()]
+        for e2, c2 in b:
+            k = tuple(map(add, e1, e2))
+            d = acc.get(k)
+            if d is None:
+                d = acc[k] = {}
+            for t1, v1 in c1:
+                for t2, v2 in c2:
+                    t = t1 + t2
+                    d[t] = d.get(t, 0) + v1 * v2
+
+
+def _flat(terms):
+    """The (exponents, int coefficients) pairs of a term dict."""
+    return [(e, c.coeffs) for e, c in terms.items()]
+
+
+def _unflatten(acc):
+    """Term dict of the nonzero flat coefficients in `acc`."""
+    out = {}
+    for k, d in acc.items():
+        d = {t: v for t, v in d.items() if v}
+        if d:
+            out[k] = LaurentPoly._trusted(d)
+    return out
+
+
+def _degree(vars, count_vars):
+    """Total degree of an exponent tuple over `vars`, counting only the
+    variables in `count_vars` (default: all)."""
+    if count_vars is None:
+        return sum
+    cs = set(count_vars)
+    mask = [v in cs for v in vars]
+    return lambda e: sum(x for x, m in zip(e, mask) if m)
+
+
+def _sorted_vars(polys):
+    """The union of the variables of `polys`, sorted by var_key."""
+    return tuple(sorted({v for f in polys for v in f.vars}, key=var_key))
+
+
+def _linear_combination(pairs):
+    """The sum of c * f over (XPoly f, int or LaurentPoly c) pairs,
+    built once."""
+    pairs = [(f, _coerce_coeff(c)) for f, c in pairs]
+    vars = _sorted_vars(f for f, _ in pairs)
+    zero = (0,) * len(vars)
+    acc = {}
+    for f, c in pairs:
+        _mul_into(acc, _flat(f._expand_to(vars)), ((zero, c.coeffs),))
+    return XPoly._trusted(vars, _unflatten(acc))
+
+
 def _coerce_coeff(c):
     if isinstance(c, LaurentPoly):
         return c
@@ -65,35 +138,40 @@ class XPoly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != len(vars):
                     raise ValueError("exponent tuple does not match variables")
-                prev = clean.get(exps)
-                c = c if prev is None else prev + c
-                if c:
-                    clean[exps] = c
-                else:
-                    del clean[exps]
+                _accumulate(clean, exps, c)
         # sort variables, drop the ones never used
         order = sorted(range(len(vars)), key=lambda i: var_key(vars[i]))
         used = [i for i in order if any(e[i] for e in clean)]
         self.vars = tuple(vars[i] for i in used)
-        if len(used) == len(vars) and used == list(range(len(vars))):
+        if used == list(range(len(vars))):
             self.terms = clean
         else:
-            self.terms = {}
-            for exps, c in clean.items():
-                key = tuple(exps[i] for i in used)
-                prev = self.terms.get(key)
-                self.terms[key] = c if prev is None else prev + c
+            self.terms = {tuple(e[i] for i in used): c for e, c in clean.items()}
+
+    @classmethod
+    def _trusted(cls, vars, terms):
+        """Build from a tuple `vars` sorted by var_key and nonzero
+        LaurentPoly coefficients keyed by int tuples: only drops the
+        variables that cancellation left unused."""
+        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
+        if len(used) < len(vars):
+            vars = tuple(vars[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        res = object.__new__(cls)
+        res.vars = vars
+        res.terms = terms
+        return res
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls((), {})
+        return cls._trusted((), {})
 
     @classmethod
     def const(cls, c):
         c = _coerce_coeff(c)
-        return cls((), {(): c} if c else {})
+        return cls._trusted((), {(): c} if c else {})
 
     @classmethod
     def var(cls, name, exp=1):
@@ -121,6 +199,8 @@ class XPoly:
         return out
 
     def _aligned(self, other):
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
         vars = merge_vars(self.vars, other.vars)
         return vars, self._expand_to(vars), other._expand_to(vars)
 
@@ -153,18 +233,13 @@ class XPoly:
         vars, a, b = self._aligned(other)
         out = dict(a)
         for k, c in b.items():
-            prev = out.get(k)
-            s = c if prev is None else prev + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return XPoly(vars, out)
+            _accumulate(out, k, c)
+        return XPoly._trusted(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly(self.vars, {k: -c for k, c in self.terms.items()})
+        return XPoly._trusted(self.vars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -180,18 +255,9 @@ class XPoly:
         if other is NotImplemented:
             return NotImplemented
         vars, a, b = self._aligned(other)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                k = tuple(p + q for p, q in zip(e1, e2))
-                c = c1 * c2
-                prev = out.get(k)
-                s = c if prev is None else prev + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return XPoly(vars, out)
+        acc = {}
+        _mul_into(acc, _flat(a), _flat(b))
+        return XPoly._trusted(vars, _unflatten(acc))
 
     __rmul__ = __mul__
 
@@ -204,40 +270,30 @@ class XPoly:
         """
         other = self._coerce(other)
         vars, a, b = self._aligned(other)
-        if count_vars is None:
-            mask = [True] * len(vars)
-        else:
-            cs = set(count_vars)
-            mask = [v in cs for v in vars]
-
-        def deg(e):
-            return sum(x for x, m in zip(e, mask) if m)
-
-        out = {}
-        for e1, c1 in a.items():
-            d1 = deg(e1)
-            for e2, c2 in b.items():
-                if d1 + deg(e2) > cap:
-                    continue
-                k = tuple(p + q for p, q in zip(e1, e2))
-                c = c1 * c2
-                prev = out.get(k)
-                s = c if prev is None else prev + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return XPoly(vars, out)
+        deg = _degree(vars, count_vars)
+        # b by ascending degree: the partners of a degree-d term of a
+        # are a prefix of it
+        bs = sorted(_flat(b), key=lambda ec: deg(ec[0]))
+        degs = [deg(e) for e, _ in bs]
+        by_deg = {}
+        for e, c in a.items():
+            by_deg.setdefault(deg(e), []).append((e, c.coeffs))
+        acc = {}
+        for d, part in by_deg.items():
+            _mul_into(acc, part, bs[: bisect_right(degs, cap - d)])
+        return XPoly._trusted(vars, _unflatten(acc))
 
     def scale(self, c):
         c = _coerce_coeff(c)
         if not c:
-            return XPoly.zero()
-        return XPoly(self.vars, {k: v * c for k, v in self.terms.items()})
+            return X_ZERO
+        return XPoly._trusted(self.vars, {k: v * c for k, v in self.terms.items()})
 
     def exact_div_scalar(self, c):
         c = _coerce_coeff(c)
-        return XPoly(self.vars, {k: v.exact_div(c) for k, v in self.terms.items()})
+        return XPoly._trusted(
+            self.vars, {k: v.exact_div(c) for k, v in self.terms.items()}
+        )
 
     # -- structure queries --------------------------------------------
 
@@ -260,36 +316,28 @@ class XPoly:
         """Max total degree over the named variables (0 for the zero poly)."""
         if not self.terms:
             return 0
-        if names is None:
-            mask = [True] * len(self.vars)
-        else:
-            ns = set(names)
-            mask = [v in ns for v in self.vars]
-        return max(sum(x for x, m in zip(e, mask) if m) for e in self.terms)
+        return max(map(_degree(self.vars, names), self.terms))
 
     def truncate_degree(self, cap, count_vars=None):
         """Drop terms whose counted total degree exceeds cap."""
-        if count_vars is None:
-            mask = [True] * len(self.vars)
-        else:
-            cs = set(count_vars)
-            mask = [v in cs for v in self.vars]
-        out = {
-            e: c
-            for e, c in self.terms.items()
-            if sum(x for x, m in zip(e, mask) if m) <= cap
-        }
-        return XPoly(self.vars, out)
+        deg = _degree(self.vars, count_vars)
+        out = {e: c for e, c in self.terms.items() if deg(e) <= cap}
+        return XPoly._trusted(self.vars, out)
 
     def truncate_t_above(self, cap):
-        out = {}
-        for e, c in self.terms.items():
-            c2 = c.truncate_above(cap)
-            if c2:
-                out[e] = c2
-        return XPoly(self.vars, out)
+        out = {e: c.truncate_above(cap) for e, c in self.terms.items()}
+        return XPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     # -- substitutions -------------------------------------------------
+
+    def _rekeyed(self, vars, key):
+        """Every exponent tuple over `vars` (default self.vars, which it
+        must contain) sent through the one-to-one map `key`."""
+        vars = self.vars if vars is None else tuple(vars)
+        out = {key(e): c for e, c in self._expand_to(vars).items()}
+        if vars is not self.vars and vars != merge_vars(vars, ()):
+            return XPoly(vars, out)  # unsorted slots: let the constructor sort
+        return XPoly._trusted(vars, out)
 
     def permute_exponents(self, perm, vars=None):
         """Exponent slot i takes the value of slot perm[i].
@@ -298,21 +346,10 @@ class XPoly:
         Summed over all of S_n with signs this gives the antisymmetrizer
         regardless of direction convention.
         """
-        vars = self.vars if vars is None else tuple(vars)
-        terms = self._expand_to(vars) if vars != self.vars else self.terms
-        n = len(vars)
+        n = len(self.vars if vars is None else tuple(vars))
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of the variable slots")
-        out = {}
-        for e, c in terms.items():
-            key = tuple(e[perm[i]] for i in range(n))
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return XPoly(vars, out)
+        return self._rekeyed(vars, lambda e: tuple(e[p] for p in perm))
 
     def swap_positions(self, i, j, vars=None):
         """Exchange the exponents of the i-th and j-th variables (0-based).
@@ -320,55 +357,26 @@ class XPoly:
         Positions refer to `vars` when given; variables absent from self
         are treated as exponent 0 everywhere.
         """
-        if vars is None:
-            vars = self.vars
-        terms = self._expand_to(tuple(vars)) if tuple(vars) != self.vars else self.terms
-        out = {}
-        for e, c in terms.items():
+
+        def swapped(e):
             le = list(e)
             le[i], le[j] = le[j], le[i]
-            key = tuple(le)
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return XPoly(tuple(vars), out)
+            return tuple(le)
+
+        return self._rekeyed(vars, swapped)
 
     def reverse_invert(self, vars=None):
         """Substitute x_i -> 1/x_{n+1-i} over `vars` (default self.vars)."""
-        if vars is None:
-            vars = self.vars
-        vars = tuple(vars)
-        terms = self._expand_to(vars) if vars != self.vars else self.terms
-        n = len(vars)
-        out = {}
-        for e, c in terms.items():
-            key = tuple(-e[n - 1 - i] for i in range(n))
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return XPoly(vars, out)
+        return self._rekeyed(vars, lambda e: tuple(-x for x in reversed(e)))
 
     def subs_one(self, names):
         """Set every variable in `names` to 1."""
         ns = set(names)
         keep = [i for i, v in enumerate(self.vars) if v not in ns]
-        vars = tuple(self.vars[i] for i in keep)
         out = {}
         for e, c in self.terms.items():
-            key = tuple(e[i] for i in keep)
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return XPoly(vars, out)
+            _accumulate(out, tuple(e[i] for i in keep), c)
+        return XPoly._trusted(tuple(self.vars[i] for i in keep), out)
 
     # -- exact division -------------------------------------------------
 
@@ -380,45 +388,25 @@ class XPoly:
         w = a/b, and division by a - b = x_b (w - 1) is one-variable.
         """
         vars = merge_vars(self.vars, (a, b))
-        terms = self._expand_to(vars)
         ia, ib = vars.index(a), vars.index(b)
         groups = {}
-        for e, c in terms.items():
-            rest = tuple(x for k, x in enumerate(e) if k not in (ia, ib))
-            d = e[ia] + e[ib]
-            groups.setdefault((rest, d), {})[e[ia]] = c
+        for e, c in self._expand_to(vars).items():
+            rest = list(e)
+            rest[ia] = rest[ib] = 0
+            groups.setdefault((tuple(rest), e[ia] + e[ib]), {})[e[ia]] = c
         out = {}
-        n = len(vars)
         for (rest, d), coeffs in groups.items():
-            lo, hi = min(coeffs), max(coeffs)
+            key = list(rest)
+            hi = max(coeffs)
             running = L_ZERO
-            quot = {}
-            for k in range(lo, hi + 1):
+            for k in range(min(coeffs), hi + 1):
                 running = running + coeffs.get(k, L_ZERO)
-                if k < hi:
-                    if running:
-                        quot[k] = -running
+                if running and k < hi:
+                    key[ia], key[ib] = k, d - 1 - k
+                    out[tuple(key)] = -running
             if running:
                 raise NotDivisibleError(f"not divisible by {a} - {b}")
-            for k, c in quot.items():
-                key = [0] * n
-                ri = 0
-                for pos in range(n):
-                    if pos == ia:
-                        key[pos] = k
-                    elif pos == ib:
-                        key[pos] = d - 1 - k
-                    else:
-                        key[pos] = rest[ri]
-                        ri += 1
-                tk = tuple(key)
-                prev = out.get(tk)
-                s = c if prev is None else prev + c
-                if s:
-                    out[tk] = s
-                else:
-                    out.pop(tk, None)
-        return XPoly(vars, out)
+        return XPoly._trusted(vars, out)
 
     # -- rendering / io --------------------------------------------------
 
@@ -433,18 +421,10 @@ class XPoly:
                 for v, p in zip(self.vars, e)
                 if p
             )
-            cs = str(c)
             if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                elif len(c.coeffs) == 1 and not cs.startswith("-"):
-                    parts.append(f"{cs}*{mono}")
-                else:
-                    parts.append(f"({cs})*{mono}")
+                parts.append(_fmt_coeff(c, mono))
             else:
-                parts.append(cs if len(c.coeffs) == 1 else f"({cs})")
+                parts.append(str(c) if len(c.coeffs) == 1 else f"({c})")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):

@@ -16,6 +16,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 2 with a one-line error on stderr; returns stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    return captured.out
+
+
 class TestExpansionVerbs:
     def test_qprime_schur_basis(self, capsys):
         code, out = run(capsys, "qprime", "2,1", "--basis", "S")
@@ -173,6 +182,31 @@ class TestErrorsAndDefaults:
         assert main(["pp-expand", "2,1", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_out_to_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        out = assert_usage_error(capsys, "qprime", "2,1", "--out", str(target))
+        assert out == "" and not target.exists()
+
+    @pytest.mark.parametrize("what", ["warnaar", "sigmaxy", "prodx"])
+    def test_negative_degree_cap_exits_2(self, capsys, what):
+        out = assert_usage_error(capsys, "verify", what, "--deg", "-1")
+        assert "holds" not in out
+
+    def test_non_integer_deg_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HLKIT_DEG", "x")
+        assert_usage_error(capsys, "verify", "warnaar", "--nx", "1", "--ny", "1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scalar", "2,1", "2,1", "-n", "0"),
+            ("verify", "theta-scalar", "--l", "2,1", "--m", "1", "-n", "0"),
+            ("verify", "factor", "--lambda", "2,1", "-n", "0"),
+        ],
+    )
+    def test_zero_count_exits_2(self, capsys, argv):
+        assert_usage_error(capsys, *argv)
 
     def test_deg_default_env(self, monkeypatch):
         monkeypatch.delenv("HLKIT_DEG", raising=False)

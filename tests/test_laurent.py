@@ -1,7 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, NotDivisibleError, ONE, T, ZERO
+
+try:
+    import sympy
+except ImportError:  # the oracle tests need sympy; the rest do not
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="needs sympy")
 
 
 def lp(d):
@@ -102,3 +109,77 @@ class TestJson:
         f = lp({-3: 2, 1: -1})
         data = f.to_json()
         assert set(data) == {"-3", "1"}
+
+
+# ------------------------------------------------ canonical form, sympy oracle
+
+
+def to_sympy(f):
+    t = sympy.Symbol("t")
+    return sum((c * t**k for k, c in f.coeffs.items()), sympy.Integer(0))
+
+
+def assert_canonical(f):
+    assert all(type(k) is int and type(c) is int and c for k, c in f.coeffs.items())
+
+
+def laurent_over_z(expr):
+    """True when expr is an integer Laurent polynomial in t."""
+    t = sympy.Symbol("t")
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num, den = sympy.Poly(num, t), sympy.Poly(den, t)
+    return (
+        len(den.terms()) == 1
+        and den.LC() in (1, -1)
+        and all(c.is_integer for c in num.coeffs())
+    )
+
+
+class TestCanonicalForm:
+    def test_cancellation_leaves_no_zero(self):
+        f = lp({0: 1, 2: 3})
+        assert (f - lp({2: 3})).coeffs == {0: 1}
+        assert (f + (-f)).coeffs == {}
+        assert ((ONE + T) * (ONE - T)).coeffs == {0: 1, 2: -1}
+
+    @given(laurents, laurents)
+    def test_after_every_operation(self, f, g):
+        for h in (f + g, f - g, -f, f * g, f.shift(-2), f.truncate_above(1)):
+            assert_canonical(h)
+
+
+@needs_sympy
+class TestSympyOracle:
+    @given(laurents, laurents)
+    @settings(deadline=None, max_examples=60)
+    def test_ring_operations(self, f, g):
+        for got, want in (
+            (f + g, to_sympy(f) + to_sympy(g)),
+            (f - g, to_sympy(f) - to_sympy(g)),
+            (f * g, to_sympy(f) * to_sympy(g)),
+            (-f, -to_sympy(f)),
+        ):
+            assert_canonical(got)
+            assert sympy.expand(to_sympy(got) - want) == 0
+
+    @given(laurents, laurents)
+    @settings(deadline=None, max_examples=60)
+    def test_exact_div(self, f, g):
+        if not g:
+            return
+        want = to_sympy(f) / to_sympy(g)
+        try:
+            q = f.exact_div(g)
+        except NotDivisibleError:
+            assert not laurent_over_z(want)
+        else:
+            assert_canonical(q)
+            assert sympy.expand(to_sympy(q) * to_sympy(g) - to_sympy(f)) == 0
+
+    @given(laurents, laurents)
+    @settings(deadline=None, max_examples=40)
+    def test_exact_div_of_a_product(self, f, g):
+        if not g:
+            return
+        q = (f * g).exact_div(g)
+        assert sympy.expand(to_sympy(q) - to_sympy(f)) == 0
