@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
+from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate, t_power
 from .partitions import (
     b_poly,
     partitions_of,
@@ -39,6 +39,7 @@ from .hall_littlewood import (
 )
 from .identities import (
     ct_scalar,
+    defq_note_holds,
     defq_note_parts,
     prodx_check,
     sigmaxy_check,
@@ -51,10 +52,6 @@ from .identities import (
     warnaar3_check,
     warnaar_check,
 )
-
-
-def _tp(k):
-    return LaurentPoly.t_power(k)
 
 
 def criterion_1():
@@ -82,7 +79,7 @@ def criterion_2():
     want = BasisExpansion(
         "Qp",
         {
-            (): _tp(4),
+            (): t_power(4),
             (1,): LaurentPoly({2: 1, 3: 1, 4: 1}),
             (2,): LaurentPoly({1: 1, 2: 1}),
             (1, 1): LaurentPoly({1: 1, 2: 1, 3: 1}),
@@ -102,8 +99,8 @@ def criterion_3():
     """Closed form and column rule on a large skew one-letter value."""
     lam, mu = (4, 4, 3, 2, 2, 2, 1), (2, 2, 1, 1)
     closed = aleph(lam, mu)
-    want = _tp(13) * (L_ONE - _tp(6)) * (L_ONE - _tp(5)) ** 2 * (
-        L_ONE - _tp(4)
+    want = t_power(13) * (L_ONE - t_power(6)) * (L_ONE - t_power(5)) ** 2 * (
+        L_ONE - t_power(4)
     )
     want = want.exact_div(b_poly(mu))
     col = skew_qprime_one_columns(lam, mu)
@@ -219,9 +216,9 @@ def criterion_8():
         if not sigmaxy_check(nx, ny, 6):
             return False, f"two-alphabet product fails at nx={nx}, ny={ny}"
     one_m_t = L_ONE - T
-    one_m_t2 = L_ONE - _tp(2)
+    one_m_t2 = L_ONE - t_power(2)
     want = {
-        (): _tp(2),
+        (): t_power(2),
         (1,): T * one_m_t2,
         (2,): one_m_t2,
         (1, 1): T * one_m_t * one_m_t2,
@@ -310,13 +307,7 @@ def criterion_12():
     """The two-variable boundary study: kernel relation, intermediate
     image, non-extension of the operator recipe, straightened relation."""
     parts = defq_note_parts()
-    ok = (
-        not parts["kernel_relation"]
-        and parts["intermediate_ok"]
-        and bool(parts["difference"])
-        and not parts["proportional"]
-        and parts["straightening_ok"]
-    )
+    ok = defq_note_holds(parts)
     return ok, (
         f"kernel relation is zero: {not parts['kernel_relation']}; "
         f"intermediate image matches: {parts['intermediate_ok']}; "

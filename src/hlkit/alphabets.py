@@ -206,36 +206,11 @@ def _minor(ent, memo, mask):
     return got
 
 
-@cache
-def schur_eval(lam, A):
-    """S_lam(A) by the Jacobi-Trudi determinant det h_{lam_i - i + j}."""
-    lam = tuple(p for p in lam if p)
-    if not lam:
-        return X_ONE
+def _jacobi_trudi(lam, mu, A):
+    """det h_{lam_i - mu_j - i + j}(A) for partitions lam, mu without
+    zero parts, mu inside lam."""
     l = len(lam)
-    if not A.minus and l > len(A.plus):
-        return X_ZERO
-    D = lam[0] + l - 1
-    h = complete_series(A, D)
-    mat = [
-        [
-            h[lam[i] - i + j] if 0 <= lam[i] - i + j <= D else X_ZERO
-            for j in range(l)
-        ]
-        for i in range(l)
-    ]
-    return _det(mat)
-
-
-@cache
-def skew_schur_eval(lam, mu, A):
-    """S_{lam/mu}(A) = det h_{lam_i - mu_j - i + j}; 0 unless mu fits."""
-    lam = tuple(p for p in lam if p)
-    mu = tuple(p for p in mu if p)
-    l = len(lam)
-    if len(mu) > l or any(m > p for m, p in zip(mu, lam)):
-        return X_ZERO
-    if not lam:
+    if not l:
         return X_ONE
     mu = mu + (0,) * (l - len(mu))
     D = lam[0] + l - 1
@@ -250,6 +225,25 @@ def skew_schur_eval(lam, mu, A):
         for i in range(l)
     ]
     return _det(mat)
+
+
+@cache
+def schur_eval(lam, A):
+    """S_lam(A) by the Jacobi-Trudi determinant det h_{lam_i - i + j}."""
+    lam = tuple(p for p in lam if p)
+    if not A.minus and len(lam) > len(A.plus):
+        return X_ZERO
+    return _jacobi_trudi(lam, (), A)
+
+
+@cache
+def skew_schur_eval(lam, mu, A):
+    """S_{lam/mu}(A) = det h_{lam_i - mu_j - i + j}; 0 unless mu fits."""
+    lam = tuple(p for p in lam if p)
+    mu = tuple(p for p in mu if p)
+    if len(mu) > len(lam) or any(m > p for m, p in zip(mu, lam)):
+        return X_ZERO
+    return _jacobi_trudi(lam, mu, A)
 
 
 @cache
@@ -268,68 +262,6 @@ def resultant(y, A):
     for a in A.plus:
         acc = acc * (yv - a.value())
     return acc
-
-
-def berele_regev_check(nu, zeta, A, B):
-    """Rectangle-split factorization of Schur values on a difference.
-
-    With alpha = |A|, beta = |B| (both plus-only), nu of length <= alpha
-    and zeta_1 <= beta, the Schur value of (beta^alpha + nu, zeta) on
-    A - B factors as S_zeta(-B) * S_nu(A) * prod (a - b).
-    """
-    if A.minus or B.minus:
-        raise ValueError("both alphabets must be plus-only")
-    alpha, beta = len(A.plus), len(B.plus)
-    nu = tuple(p for p in nu if p)
-    zeta = tuple(p for p in zeta if p)
-    if len(nu) > alpha or (zeta and zeta[0] > beta):
-        raise ValueError("shape does not respect the rectangle split")
-    nu_pad = nu + (0,) * (alpha - len(nu))
-    lam = tuple(beta + p for p in nu_pad) + zeta
-    lam = tuple(p for p in lam if p)
-    lhs = schur_eval(lam, A - B)
-    prod = X_ONE
-    for a in A.plus:
-        for b in B.plus:
-            prod = prod * (a.value() - b.value())
-    rhs = schur_eval(zeta, -B) * schur_eval(nu, A) * prod
-    return lhs == rhs
-
-
-def rectangle_vanishing_check(nu, A, B):
-    """S_nu(A - B) = 0 whenever nu contains the (alpha+1) x (beta+1) box."""
-    from .partitions import contains
-
-    alpha, beta = len(A.plus), len(B.plus)
-    box = ((beta + 1),) * (alpha + 1)
-    if not contains(nu, box):
-        raise ValueError("nu does not contain the forbidden rectangle")
-    return schur_eval(tuple(nu), A - B) == X_ZERO
-
-
-def elementary_over_one_minus_t(A, m, t_cap):
-    """e_m of A/(1-t), truncated above t^t_cap.
-
-    A/(1-t) repeats each letter with every t-shift; shifts beyond the
-    cap cannot touch the kept coefficients, so the product over shifts
-    0..t_cap is exact modulo t^(t_cap+1).  Letters must have t_exp >= 0.
-    """
-    if any(l.t_exp < 0 for l in A.plus + A.minus):
-        raise ValueError("letters must have nonnegative t-exponent")
-    # coefficients of z^0..z^m in E(z), as XPolys truncated in t
-    e = [X_ONE] + [X_ZERO] * m
-    for a in A.plus:
-        for j in range(0, t_cap + 1 - a.t_exp):
-            av = a.shift_t(j).value()
-            for k in range(m, 0, -1):
-                e[k] = (e[k] + av * e[k - 1]).truncate_t_above(t_cap)
-    for b in A.minus:
-        for j in range(0, t_cap + 1 - b.t_exp):
-            bv = b.shift_t(j).value()
-            # divide by (1 + z * bv): e'_k = e_k - bv * e'_{k-1}
-            for k in range(1, m + 1):
-                e[k] = (e[k] - bv * e[k - 1]).truncate_t_above(t_cap)
-    return e[m]
 
 
 _ATOM_T = re.compile(r"^t(?:\^(-?\d+))?$")

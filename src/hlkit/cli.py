@@ -14,7 +14,7 @@ import os
 import sys
 
 from .laurent import LaurentPoly
-from .partitions import parse_partition
+from .partitions import parse_partition, parse_parts
 from .xpoly import XPoly, _linear_combination, xvars
 from .alphabets import parse_alphabet
 from .tableaux import NonDominantWeightError, charge, charge_tableau, enumerate_ssyt
@@ -31,10 +31,12 @@ from .hall_littlewood import (
 )
 from .identities import (
     ct_scalar,
+    defq_note_holds,
     defq_note_parts,
     prodx_example_families,
     prodx_sides,
     sigmaxy_sides,
+    theta_scalar_holds,
     theta_scalar_parts,
     warnaar_sides,
 )
@@ -149,7 +151,7 @@ def _cmd_charge(args):
 
 def _cmd_tableaux(args):
     shape = parse_partition(args.shape)
-    weight = parse_partition(args.weight) if args.weight else None
+    weight = parse_parts(args.weight) if args.weight else None
     tabs = list(enumerate_ssyt(shape, weight=weight, nletters=args.nletters))
     lines = [" / ".join(" ".join(str(x) for x in row) for row in tab) for tab in tabs]
     lines.append(f"count: {len(tabs)}")
@@ -174,28 +176,32 @@ def _cmd_tableaux(args):
     return 0
 
 
-def _sides_report(name, lhs, rhs, args):
-    ok = lhs == rhs
-    to_json = lambda s: s.to_json() if hasattr(s, "to_json") else s
+def _report(args, ok, text, name, failure):
+    """The one verdict path: print `text` (or the JSON verdict) and
+    return 0 when the identity holds, else print the `failure` payload
+    as one JSON line and return 1."""
     if ok:
-        _emit(args, f"{name}: holds", {"identity": name, "holds": True})
+        _emit(args, text, {"identity": name, "holds": True})
         return 0
-    diff = {
-        "identity": name,
-        "holds": False,
-        "lhs": to_json(lhs),
-        "rhs": to_json(rhs),
+    payload = {
+        k: v.to_json() if hasattr(v, "to_json") else v for k, v in failure.items()
     }
-    print(json.dumps(diff, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
     return 1
 
 
+def _sides_report(args, name, lhs, rhs):
+    failure = {"identity": name, "holds": False, "lhs": lhs, "rhs": rhs}
+    return _report(args, lhs == rhs, f"{name}: holds", name, failure)
+
+
+def _factor_report(args, lam, r, n):
+    lhs, rhs = factorization_sides(lam, r, n)
+    return _sides_report(args, f"factorization lam={list(lam)} r={r} n={n}", lhs, rhs)
+
+
 def _cmd_factor_check(args):
-    lam = parse_partition(args.partition)
-    lhs, rhs = factorization_sides(lam, args.r, args.n)
-    return _sides_report(
-        f"factorization lam={list(lam)} r={args.r} n={args.n}", lhs, rhs, args
-    )
+    return _factor_report(args, parse_partition(args.partition), args.r, args.n)
 
 
 def _cmd_scalar(args):
@@ -203,8 +209,7 @@ def _cmd_scalar(args):
     mu = parse_partition(args.inner)
     n = _count(args, max(len(lam), len(mu), 1))
     if len(lam) > n or len(mu) > n:
-        print("partitions longer than the variable count", file=sys.stderr)
-        return 2
+        raise ValueError("partitions longer than the variable count")
     f = q_on_xvars(lam, n)
     g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
     val = ct_scalar(f, g, n)
@@ -214,17 +219,12 @@ def _cmd_scalar(args):
 
 def _cmd_verify(args):
     what = args.what
-    if what == "warnaar":
+    if what in ("warnaar", "sigmaxy"):
+        sides = warnaar_sides if what == "warnaar" else sigmaxy_sides
         deg = _deg(args)
-        lhs, rhs = warnaar_sides(args.nx, args.ny, deg)
+        lhs, rhs = sides(args.nx, args.ny, deg)
         return _sides_report(
-            f"warnaar nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs, args
-        )
-    if what == "sigmaxy":
-        deg = _deg(args)
-        lhs, rhs = sigmaxy_sides(args.nx, args.ny, deg)
-        return _sides_report(
-            f"sigmaxy nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs, args
+            args, f"{what} nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs
         )
     if what == "prodx":
         deg = _deg(args)
@@ -234,7 +234,7 @@ def _cmd_verify(args):
                 lhs, rhs = prodx_sides(fam, n, deg)
                 code = max(
                     code,
-                    _sides_report(f"prodx [{name}] n={n} deg={deg}", lhs, rhs, args),
+                    _sides_report(args, f"prodx [{name}] n={n} deg={deg}", lhs, rhs),
                 )
         return code
     if what == "theta-scalar":
@@ -242,73 +242,32 @@ def _cmd_verify(args):
         mu = parse_partition(args.m or "")
         n = _count(args, max(len(lam), len(mu), 1))
         parts = theta_scalar_parts(lam, mu, n)
-        ok = (
-            parts["pairing"] == parts["theta"]
-            and parts["halfway"] == parts["signed_sum"]
-            and parts["signed_sum"] == parts["product_form"]
+        return _report(
+            args,
+            theta_scalar_holds(parts),
+            f"theta-scalar lam={list(lam)} mu={list(mu)} n={n}: holds",
+            "theta-scalar",
+            parts,
         )
-        if ok:
-            _emit(
-                args,
-                f"theta-scalar lam={list(lam)} mu={list(mu)} n={n}: holds",
-                {"identity": "theta-scalar", "holds": True},
-            )
-            return 0
-        print(
-            json.dumps(
-                {k: v.to_json() for k, v in parts.items()}, sort_keys=True
-            )
-        )
-        return 1
     if what == "defq-note":
         parts = defq_note_parts()
-        ok = (
-            not parts["kernel_relation"]
-            and parts["intermediate_ok"]
-            and bool(parts["difference"])
-            and not parts["proportional"]
-            and parts["straightening_ok"]
+        return _report(
+            args,
+            defq_note_holds(parts),
+            "operator boundary study: all four statements hold",
+            "defq-note",
+            parts,
         )
-        if ok:
-            _emit(
-                args,
-                "operator boundary study: all four statements hold",
-                {"identity": "defq-note", "holds": True},
-            )
-            return 0
-        print(
-            json.dumps(
-                {
-                    "kernel_relation": parts["kernel_relation"].to_json(),
-                    "intermediate_ok": parts["intermediate_ok"],
-                    "difference": parts["difference"].to_json(),
-                    "proportional": parts["proportional"],
-                    "straightening_ok": parts["straightening_ok"],
-                },
-                sort_keys=True,
-            )
-        )
-        return 1
     if what == "factor":
         lam = parse_partition(args.lam or "")
-        n = _count(args, 2)
-        lhs, rhs = factorization_sides(lam, args.r, n)
-        return _sides_report(
-            f"factorization lam={list(lam)} r={args.r} n={n}",
-            lhs,
-            rhs,
-            args,
-        )
-    if what == "all":
-        results = acceptance.run_all()
-        all_ok = True
-        for num, title, ok, detail in results:
-            flag = "PASS" if ok else "FAIL"
-            print(f"[{flag}] {num:2d} {title}: {detail}")
-            all_ok = all_ok and ok
-        return 0 if all_ok else 1
-    print(f"unknown verification target {what!r}", file=sys.stderr)
-    return 2
+        return _factor_report(args, lam, args.r, _count(args, 2))
+    # what == "all": the acceptance gate
+    all_ok = True
+    for num, title, ok, detail in acceptance.run_all():
+        flag = "PASS" if ok else "FAIL"
+        print(f"[{flag}] {num:2d} {title}: {detail}")
+        all_ok = all_ok and ok
+    return 0 if all_ok else 1
 
 
 def build_parser():
@@ -406,9 +365,6 @@ def build_parser():
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("--lambda", dest="lam", help="partition for factor")
     sp.add_argument("-r", type=int, default=0)
-    sp.add_argument(
-        "--small", action="store_true", help="desk-scale bounds (the default)"
-    )
     common(sp)
     sp.set_defaults(fn=_cmd_verify)
 

@@ -344,8 +344,7 @@ def plane_partition_qprime(lam, n):
     empty partition this sums over the plane partitions of shape lam
     with entries at most n.  Each (mu, letters left) is expanded once.
     """
-    if n < 0:
-        raise ValueError(f"variable count must be nonnegative, got {n}")
+    vars = xvars(n)  # refuses a negative count before the recursion starts
 
     @cache
     def expand(mu, k):
@@ -365,7 +364,7 @@ def plane_partition_qprime(lam, n):
 
     terms = expand(normalize(lam), n)
     expand.cache_clear()  # free the memo now, not at the next cycle collection
-    return XPoly._trusted(xvars(n), terms)
+    return XPoly._trusted(vars, terms)
 
 
 def tableau_route_xpoly(lam, n):

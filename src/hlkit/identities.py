@@ -13,9 +13,9 @@ from functools import cache
 from itertools import product as iproduct
 from operator import sub
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, _accumulate
+from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import b_poly, conjugate, normalize, n_stat, partitions_of
-from .xpoly import XPoly, X_ONE, X_ZERO, _linear_combination, xvars, yvars
+from .xpoly import XPoly, X_ONE, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import kernel_schur, pi_omega
 from .hall_littlewood import (
@@ -27,8 +27,6 @@ from .hall_littlewood import (
     qprime_of_vector,
     schur_to_qprime,
 )
-
-T = LaurentPoly.t_power(1)
 
 
 def sigma1_series(A, cap, count_vars=None):
@@ -378,13 +376,18 @@ def theta_scalar_parts(lam, mu, n):
     }
 
 
-def theta_scalar_check(lam, mu, n):
-    parts = theta_scalar_parts(lam, mu, n)
+def theta_scalar_holds(parts):
+    """The verdict on `theta_scalar_parts`: the pairing is theta, and
+    the halfway value, the signed sum and the product form agree."""
     return (
         parts["pairing"] == parts["theta"]
         and parts["halfway"] == parts["signed_sum"]
         and parts["signed_sum"] == parts["product_form"]
     )
+
+
+def theta_scalar_check(lam, mu, n):
+    return theta_scalar_holds(theta_scalar_parts(lam, mu, n))
 
 
 # --------------------------------------------------------------- CT pairing
@@ -428,40 +431,6 @@ def ct_scalar(f, g, n):
         if all(x == 0 for x in e):
             acc = acc + c
     return acc
-
-
-def ct_scalar_bruteforce(f, g, n, order=None):
-    """Same pairing by blunt kernel expansion to a fixed order, with a
-    one-step stability margin; cross-check oracle for the pruned path."""
-    vars = xvars(n)
-    h = f * g.reverse_invert(vars)
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = h * (X_ONE - XPoly.monomial((vars[i], vars[j]), (1, -1)))
-    if order is None:
-        spread = max(
-            (max(abs(e[i]) for e in h._expand_to(vars)) for i in range(n)),
-            default=0,
-        ) if h else 0
-        order = spread + 1
-
-    def ct_at(k_order):
-        kernel = X_ONE
-        for i in range(n):
-            for j in range(i + 1, n):
-                geom = X_ZERO
-                for k in range(k_order + 1):
-                    geom = geom + XPoly.monomial(
-                        (vars[i], vars[j]), (k, -k), LaurentPoly.t_power(k)
-                    )
-                kernel = kernel * geom
-        full = h * kernel
-        return full.coeff_of((0,) * n, vars)
-
-    a, b = ct_at(order), ct_at(order + 1)
-    if a != b:
-        raise AssertionError("kernel order not stable; raise the bound")
-    return a
 
 
 # ------------------------------------------------------------- operator note
@@ -512,8 +481,8 @@ def defq_note_parts():
     }
 
 
-def defq_counterexample_check():
-    parts = defq_note_parts()
+def defq_note_holds(parts):
+    """The verdict on `defq_note_parts`: all four statements hold."""
     return (
         not parts["kernel_relation"]
         and parts["intermediate_ok"]

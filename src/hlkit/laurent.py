@@ -167,11 +167,6 @@ class LaurentPoly:
             raise ValueError("negative exponent present, no value at t=0")
         return self.coeffs.get(0, 0)
 
-    def is_single_positive_term(self):
-        if len(self.coeffs) != 1:
-            return False
-        return next(iter(self.coeffs.values())) > 0
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -31,8 +31,9 @@ def is_partition(parts):
     return all(core[i] >= core[i + 1] for i in range(len(core) - 1))
 
 
-def parse_partition(text):
-    """Parse '4,4,3,2' / '4 4 3 2' / '[4,4,3,2]' / '4^2 3 2' / 'empty'."""
+def parse_parts(text):
+    """Parse '4,4,3,2' / '4 4 3 2' / '[4,4,3,2]' / '4^2 3 2' / 'empty'
+    into nonnegative parts, in the order given."""
     text = text.strip().strip("[]()")
     if text in ("", "empty", "0", "-"):
         return ()
@@ -44,10 +45,13 @@ def parse_partition(text):
         else:
             parts.append(int(tok))
     if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in partition {text!r}")
-    lam = tuple(sorted(parts, reverse=True))
-    lam = tuple(p for p in lam if p)
-    return lam
+        raise ValueError(f"negative part in {text!r}")
+    return tuple(parts)
+
+
+def parse_partition(text):
+    """The partition of `parse_parts(text)`: sorted, zero parts dropped."""
+    return normalize(parse_parts(text))
 
 
 def format_partition(lam):

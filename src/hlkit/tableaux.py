@@ -49,6 +49,8 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
         nletters = len(weight)
     elif nletters is None:
         raise ValueError("need a weight or a letter bound")
+    elif nletters < 0:
+        raise ValueError(f"letter bound must be nonnegative, got {nletters}")
     if shape and len(shape) > nletters:
         return []
     if nletters <= 0:
@@ -143,23 +145,6 @@ def _charge(word, wt):
 
 def charge_tableau(tab):
     return charge(reading_word(tab))
-
-
-def knuth_neighbors(word):
-    """Words one elementary Knuth move away.
-
-    On a window (a, b, c): swap the last two when c < a <= b or
-    b < a <= c; swap the first two when a <= c < b or b <= c < a.
-    """
-    word = tuple(word)
-    out = []
-    for i in range(len(word) - 2):
-        a, b, c = word[i], word[i + 1], word[i + 2]
-        if c < a <= b or b < a <= c:
-            out.append(word[:i] + (a, c, b) + word[i + 3 :])
-        if a <= c < b or b <= c < a:
-            out.append(word[:i] + (b, a, c) + word[i + 3 :])
-    return out
 
 
 @cache

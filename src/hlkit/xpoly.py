@@ -41,12 +41,18 @@ def var_key(name):
     return (head, int(num) if num else 0)
 
 
+def _numbered(head, n):
+    if n < 0:
+        raise ValueError(f"variable count must be nonnegative, got {n}")
+    return tuple(f"{head}{i}" for i in range(1, n + 1))
+
+
 def xvars(n):
-    return tuple(f"x{i}" for i in range(1, n + 1))
+    return _numbered("x", n)
 
 
 def yvars(n):
-    return tuple(f"y{i}" for i in range(1, n + 1))
+    return _numbered("y", n)
 
 
 def merge_vars(a, b):
@@ -453,22 +459,3 @@ class XPoly:
 X_ZERO = XPoly.zero()
 X_ONE = XPoly.const(1)
 
-
-def exact_div_linear(f, divisor):
-    """Divide f exactly by a polynomial of the form a - b (two monomials).
-
-    Only the variable-difference case is needed; reject anything else.
-    """
-    if len(divisor.terms) != 2:
-        raise ValueError("divisor must be a difference of two variables")
-    items = sorted(divisor.terms.items(), reverse=True)
-    (ea, ca), (eb, cb) = items
-    if ca != L_ONE or cb != -L_ONE:
-        raise ValueError("divisor must be a difference of two variables")
-    names = []
-    for e, want in ((ea, 1), (eb, 1)):
-        hits = [(v, p) for v, p in zip(divisor.vars, e) if p]
-        if len(hits) != 1 or hits[0][1] != 1:
-            raise ValueError("divisor must be a difference of two variables")
-        names.append(hits[0][0])
-    return f.exact_div_diff(names[0], names[1])

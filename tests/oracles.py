@@ -1,7 +1,8 @@
 """Reference implementations kept only to test the library against.
 
 Each one is a direct, slow transcription of a definition that the
-library computes a faster way:
+library computes a faster way, or a construction that the library's
+values must satisfy:
 
   * `enumerate_ssyt_by_cells`: fill a shape cell by cell in row-major
     order, trying every letter allowed by the row and column conditions;
@@ -9,14 +10,35 @@ library computes a faster way:
     remaining positions circularly for each next letter;
   * `chain_weight`: the weight of one layer chain of the plane-partition
     expansion, summed over `tableaux.layer_chains` to give Q' on n
-    variables without the branching recursion.
+    variables without the branching recursion;
+  * `knuth_neighbors`: the elementary Knuth moves, under which charge is
+    invariant;
+  * `longest_word`, `pi_omega_via_word`: the longest isobaric divided
+    difference as a product along a reduced word, against the
+    bialternant quotient of `symmetrize.pi_omega`;
+  * `straighten_schur_by_exchange`: the Schur value of an integer vector
+    by local exchanges, against the shifted-sort rule;
+  * `truncate_suffix_nonneg`, `to_schur`, `schur_dict_to_xpoly`: the
+    truncate-and-straighten map from explicit polynomials to the Schur
+    basis and back, against the column enumeration of `kernel_schur`;
+  * `ct_scalar_bruteforce`: the constant-term pairing by full kernel
+    expansion to a fixed order, against the pruned path of `ct_scalar`;
+  * `berele_regev_check`, `rectangle_vanishing_check`: the rectangle
+    factorization and vanishing of Schur values on a difference of
+    alphabets, which exercise `schur_eval` on minus letters;
+  * `elementary_over_one_minus_t`: e_m(A/(1-t)) truncated in t, by
+    repeating each letter with every t-shift;
+  * `exact_div_linear`: exact division by a difference of two variables
+    given as a polynomial.
 """
 
+from hlkit.alphabets import schur_eval, schur_on_xvars
 from hlkit.hall_littlewood import skew_qprime_one
-from hlkit.laurent import ONE as L_ONE
-from hlkit.partitions import is_partition, normalize
+from hlkit.laurent import LaurentPoly, ONE as L_ONE, _accumulate
+from hlkit.partitions import contains, is_partition, normalize, suffix_nonneg
+from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
-from hlkit.xpoly import X_ZERO, XPoly, xvars
+from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
 
 
 def enumerate_ssyt_by_cells(shape, weight=None, nletters=None):
@@ -104,3 +126,211 @@ def chain_weight(chain):
     if not coeff:
         return X_ZERO
     return XPoly.monomial(xvars(n), tuple(exps), coeff)
+
+
+def knuth_neighbors(word):
+    """Words one elementary Knuth move away.
+
+    On a window (a, b, c): swap the last two when c < a <= b or
+    b < a <= c; swap the first two when a <= c < b or b <= c < a.
+    """
+    word = tuple(word)
+    out = []
+    for i in range(len(word) - 2):
+        a, b, c = word[i], word[i + 1], word[i + 2]
+        if c < a <= b or b < a <= c:
+            out.append(word[:i] + (a, c, b) + word[i + 3 :])
+        if a <= c < b or b <= c < a:
+            out.append(word[:i] + (b, a, c) + word[i + 3 :])
+    return out
+
+
+def longest_word(n):
+    """Reduced word for the longest permutation: (1),(2,1),...,(n-1,...,1)."""
+    word = []
+    for k in range(1, n):
+        word.extend(range(k, 0, -1))
+    return tuple(word)
+
+
+def pi_omega_via_word(f, n):
+    """`symmetrize.pi_omega` as the product of pi_i along a reduced word."""
+    for i in longest_word(n):
+        f = pi_i(f, i, n)
+    return f
+
+
+def straighten_schur_by_exchange(v, max_steps=100000):
+    """The value of `symmetrize.straighten_schur` by the local exchange rule.
+
+    While some adjacent pair ascends: equal-plus-one kills the value,
+    otherwise exchange the pair as (b-1, a+1) and flip the sign.  A
+    trailing negative entry kills the value at any time.
+    """
+    v = list(v)
+    sign = 1
+    for _ in range(max_steps):
+        if v and v[-1] < 0:
+            return None
+        i = next((k for k in range(len(v) - 1) if v[k] < v[k + 1]), None)
+        if i is None:
+            if any(p < 0 for p in v):
+                return None
+            return sign, tuple(p for p in v if p)
+        a, b = v[i], v[i + 1]
+        if b == a + 1:
+            return None
+        v[i], v[i + 1] = b - 1, a + 1
+        sign = -sign
+    raise RuntimeError("exchange straightening did not terminate")
+
+
+def truncate_suffix_nonneg(f, n):
+    """Keep only monomials whose x-exponent vector has all trailing sums >= 0."""
+    vars = xvars(n)
+    terms = f._expand_to(vars)
+    kept = {e: c for e, c in terms.items() if suffix_nonneg(e)}
+    return XPoly(vars, kept)
+
+
+def to_schur(f, n):
+    """Truncate-and-straighten image of f in the Schur basis.
+
+    Returns {partition: LaurentPoly}.  This is the polynomial part
+    operator: monomials failing the trailing-sum test contribute zero
+    (their straightened value vanishes identically), every kept
+    monomial is read off as a straightened Schur value.
+    """
+    vars = xvars(n)
+    terms = f._expand_to(vars)
+    out = {}
+    for e, c in terms.items():
+        if not suffix_nonneg(e):
+            continue
+        st = straighten_schur(e)
+        if st is None:
+            continue
+        sign, lam = st
+        _accumulate(out, lam, c if sign > 0 else -c)
+    return out
+
+
+def schur_dict_to_xpoly(coeffs, n):
+    """Rebuild sum coeffs[lam] * S_lam(x_1..x_n) as an explicit XPoly."""
+    return _linear_combination(
+        (schur_on_xvars(lam, n), c) for lam, c in coeffs.items()
+    )
+
+
+def ct_scalar_bruteforce(f, g, n, order=None):
+    """The pairing of `identities.ct_scalar` by blunt kernel expansion to
+    a fixed order, with a one-step stability margin."""
+    vars = xvars(n)
+    h = f * g.reverse_invert(vars)
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = h * (X_ONE - XPoly.monomial((vars[i], vars[j]), (1, -1)))
+    if order is None:
+        spread = max(
+            (max(abs(e[i]) for e in h._expand_to(vars)) for i in range(n)),
+            default=0,
+        ) if h else 0
+        order = spread + 1
+
+    def ct_at(k_order):
+        kernel = X_ONE
+        for i in range(n):
+            for j in range(i + 1, n):
+                geom = X_ZERO
+                for k in range(k_order + 1):
+                    geom = geom + XPoly.monomial(
+                        (vars[i], vars[j]), (k, -k), LaurentPoly.t_power(k)
+                    )
+                kernel = kernel * geom
+        full = h * kernel
+        return full.coeff_of((0,) * n, vars)
+
+    a, b = ct_at(order), ct_at(order + 1)
+    if a != b:
+        raise AssertionError("kernel order not stable; raise the bound")
+    return a
+
+
+def berele_regev_check(nu, zeta, A, B):
+    """Rectangle-split factorization of Schur values on a difference.
+
+    With alpha = |A|, beta = |B| (both plus-only), nu of length <= alpha
+    and zeta_1 <= beta, the Schur value of (beta^alpha + nu, zeta) on
+    A - B factors as S_zeta(-B) * S_nu(A) * prod (a - b).
+    """
+    if A.minus or B.minus:
+        raise ValueError("both alphabets must be plus-only")
+    alpha, beta = len(A.plus), len(B.plus)
+    nu = tuple(p for p in nu if p)
+    zeta = tuple(p for p in zeta if p)
+    if len(nu) > alpha or (zeta and zeta[0] > beta):
+        raise ValueError("shape does not respect the rectangle split")
+    nu_pad = nu + (0,) * (alpha - len(nu))
+    lam = tuple(beta + p for p in nu_pad) + zeta
+    lam = tuple(p for p in lam if p)
+    lhs = schur_eval(lam, A - B)
+    prod = X_ONE
+    for a in A.plus:
+        for b in B.plus:
+            prod = prod * (a.value() - b.value())
+    rhs = schur_eval(zeta, -B) * schur_eval(nu, A) * prod
+    return lhs == rhs
+
+
+def rectangle_vanishing_check(nu, A, B):
+    """S_nu(A - B) = 0 whenever nu contains the (alpha+1) x (beta+1) box."""
+    alpha, beta = len(A.plus), len(B.plus)
+    box = ((beta + 1),) * (alpha + 1)
+    if not contains(nu, box):
+        raise ValueError("nu does not contain the forbidden rectangle")
+    return schur_eval(tuple(nu), A - B) == X_ZERO
+
+
+def elementary_over_one_minus_t(A, m, t_cap):
+    """e_m of A/(1-t), truncated above t^t_cap.
+
+    A/(1-t) repeats each letter with every t-shift; shifts beyond the
+    cap cannot touch the kept coefficients, so the product over shifts
+    0..t_cap is exact modulo t^(t_cap+1).  Letters must have t_exp >= 0.
+    """
+    if any(l.t_exp < 0 for l in A.plus + A.minus):
+        raise ValueError("letters must have nonnegative t-exponent")
+    # coefficients of z^0..z^m in E(z), as XPolys truncated in t
+    e = [X_ONE] + [X_ZERO] * m
+    for a in A.plus:
+        for j in range(0, t_cap + 1 - a.t_exp):
+            av = a.shift_t(j).value()
+            for k in range(m, 0, -1):
+                e[k] = (e[k] + av * e[k - 1]).truncate_t_above(t_cap)
+    for b in A.minus:
+        for j in range(0, t_cap + 1 - b.t_exp):
+            bv = b.shift_t(j).value()
+            # divide by (1 + z * bv): e'_k = e_k - bv * e'_{k-1}
+            for k in range(1, m + 1):
+                e[k] = (e[k] - bv * e[k - 1]).truncate_t_above(t_cap)
+    return e[m]
+
+
+def exact_div_linear(f, divisor):
+    """Divide f exactly by a polynomial of the form a - b (two monomials).
+
+    Only the variable-difference case is needed; reject anything else.
+    """
+    if len(divisor.terms) != 2:
+        raise ValueError("divisor must be a difference of two variables")
+    items = sorted(divisor.terms.items(), reverse=True)
+    (ea, ca), (eb, cb) = items
+    if ca != L_ONE or cb != -L_ONE:
+        raise ValueError("divisor must be a difference of two variables")
+    names = []
+    for e, want in ((ea, 1), (eb, 1)):
+        hits = [(v, p) for v, p in zip(divisor.vars, e) if p]
+        if len(hits) != 1 or hits[0][1] != 1:
+            raise ValueError("divisor must be a difference of two variables")
+        names.append(hits[0][0])
+    return f.exact_div_diff(names[0], names[1])

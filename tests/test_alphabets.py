@@ -14,16 +14,18 @@ from hlkit.tableaux import enumerate_ssyt, tableau_weight
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import (
     Alphabet,
-    berele_regev_check,
     complete_series,
-    elementary_over_one_minus_t,
     letter,
     parse_alphabet,
-    rectangle_vanishing_check,
     resultant,
     schur_eval,
     schur_on_xvars,
     skew_schur_eval,
+)
+from oracles import (
+    berele_regev_check,
+    elementary_over_one_minus_t,
+    rectangle_vanishing_check,
 )
 
 

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from hlkit import cli
 from hlkit.cli import main, _deg_default, DEFAULT_DEG
 from hlkit.hall_littlewood import BasisExpansion, qprime_schur
+from hlkit.laurent import ONE as L_ONE, T
+from hlkit.xpoly import XPoly
 
 
 def run(capsys, *argv):
@@ -103,6 +106,15 @@ class TestCombinatoricsVerbs:
         assert code == 0
         assert "count: 1" in out
 
+    def test_tableaux_non_partition_weight(self, capsys):
+        code, out = run(capsys, "tableaux", "2,1", "--weight", "1,2")
+        assert code == 0
+        assert out.strip().splitlines() == [
+            "1 2 / 2",
+            "count: 1",
+            "charge polynomial: undefined (some fillings have non-partition weight)",
+        ]
+
     def test_tableaux_nletters_non_partition_weights(self, capsys):
         code, out = run(capsys, "tableaux", "3,2,1", "--nletters", "3")
         assert code == 0
@@ -161,11 +173,116 @@ class TestVerify:
         assert code == 0
 
     def test_all_small(self, capsys):
-        code, out = run(capsys, "verify", "all", "--small")
+        code, out = run(capsys, "verify", "all")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("[")]
         assert len(lines) == 13
         assert all(l.startswith("[PASS]") for l in lines)
+
+
+X1 = XPoly.var("x1")
+# The sides x1 and 2*x1, as the failure payloads print them.
+UNEQUAL = (
+    '"lhs": {"terms": [{"exps": [1], "poly": {"0": 1}}], "vars": ["x1"]}, '
+    '"rhs": {"terms": [{"exps": [1], "poly": {"0": 2}}], "vars": ["x1"]}}'
+)
+
+
+def unequal_sides(*_args):
+    return X1, X1 + X1
+
+
+class TestVerifyFailures:
+    """A check that finds a discrepancy exits 1 and prints it as JSON."""
+
+    def fails(self, capsys, monkeypatch, name, fake, *argv):
+        monkeypatch.setattr(cli, name, fake)
+        code = main(list(argv))
+        assert code == 1
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, argv, identity",
+        [
+            (
+                "warnaar_sides",
+                ("verify", "warnaar", "--nx", "1", "--ny", "1", "--deg", "2"),
+                "warnaar nx=1 ny=1 deg=2",
+            ),
+            (
+                "sigmaxy_sides",
+                ("verify", "sigmaxy", "--nx", "1", "--ny", "2", "--deg", "3", "--json"),
+                "sigmaxy nx=1 ny=2 deg=3",
+            ),
+            (
+                "factorization_sides",
+                ("verify", "factor", "--lambda", "2,1", "-n", "2", "-r", "1"),
+                "factorization lam=[2, 1] r=1 n=2",
+            ),
+            (
+                "factorization_sides",
+                ("factor-check", "3,1", "2", "0"),
+                "factorization lam=[3, 1] r=0 n=2",
+            ),
+        ],
+    )
+    def test_unequal_sides(self, capsys, monkeypatch, name, argv, identity):
+        out = self.fails(capsys, monkeypatch, name, unequal_sides, *argv)
+        assert out == f'{{"holds": false, "identity": "{identity}", {UNEQUAL}\n'
+
+    def test_prodx_reports_each_case(self, capsys, monkeypatch):
+        def sides(fam, n, deg):
+            return (X1, X1) if n == 1 else (X1, T * X1)
+
+        out = self.fails(
+            capsys, monkeypatch, "prodx_sides", sides, "verify", "prodx", "--deg", "2"
+        )
+        expected = []
+        for fam in (
+            "delta at the empty partition",
+            "Q over one extra variable",
+            "fixed sparse family",
+        ):
+            expected.append(f"prodx [{fam}] n=1 deg=2: holds")
+            expected.append(
+                f'{{"holds": false, "identity": "prodx [{fam}] n=2 deg=2", '
+                '"lhs": {"terms": [{"exps": [1], "poly": {"0": 1}}], "vars": ["x1"]}, '
+                '"rhs": {"terms": [{"exps": [1], "poly": {"1": 1}}], "vars": ["x1"]}}'
+            )
+        assert out.splitlines() == expected
+
+    def test_theta_scalar(self, capsys, monkeypatch):
+        def parts(*_args):
+            return {
+                "pairing": T,
+                "theta": L_ONE,
+                "halfway": L_ONE,
+                "signed_sum": L_ONE,
+                "product_form": L_ONE,
+            }
+
+        out = self.fails(
+            capsys, monkeypatch, "theta_scalar_parts", parts,
+            "verify", "theta-scalar", "--l", "2,1", "--m", "1", "-n", "2",
+        )
+        assert out == (
+            '{"halfway": {"0": 1}, "pairing": {"1": 1}, "product_form": {"0": 1}, '
+            '"signed_sum": {"0": 1}, "theta": {"0": 1}}\n'
+        )
+
+    def test_defq_note(self, capsys, monkeypatch):
+        real = cli.defq_note_parts
+        out = self.fails(
+            capsys, monkeypatch, "defq_note_parts",
+            lambda: {**real(), "straightening_ok": False},
+            "verify", "defq-note",
+        )
+        assert out == (
+            '{"difference": {"terms": [{"exps": [1, 1], '
+            '"poly": {"1": -1, "2": 1, "3": 1, "4": -1}}], "vars": ["x1", "x2"]}, '
+            '"intermediate_ok": true, "kernel_relation": {"terms": [], "vars": []}, '
+            '"proportional": false, "straightening_ok": false}\n'
+        )
 
 
 class TestErrorsAndDefaults:
@@ -207,6 +324,41 @@ class TestErrorsAndDefaults:
     )
     def test_zero_count_exits_2(self, capsys, argv):
         assert_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "warnaar", "--nx", "-1"),
+            ("verify", "sigmaxy", "--nx", "-1", "--deg", "2"),
+            ("verify", "sigmaxy", "--ny", "-2", "--deg", "2"),
+            ("qprime", "2,1", "--on", "X", "-n", "-1"),
+            ("qprime", "2,1", "--on", "X"),
+            ("tableaux", "2,1", "--nletters", "-1"),
+            ("tableaux", "2,1", "--weight", "2,-1,2"),
+            ("scalar", "3", "1,1,1,1", "-n", "2"),
+            ("scalar", "1,1", "1,1", "-n", "1"),
+            ("scalar", "2,1", "2,1", "-n", "0"),
+            ("verify", "theta-scalar", "--l", "2,1", "--m", "1", "-n", "0"),
+            ("verify", "factor", "--lambda", "2,1", "-n", "0"),
+            ("verify", "warnaar", "--deg", "-1"),
+            ("verify", "sigmaxy", "--deg", "-1"),
+            ("verify", "prodx", "--deg", "-1"),
+            ("pp-expand", "2,1", "-1"),
+            ("aleph", "3,-1", "1"),
+            ("charge", "122"),
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_input_exits_2(self, capsys, argv):
+        # One `error:` line on stderr leaves no room for a traceback.
+        assert assert_usage_error(capsys, *argv) == ""
+
+    def test_zero_variables_stay_valid(self, capsys):
+        code, out = run(
+            capsys, "verify", "warnaar", "--nx", "0", "--ny", "1", "--deg", "2"
+        )
+        assert code == 0
+        assert out.strip() == "warnaar nx=0 ny=1 deg=2: holds"
 
     def test_deg_default_env(self, monkeypatch):
         monkeypatch.delenv("HLKIT_DEG", raising=False)

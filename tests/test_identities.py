@@ -14,8 +14,7 @@ from hlkit.xpoly import XPoly, xvars
 from hlkit.hall_littlewood import q_on_xvars, q_via_operator
 from hlkit.identities import (
     ct_scalar,
-    ct_scalar_bruteforce,
-    defq_counterexample_check,
+    defq_note_holds,
     defq_note_parts,
     dominant_scalar,
     extend_family,
@@ -31,11 +30,13 @@ from hlkit.identities import (
     theta_extended,
     theta_product_form,
     theta_scalar_check,
+    theta_scalar_holds,
     theta_scalar_parts,
     theta_signed_sum,
     warnaar3_check,
     warnaar_check,
 )
+from oracles import ct_scalar_bruteforce
 
 T = LaurentPoly.t_power
 ONE_M_T = L_ONE - T(1)
@@ -151,6 +152,15 @@ class TestThetaScalar:
         with pytest.raises(ValueError):
             theta_scalar_parts((1, 1, 1), (1,), 2)
 
+    @pytest.mark.parametrize(
+        "key", ["pairing", "theta", "halfway", "signed_sum", "product_form"]
+    )
+    def test_holds_needs_every_layer(self, key):
+        parts = theta_scalar_parts((2, 1), (1,), 2)
+        assert theta_scalar_holds(parts)
+        broken = {**parts, key: parts[key] + T(7)}
+        assert not theta_scalar_holds(broken)
+
 
 class TestConstantTermScalar:
     def test_orthogonality_micro(self):
@@ -243,7 +253,20 @@ class TestGeneratingIdentities:
 
 class TestOperatorBoundary:
     def test_counterexample_check(self):
-        assert defq_counterexample_check()
+        assert defq_note_holds(defq_note_parts())
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kernel_relation", xmono(2, (1, 0))),
+            ("intermediate_ok", False),
+            ("difference", XPoly.zero()),
+            ("proportional", True),
+            ("straightening_ok", False),
+        ],
+    )
+    def test_holds_needs_every_statement(self, key, value):
+        assert not defq_note_holds({**defq_note_parts(), key: value})
 
     def test_parts(self):
         parts = defq_note_parts()

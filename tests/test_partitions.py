@@ -18,6 +18,7 @@ from hlkit.partitions import (
     n_stat,
     normalize,
     parse_partition,
+    parse_parts,
     partitions_of,
     partitions_up_to,
     subpartitions,
@@ -50,6 +51,13 @@ class TestBasics:
         assert parse_partition("1,2") == (2, 1)
         with pytest.raises(ValueError):
             parse_partition("3,-1")
+
+    def test_parse_parts_keeps_order_and_zeros(self):
+        assert parse_parts("1,2") == (1, 2)
+        assert parse_parts("[0 2^2, 1]") == (0, 2, 2, 1)
+        assert parse_parts("empty") == ()
+        with pytest.raises(ValueError):
+            parse_parts("1,-2")
 
     def test_format_round_trip(self):
         lam = (4, 4, 3)

@@ -11,16 +11,12 @@ from hypothesis import given, settings, strategies as st
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import schur_on_xvars
-from hlkit.symmetrize import (
-    kernel_schur,
+from hlkit.symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
+from oracles import (
     longest_word,
-    pi_i,
-    pi_omega,
     pi_omega_via_word,
     schur_dict_to_xpoly,
-    straighten_schur,
     straighten_schur_by_exchange,
-    swap_si,
     to_schur,
     truncate_suffix_nonneg,
 )

@@ -24,13 +24,12 @@ from hlkit.tableaux import (
     charge,
     charge_tableau,
     enumerate_ssyt,
-    knuth_neighbors,
     layer_chains,
     reading_word,
     tableau_weight,
     word_weight,
 )
-from oracles import charge_by_scanning, enumerate_ssyt_by_cells
+from oracles import charge_by_scanning, enumerate_ssyt_by_cells, knuth_neighbors
 
 FROZEN_CHARGES = {
     (1, 2): 1,
@@ -194,6 +193,10 @@ class TestEnumeration:
     @settings(deadline=None)
     @given(small_partitions, st.integers(-1, 5))
     def test_letter_bound_matches_cell_oracle(self, shape, n):
+        if n < 0:
+            with pytest.raises(ValueError):
+                enumerate_ssyt(shape, nletters=n)
+            return
         got = enumerate_ssyt(shape, nletters=n)
         assert got == enumerate_ssyt_by_cells(shape, nletters=n)
 
@@ -217,6 +220,10 @@ class TestEnumeration:
 
     def test_weight_size_mismatch(self):
         assert enumerate_ssyt((2, 1), (1, 1)) == []
+
+    def test_negative_letter_bound_raises(self):
+        with pytest.raises(ValueError):
+            enumerate_ssyt((2, 1), nletters=-1)
 
 
 class TestReadingWord:

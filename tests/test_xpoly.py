@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, NotDivisibleError, ONE as L_ONE, T
-from hlkit.xpoly import XPoly, X_ONE, X_ZERO, exact_div_linear, var_key, xvars
+from hlkit.xpoly import XPoly, X_ONE, X_ZERO, var_key, xvars, yvars
+from oracles import exact_div_linear
 
 try:
     import sympy
@@ -32,6 +33,14 @@ class TestConstruction:
     def test_var_key_natural_order(self):
         assert var_key("x2") < var_key("x10")
         assert var_key("x9") < var_key("y1")
+
+    def test_variable_counts(self):
+        assert xvars(2) == ("x1", "x2") and yvars(1) == ("y1",)
+        assert xvars(0) == yvars(0) == ()
+        with pytest.raises(ValueError):
+            xvars(-1)
+        with pytest.raises(ValueError):
+            yvars(-2)
 
     def test_unused_vars_dropped(self):
         f = XPoly(("x1", "x2"), {(2, 0): L_ONE})
