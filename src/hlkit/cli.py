@@ -76,10 +76,10 @@ def _vector(text):
     text = text.strip()
     if text in ("", "-", "empty", "0"):
         return ()
-    for sep in (",", " "):
-        if sep in text:
-            return tuple(int(p) for p in text.split(sep) if p != "")
-    return (int(text),)
+    fields = text.split(",") if "," in text else text.split()
+    if any(not f.strip() for f in fields):
+        raise ValueError(f"empty entry in vector {text!r}; write 0 for a zero entry")
+    return tuple(int(f) for f in fields)
 
 
 def _word(text):

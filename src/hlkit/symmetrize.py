@@ -16,7 +16,12 @@ The central objects:
     enumeration below exact.  The map on explicit polynomials is the
     test oracle `to_schur` in tests/oracles.py.
   * kernel_schur: Schur expansion of x^u * prod_{i<j} 1/(1 - t x_i/x_j)
-    after truncation, by a column-by-column bounded enumeration.
+    after truncation, by a column-by-column bounded enumeration.  Once
+    column j is done, positions j..n never change again, so that tail
+    is straightened at once and terms with the same straightened tail
+    merge before the next column; the column enumeration without this
+    step is the test oracle `kernel_schur_by_columns` in
+    tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -118,6 +123,19 @@ def _kernel_schur_cached(u):
                     w[j - 1] -= k
                     _accumulate(new, tuple(w), c.shift(k))
             terms = new
+        # Positions j..n are final: move position j into the already
+        # straightened tail j+1..n by exchanges (a, b) -> -(b-1, a+1).
+        new = {}
+        for v, c in terms.items():
+            head = v[j - 1] + n - j
+            k = j
+            while k < n and v[k] + n - 1 - k > head:
+                k += 1
+            if head < 0 or (k < n and v[k] + n - 1 - k == head):
+                continue
+            w = v[: j - 1] + tuple(x - 1 for x in v[j:k]) + (head - n + k,) + v[k:]
+            _accumulate(new, w, -c if (k - j) % 2 else c)
+        terms = new
     out = {}
     for v, c in terms.items():
         st = straighten_schur(v)
@@ -137,6 +155,16 @@ def kernel_schur(u):
     the transfer at each factor is capped by the current trailing sum
     for the same reason.  For a partition argument this is the modified
     Hall-Littlewood polynomial in the Schur basis.
+
+    After column j, positions j..n are final, so the tail is straightened
+    right away: position j moves into the already sorted tail by
+    exchanges (a, b) -> -(b-1, a+1), one sign per position passed, and
+    the term is dropped where two shifted values meet or one is
+    negative.  Straightening is a signed sort of the shifted values, so
+    sorting a part of the vector first and the rest later gives the same
+    Schur value and sign; and the tail keeps its sum, so the cap of
+    every later column is unchanged.  Terms that reach the same tail
+    merge, which keeps the term dict small.
     """
     u = tuple(int(x) for x in u)
     return dict(_kernel_schur_cached(u))

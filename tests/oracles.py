@@ -21,6 +21,9 @@ values must satisfy:
   * `truncate_suffix_nonneg`, `to_schur`, `schur_dict_to_xpoly`: the
     truncate-and-straighten map from explicit polynomials to the Schur
     basis and back, against the column enumeration of `kernel_schur`;
+  * `kernel_schur_by_columns`: the column enumeration of the kernel
+    route that straightens each exponent vector only at the end, against
+    `symmetrize.kernel_schur`, which straightens each finished tail;
   * `ct_scalar_bruteforce`: the constant-term pairing by full kernel
     expansion to a fixed order, against the pruned path of `ct_scalar`;
   * `berele_regev_check`, `rectangle_vanishing_check`: the rectangle
@@ -212,6 +215,40 @@ def to_schur(f, n):
             continue
         sign, lam = st
         _accumulate(out, lam, c if sign > 0 else -c)
+    return out
+
+
+def kernel_schur_by_columns(u):
+    """`symmetrize.kernel_schur` without straightening the finished tails.
+
+    Every transfer of every column is enumerated on the full exponent
+    vector, with the same trailing-sum pruning and cap; each surviving
+    vector is straightened only at the end.
+    """
+    u = tuple(u)
+    n = len(u)
+    if sum(u) < 0:
+        return {}
+    terms = {u: L_ONE}
+    for j in range(n, 1, -1):
+        for i in range(j - 1, 0, -1):
+            new = {}
+            for v, c in terms.items():
+                s = sum(v[j - 1 :])
+                if s < 0:
+                    continue
+                for k in range(s + 1):
+                    w = list(v)
+                    w[i - 1] += k
+                    w[j - 1] -= k
+                    _accumulate(new, tuple(w), c.shift(k))
+            terms = new
+    out = {}
+    for v, c in terms.items():
+        st = straighten_schur(v)
+        if st is not None:
+            sign, lam = st
+            _accumulate(out, lam, c if sign > 0 else -c)
     return out
 
 

@@ -333,6 +333,9 @@ class TestErrorsAndDefaults:
             ("verify", "sigmaxy", "--ny", "-2", "--deg", "2"),
             ("qprime", "2,1", "--on", "X", "-n", "-1"),
             ("qprime", "2,1", "--on", "X"),
+            ("qprime", "2,,1"),
+            ("qprime", "2,1,"),
+            ("qprime", "--", ",2,1"),
             ("tableaux", "2,1", "--nletters", "-1"),
             ("tableaux", "2,1", "--weight", "2,-1,2"),
             ("scalar", "3", "1,1,1,1", "-n", "2"),

@@ -2,7 +2,9 @@
 
 The kernel oracle here expands the geometric factors directly with a
 degree cap and checks cap-stability before comparing, so it shares no
-logic with the column enumeration in the module.
+logic with the column enumeration in the module.  The kernel route is
+also checked against the column enumeration without tail straightening
+(`oracles.kernel_schur_by_columns`) and against the charge route.
 """
 
 import pytest
@@ -11,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import schur_on_xvars
+from hlkit.hall_littlewood import qprime_schur
+from hlkit.partitions import partitions_of
 from hlkit.symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
 from oracles import (
+    kernel_schur_by_columns,
     longest_word,
     pi_omega_via_word,
     schur_dict_to_xpoly,
@@ -214,3 +219,25 @@ class TestKernel:
         for u in [(2, 1), (3, 1, 1), (2, 2, 1)]:
             for c in kernel_schur(u).values():
                 assert c.min_exp() >= 0
+
+    @given(
+        st.lists(st.integers(-2, 4), max_size=6)
+        .map(tuple)
+        # The oracle's term dict grows fast with the positive total.
+        .filter(lambda u: sum(x for x in u if x > 0) <= 10)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_column_enumeration(self, u):
+        assert kernel_schur(u) == kernel_schur_by_columns(u)
+
+    @given(
+        st.integers(0, 8).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_charge_route(self, lam, z):
+        assert qprime_schur(lam).coeffs == kernel_schur(lam + (0,) * z)
+
+    def test_ones_ten_matches_charge_route(self):
+        # The column enumeration without tail straightening takes minutes here.
+        assert kernel_schur((1,) * 10) == qprime_schur((1,) * 10).coeffs
