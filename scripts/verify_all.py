@@ -2,7 +2,9 @@
 """Run the full verification battery with per-criterion timing.
 
 Exit status is nonzero when any criterion fails, so this can anchor a
-CI job.  `--only 4,9` restricts to the listed criteria numbers.
+CI job.  `--only 4,9` restricts to the listed criterion numbers, read
+in hlkit's integer-list grammar (`4 9`, `[4,9]` and `1^2` work too);
+a number with no criterion exits 2.
 """
 
 import argparse
@@ -10,16 +12,24 @@ import sys
 import time
 
 from hlkit.acceptance import CRITERIA
+from hlkit.cli import VECTOR
+
+
+def criterion_numbers(text):
+    """The `--only` set; refuses a number that names no criterion."""
+    wanted = set(VECTOR(text))
+    known = {num for num, _, _ in CRITERIA}
+    if not wanted or not wanted <= known:
+        raise argparse.ArgumentTypeError(
+            f"criteria are numbered {min(known)}..{max(known)}, got {text!r}"
+        )
+    return wanted
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--only", help="comma-separated criterion numbers")
-    args = ap.parse_args(argv)
-
-    wanted = None
-    if args.only:
-        wanted = {int(x) for x in args.only.replace(" ", "").split(",") if x}
+    ap.add_argument("--only", type=criterion_numbers, help="criterion numbers")
+    wanted = ap.parse_args(argv).only
 
     failures = 0
     total_start = time.perf_counter()

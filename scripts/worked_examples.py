@@ -8,6 +8,7 @@ smoke run and as a readable tour of the API.
 import argparse
 import sys
 
+from hlkit.cli import PARTITION
 from hlkit.laurent import LaurentPoly
 from hlkit.alphabets import Alphabet, parse_alphabet
 from hlkit.hall_littlewood import (
@@ -39,9 +40,10 @@ def section(title):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--lam", default="2,2,1", help="partition for the shift demo")
-    args = ap.parse_args(argv)
-    lam = tuple(int(p) for p in args.lam.split(",") if p)
+    ap.add_argument(
+        "--lam", type=PARTITION, default="2,2,1", help="partition for the shift demo"
+    )
+    lam = ap.parse_args(argv).lam
 
     section("Schur expansions of Q'")
     for mu in [(2, 1), (1, 1, 1), (2, 2)]:

@@ -288,16 +288,11 @@ def parse_alphabet(text, nx=None, ny=None):
     if not text:
         raise ValueError("empty alphabet literal")
     plus, minus = [], []
-    sign = 1
-    for tok in re.split(r"([+-])", text):
-        if tok == "":
-            continue
-        if tok == "+":
-            sign = 1
-            continue
-        if tok == "-":
-            sign = -1
-            continue
+    fields = re.split(r"([+-])", text)
+    fields = fields[1:] if fields[0] == "" else ["+", *fields]
+    for sign, tok in zip(fields[::2], fields[1::2]):
+        if not tok:
+            raise ValueError(f"sign with no term after it in alphabet {text!r}")
         t_exp = 0
         monos = [[]]
         for atom in tok.split("*"):
@@ -318,10 +313,9 @@ def parse_alphabet(text, nx=None, ny=None):
                 monos = [m + [atom] for m in monos]
                 continue
             raise ValueError(f"bad alphabet atom {atom!r}")
-        side = plus if sign > 0 else minus
+        side = plus if sign == "+" else minus
         for m in monos:
             side.append(letter(t_exp, *m))
-        sign = 1
     A = Alphabet(tuple(plus), tuple(minus))
     for _ in range(scale):
         A = A.one_minus_t()

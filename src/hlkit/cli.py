@@ -14,7 +14,7 @@ import os
 import sys
 
 from .laurent import LaurentPoly
-from .partitions import parse_partition, parse_parts
+from .partitions import parse_ints, parse_partition, parse_parts
 from .xpoly import XPoly, _linear_combination, xvars
 from .alphabets import parse_alphabet
 from .tableaux import NonDominantWeightError, charge, charge_tableau, enumerate_ssyt
@@ -72,21 +72,36 @@ def _count(args, default):
     return args.n
 
 
-def _vector(text):
-    text = text.strip()
-    if text in ("", "-", "empty", "0"):
-        return ()
-    fields = text.split(",") if "," in text else text.split()
-    if any(not f.strip() for f in fields):
-        raise ValueError(f"empty entry in vector {text!r}; write 0 for a zero entry")
-    return tuple(int(f) for f in fields)
-
-
 def _word(text):
+    """A word: compact digits (`3412`) or an integer list (`3,4,1,2`)."""
     text = text.strip()
-    if "," in text or " " in text:
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, text)) if text.isdecimal() else parse_ints(text)
+
+
+def _operand(parse):
+    """An argparse type that reads one list operand with `parse`; a bad
+    operand becomes argparse's `argument <name>: ...` usage error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
+
+
+PARTITION, VECTOR, WEIGHT, WORD = map(
+    _operand, (parse_partition, parse_ints, parse_parts, _word)
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors take the one-line `error:` path of
+    `main` instead of printing the usage text."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _emit(args, text, payload):
@@ -101,58 +116,46 @@ def _emit(args, text, payload):
 
 
 def _cmd_qprime(args):
-    v = _vector(args.index)
     if args.on is not None:
         A = parse_alphabet(args.on, nx=args.n, ny=args.n)
         acc = _linear_combination(
             (qprime_on_alphabet(mu, A), c)
-            for mu, c in qprime_of_vector(v).coeffs.items()
+            for mu, c in qprime_of_vector(args.index).coeffs.items()
         )
         _emit(args, str(acc), acc.to_json())
         return 0
-    if args.basis == "S":
-        exp = qprime_vector_schur(v)
-    else:
-        exp = qprime_of_vector(v)
+    expand = qprime_vector_schur if args.basis == "S" else qprime_of_vector
+    exp = expand(args.index)
     _emit(args, exp.render(), exp.to_json())
     return 0
 
 
 def _cmd_aleph(args):
-    val = aleph(parse_partition(args.outer), parse_partition(args.inner))
+    val = aleph(args.outer, args.inner)
     _emit(args, str(val), val.to_json())
     return 0
 
 
-def _cmd_addone(args):
-    exp = add_one(parse_partition(args.partition))
-    _emit(args, exp.render(), exp.to_json())
-    return 0
-
-
-def _cmd_subone(args):
-    exp = sub_one(parse_partition(args.partition))
+def _cmd_shift(args):
+    exp = args.shift(args.partition)
     _emit(args, exp.render(), exp.to_json())
     return 0
 
 
 def _cmd_pp_expand(args):
-    f = plane_partition_qprime(parse_partition(args.partition), args.n)
+    f = plane_partition_qprime(args.partition, args.n)
     _emit(args, str(f), f.to_json())
     return 0
 
 
 def _cmd_charge(args):
-    w = _word(args.word)
-    c = charge(w)
-    _emit(args, str(c), {"word": list(w), "charge": c})
+    c = charge(args.word)
+    _emit(args, str(c), {"word": list(args.word), "charge": c})
     return 0
 
 
 def _cmd_tableaux(args):
-    shape = parse_partition(args.shape)
-    weight = parse_parts(args.weight) if args.weight else None
-    tabs = list(enumerate_ssyt(shape, weight=weight, nletters=args.nletters))
+    tabs = list(enumerate_ssyt(args.shape, weight=args.weight, nletters=args.nletters))
     lines = [" / ".join(" ".join(str(x) for x in row) for row in tab) for tab in tabs]
     lines.append(f"count: {len(tabs)}")
     try:
@@ -201,12 +204,11 @@ def _factor_report(args, lam, r, n):
 
 
 def _cmd_factor_check(args):
-    return _factor_report(args, parse_partition(args.partition), args.r, args.n)
+    return _factor_report(args, args.partition, args.r, args.n)
 
 
 def _cmd_scalar(args):
-    lam = parse_partition(args.outer)
-    mu = parse_partition(args.inner)
+    lam, mu = args.outer, args.inner
     n = _count(args, max(len(lam), len(mu), 1))
     if len(lam) > n or len(mu) > n:
         raise ValueError("partitions longer than the variable count")
@@ -238,8 +240,7 @@ def _cmd_verify(args):
                 )
         return code
     if what == "theta-scalar":
-        lam = parse_partition(args.l or "")
-        mu = parse_partition(args.m or "")
+        lam, mu = args.l, args.m
         n = _count(args, max(len(lam), len(mu), 1))
         parts = theta_scalar_parts(lam, mu, n)
         return _report(
@@ -259,8 +260,7 @@ def _cmd_verify(args):
             parts,
         )
     if what == "factor":
-        lam = parse_partition(args.lam or "")
-        return _factor_report(args, lam, args.r, _count(args, 2))
+        return _factor_report(args, args.lam, args.r, _count(args, 2))
     # what == "all": the acceptance gate
     all_ok = True
     for num, title, ok, detail in acceptance.run_all():
@@ -271,80 +271,70 @@ def _cmd_verify(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hlkit",
         description="Exact Hall-Littlewood computations: expansions, "
         "argument shifts, plane partitions, identity verification.",
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
+    def verb(name, fn, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--json", action="store_true", help="JSON to stdout")
         sp.add_argument("--out", metavar="FILE", help="also write JSON to FILE")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("qprime", help="expand Q' of an integer vector")
-    sp.add_argument("index", help="partition or integer vector, e.g. 2,1 or 0,2")
+    sp = verb("qprime", _cmd_qprime, "expand Q' of an integer vector")
+    sp.add_argument("index", type=VECTOR, help="integer vector, e.g. 2,1 or 0,2 or 1^3")
     sp.add_argument("--basis", choices=("S", "Qp"), default="S")
     sp.add_argument("--on", help="evaluate on an alphabet literal instead")
     sp.add_argument("-n", type=int, default=None, help="size binding for X/Y atoms")
-    common(sp)
-    sp.set_defaults(fn=_cmd_qprime)
 
-    sp = sub.add_parser("aleph", help="one-letter skew value of outer/inner")
-    sp.add_argument("outer")
-    sp.add_argument("inner")
-    common(sp)
-    sp.set_defaults(fn=_cmd_aleph)
+    sp = verb("aleph", _cmd_aleph, "one-letter skew value of outer/inner")
+    sp.add_argument("outer", type=PARTITION)
+    sp.add_argument("inner", type=PARTITION)
 
-    sp = sub.add_parser("addone", help="Q' expansion at the argument X+1")
-    sp.add_argument("partition")
-    common(sp)
-    sp.set_defaults(fn=_cmd_addone)
+    for name, shift, where in (("addone", add_one, "X+1"), ("subone", sub_one, "X-1")):
+        sp = verb(name, _cmd_shift, f"Q' expansion at the argument {where}")
+        sp.add_argument("partition", type=PARTITION)
+        sp.set_defaults(shift=shift)
 
-    sp = sub.add_parser("subone", help="Q' expansion at the argument X-1")
-    sp.add_argument("partition")
-    common(sp)
-    sp.set_defaults(fn=_cmd_subone)
-
-    sp = sub.add_parser(
-        "pp-expand", help="plane-partition (layer chain) expansion on n variables"
+    sp = verb(
+        "pp-expand",
+        _cmd_pp_expand,
+        "plane-partition (layer chain) expansion on n variables",
     )
-    sp.add_argument("partition")
+    sp.add_argument("partition", type=PARTITION)
     sp.add_argument("n", type=int)
-    common(sp)
-    sp.set_defaults(fn=_cmd_pp_expand)
 
-    sp = sub.add_parser("charge", help="charge of a word, e.g. 3412 or 3,4,1,2")
-    sp.add_argument("word")
-    common(sp)
-    sp.set_defaults(fn=_cmd_charge)
+    sp = verb("charge", _cmd_charge, "charge of a word, e.g. 3412 or 3,4,1,2")
+    sp.add_argument("word", type=WORD)
 
-    sp = sub.add_parser("tableaux", help="enumerate semistandard tableaux")
-    sp.add_argument("shape")
-    sp.add_argument("--weight", default=None)
+    sp = verb("tableaux", _cmd_tableaux, "enumerate semistandard tableaux")
+    sp.add_argument("shape", type=PARTITION)
+    sp.add_argument("--weight", type=WEIGHT, default=None)
     sp.add_argument("--nletters", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_tableaux)
 
-    sp = sub.add_parser(
-        "factor-check", help="check the width-split factorization for one case"
+    sp = verb(
+        "factor-check",
+        _cmd_factor_check,
+        "check the width-split factorization for one case",
     )
-    sp.add_argument("partition")
+    sp.add_argument("partition", type=PARTITION)
     sp.add_argument("n", type=int)
     sp.add_argument("r", type=int)
-    common(sp)
-    sp.set_defaults(fn=_cmd_factor_check)
 
-    sp = sub.add_parser(
-        "scalar", help="constant-term pairing of Q_outer with the inner monomial"
+    sp = verb(
+        "scalar",
+        _cmd_scalar,
+        "constant-term pairing of Q_outer with the inner monomial",
     )
-    sp.add_argument("outer")
-    sp.add_argument("inner")
+    sp.add_argument("outer", type=PARTITION)
+    sp.add_argument("inner", type=PARTITION)
     sp.add_argument("-n", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_scalar)
 
-    sp = sub.add_parser("verify", help="run an identity verification")
+    sp = verb("verify", _cmd_verify, "run an identity verification")
     sp.add_argument(
         "what",
         choices=(
@@ -360,25 +350,22 @@ def build_parser():
     sp.add_argument("--nx", type=int, default=2)
     sp.add_argument("--ny", type=int, default=2)
     sp.add_argument("--deg", type=int, default=None, help="degree cap (or HLKIT_DEG)")
-    sp.add_argument("--l", help="first partition for theta-scalar")
-    sp.add_argument("--m", help="second partition for theta-scalar")
+    sp.add_argument("--l", type=PARTITION, default=(), help="theta-scalar lambda")
+    sp.add_argument("--m", type=PARTITION, default=(), help="theta-scalar mu")
     sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("--lambda", dest="lam", help="partition for factor")
+    sp.add_argument(
+        "--lambda", dest="lam", type=PARTITION, default=(), help="partition for factor"
+    )
     sp.add_argument("-r", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=_cmd_verify)
-
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # --help; usage errors raise ValueError
+        return 0
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

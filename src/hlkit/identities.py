@@ -17,7 +17,7 @@ from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import b_poly, conjugate, normalize, n_stat, partitions_of
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
-from .symmetrize import kernel_schur, pi_omega
+from .symmetrize import pi_omega
 from .hall_littlewood import (
     BasisExpansion,
     aleph,
@@ -25,7 +25,6 @@ from .hall_littlewood import (
     q_on_xvars,
     q_via_operator,
     qprime_of_vector,
-    schur_to_qprime,
 )
 
 
@@ -286,23 +285,11 @@ def dominant_scalar(f, g):
     return acc
 
 
-def reduce_monomial(v, n=None):
-    """Dominant-monomial expansion of x^v modulo the graded relations.
-
-    The relations match the straightening family term for term, so the
-    expansion is the Q'-coefficient family of the kernel route.
-    """
-    v = tuple(int(x) for x in v)
-    if n is not None and len(v) != n:
-        raise ValueError("vector length does not match n")
-    return schur_to_qprime(kernel_schur(v))
-
-
 def theta_extended(lam, w):
     """theta against an arbitrary integer second index, through the
-    dominant reduction of x^w."""
+    Q' expansion of w (the dominant reduction of x^w)."""
     acc = L_ZERO
-    for kappa, d in reduce_monomial(w).items():
+    for kappa, d in qprime_of_vector(w).coeffs.items():
         acc = acc + d * theta(lam, kappa)
     return acc
 
@@ -357,7 +344,7 @@ def theta_scalar_parts(lam, mu, n):
             if s > total:
                 continue
             w = tuple(a - b for a, b in zip(base, u))
-            for kappa, d in reduce_monomial(w).items():
+            for kappa, d in qprime_of_vector(w).coeffs.items():
                 _accumulate(out, kappa, d.shift(s - total) if weighted else d)
         return out
 

@@ -9,6 +9,7 @@ checks at the call sites that need strictness.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import comb
 from operator import ge
@@ -31,22 +32,44 @@ def is_partition(parts):
     return all(core[i] >= core[i + 1] for i in range(len(core) - 1))
 
 
-def parse_parts(text):
-    """Parse '4,4,3,2' / '4 4 3 2' / '[4,4,3,2]' / '4^2 3 2' / 'empty'
-    into nonnegative parts, in the order given."""
-    text = text.strip().strip("[]()")
-    if text in ("", "empty", "0", "-"):
+_SEPARATOR = re.compile(r"\s*,\s*|\s+")
+_ENTRY = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
+
+
+def parse_ints(text):
+    """The one grammar for integer lists: partitions, vectors, weights
+    and words all read their text here.
+
+    Commas and/or whitespace separate entries; `a^m` repeats `a` m >= 0
+    times; one matching `[]` or `()` pair may enclose the list; '', '-'
+    and 'empty' are the empty list.  So '[0 2^2, 1]' is (0, 2, 2, 1).
+    An empty field, a bad repeat, an unbalanced bracket or a
+    non-integer raises ValueError quoting the text.
+    """
+    body = text.strip()
+    if body[:1] in ("[", "(") or body[-1:] in ("]", ")"):
+        if len(body) < 2 or body[0] + body[-1] not in ("[]", "()"):
+            raise ValueError(f"unbalanced bracket in {text!r}")
+        body = body[1:-1].strip()
+    if body in ("", "-", "empty"):
         return ()
-    parts = []
-    for tok in text.replace(",", " ").split():
-        if "^" in tok:
-            base, _, mult = tok.partition("^")
-            parts.extend([int(base)] * int(mult))
-        else:
-            parts.append(int(tok))
+    out = []
+    for field in _SEPARATOR.split(body):
+        if not field:
+            raise ValueError(f"empty entry in {text!r}; write 0 for a zero entry")
+        m = _ENTRY.fullmatch(field)
+        if m is None:
+            raise ValueError(f"bad entry {field!r} in {text!r}; write a or a^m, m >= 0")
+        out += [int(m[1])] * (int(m[2]) if m[2] else 1)
+    return tuple(out)
+
+
+def parse_parts(text):
+    """`parse_ints(text)` with every entry nonnegative, in the order given."""
+    parts = parse_ints(text)
     if any(p < 0 for p in parts):
         raise ValueError(f"negative part in {text!r}")
-    return tuple(parts)
+    return parts
 
 
 def parse_partition(text):

@@ -1,8 +1,10 @@
 """Command-line surface: output text, JSON mode, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,30 @@ class TestExpansionVerbs:
         code, out = run(capsys, "pp-expand", "2,1", "2")
         assert code == 0
         assert out.strip() == str(plane_partition_qprime((2, 1), 2))
+
+
+class TestOperandGrammar:
+    """Every list operand reads the grammar of `partitions.parse_ints`."""
+
+    @pytest.mark.parametrize(
+        "spelling, same_as",
+        [
+            ("qprime 1^3", "qprime 1,1,1"),
+            ("qprime [2,1]", "qprime 2,1"),
+            ("qprime '(2 1)'", "qprime 2,1"),
+            ("qprime -- -1^2", "qprime -- -1,-1"),
+            ("qprime 0,2^2 --basis Qp", "qprime 0,2,2 --basis Qp"),
+            ("charge 1^3", "charge 111"),
+            ("charge '[3 4, 1 2]'", "charge 3412"),
+            ("aleph 2^2,1 empty", "aleph 2,2,1 -"),
+            ("tableaux [2,1] --weight 1^3", "tableaux 2,1 --weight 1,1,1"),
+            ("verify factor --lambda 2^2 -r 1", "verify factor --lambda 2,2 -r 1"),
+        ],
+    )
+    def test_spellings_agree(self, capsys, spelling, same_as):
+        expected = run(capsys, *shlex.split(same_as))
+        assert expected[0] == 0
+        assert run(capsys, *shlex.split(spelling)) == expected
 
 
 class TestCombinatoricsVerbs:
@@ -285,6 +311,25 @@ class TestVerifyFailures:
         )
 
 
+# Operands that argparse refuses, each with the argument its one-line
+# error names.
+NAMED_USAGE_ERRORS = [
+    (("addone", "2^-1"), "argument partition:"),
+    (("aleph", "2,,1", "1"), "argument outer:"),
+    (("aleph", "[2,1", "1"), "argument outer:"),
+    (("aleph", "2^", "1"), "argument outer:"),
+    (("aleph", "2^x", "1"), "argument outer:"),
+    (("aleph", "2", "1)"), "argument inner:"),
+    (("charge", "1,,2"), "argument word:"),
+    (("tableaux", "3", "--weight", "2,,1"), "argument --weight:"),
+    (("verify", "theta-scalar", "--l", "2,1", "--m", "1,"), "argument --m:"),
+    (("verify", "factor", "--lambda", "x"), "argument --lambda:"),
+    (("pp-expand", "2,1", "x"), "argument n:"),
+    (("qprime",), "required: index"),
+    (("frobnicate",), "argument verb:"),
+]
+
+
 class TestErrorsAndDefaults:
     def test_missing_argument_exits_2(self, capsys):
         assert main(["qprime"]) == 2
@@ -349,12 +394,27 @@ class TestErrorsAndDefaults:
             ("pp-expand", "2,1", "-1"),
             ("aleph", "3,-1", "1"),
             ("charge", "122"),
+            ("qprime", "1", "--on", "x1+"),
+            ("qprime", "1", "--on", "x1++x2"),
+            ("qprime", "1", "--on", "x1-"),
+            ("qprime", "1", "--on", "-"),
+            ("qprime", "1", "--on", "+"),
+            *(argv for argv, _ in NAMED_USAGE_ERRORS),
         ],
         ids=" ".join,
     )
     def test_malformed_input_exits_2(self, capsys, argv):
         # One `error:` line on stderr leaves no room for a traceback.
         assert assert_usage_error(capsys, *argv) == ""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        NAMED_USAGE_ERRORS,
+        ids=[" ".join(argv) for argv, _ in NAMED_USAGE_ERRORS],
+    )
+    def test_usage_error_names_argument(self, capsys, argv, name):
+        main(list(argv))
+        assert name in capsys.readouterr().err
 
     def test_zero_variables_stay_valid(self, capsys):
         code, out = run(
@@ -377,3 +437,43 @@ class TestErrorsAndDefaults:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+
+def readme_cli_lines():
+    """The `hlkit ...` lines of README's command-line block, as
+    (argv, expected stdout or None): a comment holding `-> ` gives the
+    exact output after it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition(" #")
+        argv = shlex.split(command)
+        assert argv[0] == "hlkit", line
+        lines.append((argv[1:], comment.partition("-> ")[2] or None))
+    return lines
+
+
+class TestReadme:
+    def test_examples_have_outputs(self):
+        # The four outputs the README states; guards the `-> ` parsing.
+        assert [out for _, out in readme_cli_lines() if out] == [
+            "S[2,1] + t*S[3]",
+            "(-1 + t)*Qp[1,1] + t*Qp[2]",
+            "t^2 + t^3 + t^4",
+            "4",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(argv, out, id=" ".join(argv))
+            for argv, out in readme_cli_lines()
+            if argv != ["verify", "all"]
+        ],
+    )
+    def test_cli_block_runs(self, capsys, argv, expected):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        if expected is not None:
+            assert out.strip() == expected

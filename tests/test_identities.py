@@ -22,7 +22,6 @@ from hlkit.identities import (
     kernel_image_two_vars,
     prodx_check,
     prodx_example_families,
-    reduce_monomial,
     sigma1_series,
     sigmaxy_check,
     sigmaxy_coefficient,
@@ -109,18 +108,6 @@ class TestTheta:
 
 
 class TestDominantReduction:
-    def test_partition_fixed(self):
-        for lam in partitions_up_to(4):
-            assert reduce_monomial(lam) == {lam: L_ONE}
-
-    def test_frozen_vector(self):
-        assert reduce_monomial((0, 2)) == {(2,): T(1), (1, 1): T(1) - L_ONE}
-        assert reduce_monomial((1, -1)) == {}
-
-    def test_rank_guard(self):
-        with pytest.raises(ValueError):
-            reduce_monomial((1, 0), n=3)
-
     def test_scalar_diagonal(self):
         f = {(1,): L_ONE}
         assert dominant_scalar(f, f) == b_poly((1,))

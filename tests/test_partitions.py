@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from hlkit.partitions import (
     n_skew,
     n_stat,
     normalize,
+    parse_ints,
     parse_partition,
     parse_parts,
     partitions_of,
@@ -58,6 +60,24 @@ class TestBasics:
         assert parse_parts("empty") == ()
         with pytest.raises(ValueError):
             parse_parts("1,-2")
+
+    def test_parse_ints_grammar(self):
+        assert parse_ints("[0 2^2, 1]") == (0, 2, 2, 1)
+        assert parse_ints("-1^2 3") == (-1, -1, 3)
+        assert parse_ints(" ( 2 , 1 ) ") == (2, 1)
+        assert parse_ints("1^0,2") == (2,)
+        assert parse_ints("0") == (0,)
+        for text in ("", " ", "-", "empty", "[]", "( )"):
+            assert parse_ints(text) == ()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2,,1", "2,1,", ",2", "2, ,1", "2^", "^2", "2^-1", "2^x", "[2,1", "2,1]",
+         "[2,1)", "[", "x", "1.5", "[[1]]"],
+    )
+    def test_parse_ints_refuses_and_quotes(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_ints(text)
 
     def test_format_round_trip(self):
         lam = (4, 4, 3)
