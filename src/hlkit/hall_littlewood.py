@@ -5,8 +5,11 @@ each other:
 
   * charge route: Q'_mu = sum over tableaux T of weight mu of
     t^charge(T) S_shape(T);
-  * kernel route: the truncated symmetrization of x^u against the
-    geometric kernel, defined for any integer vector u;
+  * kernel route: Q'_u = H_{u_1} ... H_{u_l} . 1 by the creation
+    operators of Jing and Garsia, defined for any integer vector u;
+    H_m is the z^m part of the alphabet shift F[X - (1-t)/z] Omega[zX],
+    and the product is the truncated symmetrization of x^u against the
+    geometric kernel (Garsia 1992);
   * alphabet route: the Schur expansion evaluated on a formal alphabet.
 
 On top of that sit the one-letter skew values (closed form and column

@@ -43,8 +43,9 @@ def parse_ints(text):
     Commas and/or whitespace separate entries; `a^m` repeats `a` m >= 0
     times; one matching `[]` or `()` pair may enclose the list; '', '-'
     and 'empty' are the empty list.  So '[0 2^2, 1]' is (0, 2, 2, 1).
-    An empty field, a bad repeat, an unbalanced bracket or a
-    non-integer raises ValueError quoting the text.
+    An empty field, a bad repeat, a repeat count too large for a list,
+    an unbalanced bracket or a non-integer raises ValueError quoting the
+    text.
     """
     body = text.strip()
     if body[:1] in ("[", "(") or body[-1:] in ("]", ")"):
@@ -60,7 +61,10 @@ def parse_ints(text):
         m = _ENTRY.fullmatch(field)
         if m is None:
             raise ValueError(f"bad entry {field!r} in {text!r}; write a or a^m, m >= 0")
-        out += [int(m[1])] * (int(m[2]) if m[2] else 1)
+        try:
+            out += [int(m[1])] * (int(m[2]) if m[2] else 1)
+        except OverflowError:
+            raise ValueError(f"repeat count too large: {field!r} in {text!r}") from None
     return tuple(out)
 
 

@@ -12,22 +12,23 @@ The central objects:
   * truncate + straighten: keep only monomials whose exponent vector
     has every trailing sum >= 0, then read each kept monomial as a
     straightened Schur value.  On dropped monomials the straightened
-    value is always zero, which is what makes the truncated kernel
-    enumeration below exact.  The map on explicit polynomials is the
-    test oracle `to_schur` in tests/oracles.py.
+    value is always zero.  The map on explicit polynomials is the test
+    oracle `to_schur` in tests/oracles.py.
   * kernel_schur: Schur expansion of x^u * prod_{i<j} 1/(1 - t x_i/x_j)
-    after truncation, by a column-by-column bounded enumeration.  Once
-    column j is done, positions j..n never change again, so that tail
-    is straightened at once and terms with the same straightened tail
-    merge before the next column; the column enumeration without this
-    step is the test oracle `kernel_schur_by_columns` in
-    tests/oracles.py.
+    after truncation, computed with creation operators,
+    Q'_u = H_{u_1} ... H_{u_n} . 1, where H_m is the z^m coefficient
+    of the alphabet shift F[X - (1-t)/z] Omega[zX].  Truncating against
+    the kernel is the raising-operator formula
+    prod_{i<j} (1 - t R_ij)^{-1} s_u, whose factors with i = 1 act as
+    H_{u_1} (Garsia 1992), so the two agree on every integer vector;
+    the column-by-column enumeration of the kernel is the test oracle
+    `kernel_schur_by_columns` in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .laurent import ONE as L_ONE, _accumulate
 from .xpoly import XPoly, _linear_combination, xvars
@@ -106,65 +107,37 @@ def straighten_schur(v):
 
 @cache
 def _kernel_schur_cached(u):
-    n = len(u)
-    if sum(u) < 0:
-        return ()
-    terms = {u: L_ONE}
-    for j in range(n, 1, -1):
-        for i in range(j - 1, 0, -1):
-            new = {}
-            for v, c in terms.items():
-                s = sum(v[j - 1 :])
-                if s < 0:
-                    continue
-                for k in range(s + 1):
-                    w = list(v)
-                    w[i - 1] += k
-                    w[j - 1] -= k
-                    _accumulate(new, tuple(w), c.shift(k))
-            terms = new
-        # Positions j..n are final: move position j into the already
-        # straightened tail j+1..n by exchanges (a, b) -> -(b-1, a+1).
+    # terms holds H_{u_k} ... H_{u_n} . 1 in the Schur basis, k falling.
+    terms = {(): L_ONE}
+    for m in reversed(u):
         new = {}
-        for v, c in terms.items():
-            head = v[j - 1] + n - j
-            k = j
-            while k < n and v[k] + n - 1 - k > head:
-                k += 1
-            if head < 0 or (k < n and v[k] + n - 1 - k == head):
-                continue
-            w = v[: j - 1] + tuple(x - 1 for x in v[j:k]) + (head - n + k,) + v[k:]
-            _accumulate(new, w, -c if (k - j) % 2 else c)
+        for lam, c in terms.items():
+            size = sum(lam)
+            for nu in product(*(range(b, p + 1) for p, b in zip(lam, lam[1:] + (0,)))):
+                j = size - sum(nu)
+                st = straighten_schur((m + j,) + nu)
+                if st is not None:
+                    sign, mu = st
+                    _accumulate(new, mu, c.shift(j) if sign > 0 else -c.shift(j))
         terms = new
-    out = {}
-    for v, c in terms.items():
-        st = straighten_schur(v)
-        if st is not None:
-            sign, lam = st
-            _accumulate(out, lam, c if sign > 0 else -c)
-    return tuple(sorted(out.items()))
+    return tuple(sorted(terms.items()))
 
 
 def kernel_schur(u):
     """Schur coefficients of the truncated symmetrization of x^u against
-    the geometric kernel prod_{i<j} (1 - t x_i/x_j)^{-1}.
+    the geometric kernel prod_{i<j} (1 - t x_i/x_j)^{-1}; for a partition
+    u this is the modified Hall-Littlewood polynomial Q'_u.
 
-    Column j is finished before column j-1 starts, so the trailing sum
-    at j is monotone within its column; a term whose trailing sum goes
-    negative can never straighten to a nonzero value and is pruned, and
-    the transfer at each factor is capped by the current trailing sum
-    for the same reason.  For a partition argument this is the modified
-    Hall-Littlewood polynomial in the Schur basis.
+    Computed as H_{u_1} ... H_{u_n} . 1, applying H_{u_n} first, with
+    the creation operator in Bernstein form
 
-    After column j, positions j..n are final, so the tail is straightened
-    right away: position j moves into the already sorted tail by
-    exchanges (a, b) -> -(b-1, a+1), one sign per position passed, and
-    the term is dropped where two shifted values meet or one is
-    negative.  Straightening is a signed sort of the shifted values, so
-    sorting a part of the vector first and the rest later gives the same
-    Schur value and sign; and the tail keeps its sum, so the cap of
-    every later column is unchanged.  Terms that reach the same tail
-    merge, which keeps the term dict small.
+        H_m s_lam = sum_{j>=0} t^j sum_{lam/nu a horizontal j-strip} s_{(m+j, nu)},
+
+    where nu runs over lam_{i+1} <= nu_i <= lam_i and s_{(m+j, nu)} is
+    read by `straighten_schur`.  It is exact because H_m is the z^m
+    coefficient of F[X - (1-t)/z] Omega[zX]: removing the strips is
+    F[X + t/z], and prepending m+j with straightening is the Bernstein
+    operator, the z^(m+j) part of F[X - 1/z] Omega[zX].
     """
     u = tuple(int(x) for x in u)
     return dict(_kernel_schur_cached(u))

@@ -20,10 +20,10 @@ values must satisfy:
     by local exchanges, against the shifted-sort rule;
   * `truncate_suffix_nonneg`, `to_schur`, `schur_dict_to_xpoly`: the
     truncate-and-straighten map from explicit polynomials to the Schur
-    basis and back, against the column enumeration of `kernel_schur`;
-  * `kernel_schur_by_columns`: the column enumeration of the kernel
-    route that straightens each exponent vector only at the end, against
-    `symmetrize.kernel_schur`, which straightens each finished tail;
+    basis and back, against `kernel_schur`;
+  * `kernel_schur_by_columns`: the truncated kernel expanded column by
+    column and straightened at the end, against `symmetrize.kernel_schur`,
+    which applies the creation operators one entry at a time;
   * `ct_scalar_bruteforce`: the constant-term pairing by full kernel
     expansion to a fixed order, against the pruned path of `ct_scalar`;
   * `berele_regev_check`, `rectangle_vanishing_check`: the rectangle
@@ -219,11 +219,13 @@ def to_schur(f, n):
 
 
 def kernel_schur_by_columns(u):
-    """`symmetrize.kernel_schur` without straightening the finished tails.
+    """`symmetrize.kernel_schur` by expanding the kernel itself.
 
     Every transfer of every column is enumerated on the full exponent
-    vector, with the same trailing-sum pruning and cap; each surviving
-    vector is straightened only at the end.
+    vector.  A term whose trailing sum goes negative can never
+    straighten to a nonzero value, so it is pruned, and the same bound
+    caps each transfer; each surviving vector is straightened only at
+    the end.
     """
     u = tuple(u)
     n = len(u)

@@ -41,6 +41,12 @@ class TestExpansionVerbs:
         assert code == 0
         assert out.strip() == "(-1 + t)*Qp[1,1] + t*Qp[2]"
 
+    def test_qprime_long_zero_vector(self, capsys):
+        # A route that recurses once per entry overflows the stack here.
+        code, out = run(capsys, "qprime", "0^1200")
+        assert code == 0
+        assert out.strip() == "S[]"
+
     def test_qprime_json_round_trip(self, capsys):
         code, out = run(capsys, "qprime", "2,1", "--basis", "S", "--json")
         assert code == 0
@@ -325,6 +331,7 @@ NAMED_USAGE_ERRORS = [
     (("verify", "theta-scalar", "--l", "2,1", "--m", "1,"), "argument --m:"),
     (("verify", "factor", "--lambda", "x"), "argument --lambda:"),
     (("pp-expand", "2,1", "x"), "argument n:"),
+    (("qprime", "1^99999999999999999999"), "argument index:"),
     (("qprime",), "required: index"),
     (("frobnicate",), "argument verb:"),
 ]
@@ -456,10 +463,11 @@ def readme_cli_lines():
 
 class TestReadme:
     def test_examples_have_outputs(self):
-        # The four outputs the README states; guards the `-> ` parsing.
+        # The five outputs the README states; guards the `-> ` parsing.
         assert [out for _, out in readme_cli_lines() if out] == [
             "S[2,1] + t*S[3]",
             "(-1 + t)*Qp[1,1] + t*Qp[2]",
+            "-x1",
             "t^2 + t^3 + t^4",
             "4",
         ]

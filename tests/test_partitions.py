@@ -73,7 +73,7 @@ class TestBasics:
     @pytest.mark.parametrize(
         "text",
         ["2,,1", "2,1,", ",2", "2, ,1", "2^", "^2", "2^-1", "2^x", "[2,1", "2,1]",
-         "[2,1)", "[", "x", "1.5", "[[1]]"],
+         "[2,1)", "[", "x", "1.5", "[[1]]", "2 1^99999999999999999999"],
     )
     def test_parse_ints_refuses_and_quotes(self, text):
         with pytest.raises(ValueError, match=re.escape(repr(text))):

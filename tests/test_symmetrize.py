@@ -2,9 +2,10 @@
 
 The kernel oracle here expands the geometric factors directly with a
 degree cap and checks cap-stability before comparing, so it shares no
-logic with the column enumeration in the module.  The kernel route is
-also checked against the column enumeration without tail straightening
-(`oracles.kernel_schur_by_columns`) and against the charge route.
+logic with the creation operators in the module.  The kernel route is
+also checked against the column enumeration of the kernel
+(`oracles.kernel_schur_by_columns`), against the charge route and
+against the hook formula for 1^n.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import schur_on_xvars
 from hlkit.hall_littlewood import qprime_schur
-from hlkit.partitions import partitions_of
+from hlkit.partitions import conjugate, n_stat, partitions_of, t_factorial
 from hlkit.symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
 from oracles import (
     kernel_schur_by_columns,
@@ -239,5 +240,24 @@ class TestKernel:
         assert qprime_schur(lam).coeffs == kernel_schur(lam + (0,) * z)
 
     def test_ones_ten_matches_charge_route(self):
-        # The column enumeration without tail straightening takes minutes here.
+        # The column enumeration of the kernel takes minutes here; the
+        # creation operators keep only the Schur terms of each step.
         assert kernel_schur((1,) * 10) == qprime_schur((1,) * 10).coeffs
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_ones_match_hook_formula(self, n):
+        # K_{lam,1^n}(t) = t^{n(lam')} (t;t)_n / prod_{c in lam} (1 - t^{h(c)}).
+        expected = {}
+        for lam in partitions_of(n):
+            conj = conjugate(lam)
+            hooks = L_ONE
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    hooks = hooks * (L_ONE - LaurentPoly.t_power(row - j + conj[j] - i - 1))
+            expected[lam] = t_factorial(n).exact_div(hooks).shift(n_stat(conj))
+        assert kernel_schur((1,) * n) == expected
+
+    def test_long_vectors(self):
+        # One step per entry, with no recursion on the suffix.
+        assert kernel_schur((0,) * 1200 + (1,)) == {(1,): LaurentPoly.t_power(1200)}
+        assert kernel_schur((1,) + (0,) * 1200) == {(1,): L_ONE}
