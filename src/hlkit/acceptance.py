@@ -14,25 +14,25 @@ from itertools import product as iproduct
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate, t_power
 from .partitions import (
     b_poly,
+    is_horizontal_strip,
     partitions_of,
     partitions_up_to,
     subpartitions,
     suffix_nonneg,
 )
 from .xpoly import XPoly, xvars
-from .alphabets import Alphabet
 from .symmetrize import kernel_schur, pi_i, straighten_schur
 from .hall_littlewood import (
     BasisExpansion,
     _qprime_schur_cached,
     add_one,
     aleph,
+    kostka_foulkes,
     one_minus_x_factorization_check,
     plane_partition_qprime,
     principal_specialization_check,
     q_on_xvars,
     qprime_schur,
-    skew_qprime,
     skew_qprime_one_columns,
     tableau_route_xpoly,
     two_letter_factorization_check,
@@ -127,15 +127,19 @@ def criterion_4():
 
 
 def criterion_5():
-    """Skew extraction at the one-letter alphabet against the closed form."""
-    one = Alphabet.unit()
+    """[S_kappa] Q'_lam(X+1), kappa inside lam, by the charge route,
+    sum_rho KF(rho, lam) [rho/kappa a horizontal strip], and by the
+    closed form, sum_nu KF(kappa, nu) aleph(lam, nu)."""
     checked = 0
     for lam in partitions_up_to(6):
-        for mu in subpartitions(lam):
-            got = skew_qprime(lam, mu, one)
-            want = XPoly.const(aleph(lam, mu))
-            if got != want:
-                return False, f"mismatch at lam={lam}, mu={mu}"
+        charge_route = _qprime_schur_cached(lam)
+        inside = subpartitions(lam)
+        for kappa in inside:
+            strips = [kf for rho, kf in charge_route if is_horizontal_strip(rho, kappa)]
+            same_size = [nu for nu in inside if sum(nu) == sum(kappa)]
+            by_aleph = [kostka_foulkes(kappa, nu) * aleph(lam, nu) for nu in same_size]
+            if sum(strips, L_ZERO) != sum(by_aleph, L_ZERO):
+                return False, f"mismatch at lam={lam}, kappa={kappa}"
             checked += 1
     return True, f"{checked} skew values match the closed form"
 

@@ -253,17 +253,6 @@ def schur_on_xvars(lam, n):
     return schur_eval(tuple(lam), Alphabet.of_vars(*xvars(n)))
 
 
-def resultant(y, A):
-    """prod over letters a of A of (y - a); A must be purely positive."""
-    if A.minus:
-        raise ValueError("resultant needs a plus-only alphabet")
-    yv = y.value() if isinstance(y, Letter) else y
-    acc = X_ONE
-    for a in A.plus:
-        acc = acc * (yv - a.value())
-    return acc
-
-
 _ATOM_T = re.compile(r"^t(?:\^(-?\d+))?$")
 _ATOM_V = re.compile(r"^[A-Za-z]\d+$")
 

@@ -10,21 +10,22 @@ each other:
     H_m is the z^m part of the alphabet shift F[X - (1-t)/z] Omega[zX],
     and the product is the truncated symmetrization of x^u against the
     geometric kernel (Garsia 1992);
-  * alphabet route: the Schur expansion evaluated on a formal alphabet.
+  * alphabet route: Q'_lam(A) one letter of A at a time.
 
 On top of that sit the one-letter skew values (closed form and column
-rule), the argument shifts by +1 and -1, general skew extraction, the
-plane-partition expansion (the shift by one letter applied once per
-variable, as a branching recursion over the one-letter skew values),
-and the factorization of Q' at arguments of the form t^r minus a finite
-variable set.
+rule) and the argument shifts by +1 and -1, whose coefficients drive the
+alphabet route: Q'_mu[X +- a] = sum_nu a^{|mu/nu|} Q'_{mu/nu}[+-1] Q'_nu[X],
+exact letter by letter because Q'_{mu/nu} is homogeneous of degree
+|mu/nu|.  Q' on an alphabet, the skew values on an alphabet and the
+plane-partition expansion (Macdonald III.5) are all this one iteration.
+Last come the factorizations of Q' at arguments t^r minus variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product as iproduct
+from itertools import product as iproduct, zip_longest
 from math import comb
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
@@ -32,10 +33,10 @@ from .laurent import _accumulate, _fmt_coeff
 from .partitions import (
     b_poly,
     conjugate,
+    contains,
     dominance_leq,
     is_partition,
     multiplicities,
-    n_skew,
     n_stat,
     normalize,
     partitions_of,
@@ -45,8 +46,9 @@ from .partitions import (
 )
 from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import kernel_schur
-from .alphabets import Alphabet, letter, schur_eval, schur_on_xvars, skew_schur_eval
-from .xpoly import XPoly, X_ONE, X_ZERO, _linear_combination, xvars
+from .alphabets import Alphabet, letter, schur_on_xvars
+from .xpoly import XPoly, X_ONE, _linear_combination, xvars
+from .xpoly import _flat, _mul_into, _unflatten
 
 
 @dataclass
@@ -163,9 +165,12 @@ def qprime_of_vector(u):
     """Q'_u for any integer vector u, expanded over the Q' basis.
 
     This is the normative meaning of a non-partition index: truncate
-    and straighten the kernel image, then back-substitute.
+    and straighten the kernel image, then back-substitute.  A partition
+    index, trailing zeros allowed, is its own expansion.
     """
     u = tuple(int(x) for x in u)
+    if is_partition(u):
+        return BasisExpansion("Qp", {normalize(u): L_ONE})
     return BasisExpansion("Qp", schur_to_qprime(kernel_schur(u)))
 
 
@@ -178,12 +183,68 @@ def qprime_vector_schur(u):
 # ---------------------------------------------------------------- alphabet route
 
 
+def _branch(lam, A, end=()):
+    """Q'_{lam/end}(A), adding the letters of A one at a time.
+
+    The state maps each mu reached to its coefficient, flat int
+    coefficients keyed by the exponents of A's variables, so x and t*x
+    in X(1-t) cancel at the step that meets them.  A letter a sends mu
+    to nu with a^{|mu/nu|} times the coefficient of Q'_nu in sub_one(mu)
+    (minus letters, which go first) or add_one(mu).  A nu not containing
+    `end` is dropped; the last letter computes only the one for `end`.
+    """
+    lam, end = normalize(lam), normalize(end)
+    vars = A.var_names()
+    letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
+    state = {lam: {(0,) * len(vars): L_ONE}}
+    for k, (l, minus) in enumerate(letters, 1):
+        exps = tuple(l.mono.count(v) for v in vars)
+        new = {}
+        for mu, terms in state.items():
+            if k < len(letters):
+                coeffs = _sub_one_terms(mu) if minus else add_one(mu).coeffs.items()
+            elif minus:
+                coeffs = [(nu, c) for nu, c in _sub_one_terms(mu) if nu == end]
+            else:
+                coeffs = ((end, skew_qprime_one(mu, end)),)
+            flat, size = _flat(terms), sum(mu)
+            for nu, c in coeffs:
+                if c:
+                    d = size - sum(nu)
+                    a_d = (tuple(d * e for e in exps), c.shift(d * l.t_exp).coeffs)
+                    _mul_into(new.setdefault(nu, {}), flat, (a_d,))
+        new = {nu: _unflatten(acc) for nu, acc in new.items() if contains(nu, end)}
+        state = {nu: terms for nu, terms in new.items() if terms}
+    return XPoly._trusted(vars, state.get(end, {}))
+
+
 @cache
 def qprime_on_alphabet(lam, A):
-    """Q'_lam evaluated on a formal alphabet, via the Schur expansion."""
-    lam = normalize(lam)
+    """Q'_lam evaluated on a formal alphabet, one letter at a time by the
+    shifts X + a and X - a (see `_branch`)."""
+    return _branch(lam, A)
+
+
+def skew_qprime(lam, mu, A):
+    """Q'_{lam/mu} evaluated at the alphabet A: the coefficient of Q'_mu
+    in Q'_lam[X + A], one letter of A at a time (see `_branch`)."""
+    return _branch(lam, A, mu)
+
+
+def plane_partition_qprime(lam, n):
+    """Q'_lam on n variables by the one-letter branching rule
+    Q'_lam(x_1..x_n) = sum_mu aleph(lam, mu) x_1^{|lam/mu|} Q'_mu(x_2..x_n),
+    a sum over the plane partitions of shape lam with entries at most n:
+    `_branch` on the alphabet x_1 + ... + x_n."""
+    return _branch(lam, Alphabet.of_vars(*xvars(n)))
+
+
+def tableau_route_xpoly(lam, n):
+    """Q'_lam on n variables via the charge-route Schur expansion."""
     return _linear_combination(
-        (schur_eval(rho, A), kf) for rho, kf in _qprime_schur_cached(lam)
+        (schur_on_xvars(rho, n), kf)
+        for rho, kf in _qprime_schur_cached(normalize(lam))
+        if len(rho) <= n
     )
 
 
@@ -221,17 +282,16 @@ def skew_qprime_one(lam, mu):
     The product vanishes exactly when mu does not fit inside lam.
     """
     lam, mu = normalize(lam), normalize(mu)
-    lc = conjugate(lam)
-    r = len(mu)
+    lc, mc = conjugate(lam), conjugate(mu)
     prod = L_ONE
-    for i in range(1, r + 1):
-        nu_i = lc[mu[i - 1] - 1] if mu[i - 1] <= len(lc) else 0
+    for i, m in enumerate(mu, 1):
+        nu_i = lc[m - 1] if m <= len(lc) else 0
         a = nu_i - i + 1
         if a <= 0:
             return L_ZERO
-        prod = prod * (L_ONE - LaurentPoly.t_power(a))
-    val = LaurentPoly.t_power(n_skew(lam, mu)) * prod
-    return val.exact_div(b_poly(mu))
+        prod = prod - prod.shift(a)
+    n = sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0))
+    return prod.shift(n).exact_div(b_poly(mu))
 
 
 @cache
@@ -279,7 +339,12 @@ def sub_one(lam):
     Independently for each part value i with multiplicity m_i, lower
     alpha_i of the parts to i-1, at cost (-1)^alpha_i [m_i, alpha_i].
     """
-    lam = normalize(lam)
+    return BasisExpansion("Qp", dict(_sub_one_terms(normalize(lam))))
+
+
+@cache
+def _sub_one_terms(lam):
+    """The (nu, coefficient) pairs of sub_one(lam), for a partition lam."""
     mults = multiplicities(lam)
     values = sorted(mults)
     out = {}
@@ -294,7 +359,7 @@ def sub_one(lam):
             parts.extend([v] * (mults[v] - a))
             parts.extend([v - 1] * a)
         _accumulate(out, normalize(parts), coeff if sign > 0 else -coeff)
-    return BasisExpansion("Qp", out)
+    return tuple(out.items())
 
 
 def compose_shift(expansion, shift_fn):
@@ -304,79 +369,6 @@ def compose_shift(expansion, shift_fn):
         for mu, d in shift_fn(lam).coeffs.items():
             _accumulate(out, mu, c * d)
     return BasisExpansion("Qp", out)
-
-
-# ------------------------------------------------------------- skew extraction
-
-
-@cache
-def _skew_qprime_layer(lam, A, m):
-    """All Q'_{lam/mu}(A) for |mu| = m, by unitriangular extraction.
-
-    The coefficient of S_kappa in the second alphabet is
-    C_kappa = sum_rho KF(rho,lam) S_{rho/kappa}(A) and also
-    C_kappa = sum_{nu dominated by kappa} KF(kappa,nu) Q'_{lam/nu}(A);
-    ascending lex refines dominance, so one sweep solves the system.
-    """
-    charge_route = _qprime_schur_cached(normalize(lam))
-    solved = {}
-    for kappa in sorted(partitions_of(m)):
-        known = [(skew_schur_eval(rho, kappa, A), kf) for rho, kf in charge_route]
-        lower = [(q, -kostka_foulkes(kappa, nu)) for nu, q in solved.items()]
-        solved[kappa] = _linear_combination(known + lower)
-    return tuple(solved.items())
-
-
-def skew_qprime(lam, mu, A):
-    """Q'_{lam/mu} evaluated at the alphabet A."""
-    lam, mu = normalize(lam), normalize(mu)
-    for kappa, val in _skew_qprime_layer(lam, A, sum(mu)):
-        if kappa == mu:
-            return val
-    return X_ZERO
-
-
-# ------------------------------------------------------ plane-partition route
-
-
-def plane_partition_qprime(lam, n):
-    """Q'_lam on n variables by the one-letter branching rule.
-
-    Q'_lam(x_i..x_n) = sum over mu inside lam of
-    aleph(lam, mu) x_i^{|lam/mu|} Q'_mu(x_{i+1}..x_n); unrolled to the
-    empty partition this sums over the plane partitions of shape lam
-    with entries at most n.  Each (mu, letters left) is expanded once.
-    """
-    vars = xvars(n)  # refuses a negative count before the recursion starts
-
-    @cache
-    def expand(mu, k):
-        """{exponents of x_{n-k+1}..x_n: coefficient} of Q'_mu."""
-        if k == 0:
-            return {} if mu else {(): L_ONE}
-        out = {}
-        size = sum(mu)
-        for nu in subpartitions(mu):
-            a = skew_qprime_one(mu, nu)
-            if not a:
-                continue
-            d = size - sum(nu)
-            for exps, c in expand(nu, k - 1).items():
-                _accumulate(out, (d,) + exps, a * c)
-        return out
-
-    terms = expand(normalize(lam), n)
-    expand.cache_clear()  # free the memo now, not at the next cycle collection
-    return XPoly._trusted(vars, terms)
-
-
-def tableau_route_xpoly(lam, n):
-    """Q'_lam on n variables via the charge-route Schur expansion."""
-    return _linear_combination(
-        (schur_on_xvars(rho, n), kf)
-        for rho, kf in _qprime_schur_cached(normalize(lam))
-        if len(rho) <= n
-    )
 
 
 # ------------------------------------------------------------- factorizations

@@ -81,15 +81,14 @@ def parse_partition(text):
     return normalize(parse_parts(text))
 
 
-def format_partition(lam):
-    return "[" + ",".join(str(p) for p in lam) + "]" if lam else "[]"
-
-
 def conjugate(lam):
     lam = normalize(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    out, k = [], len(lam)
+    for j in range(1, lam[0] + 1 if lam else 1):
+        while lam[k - 1] < j:
+            k -= 1
+        out.append(k)
+    return tuple(out)
 
 
 def n_stat(lam):
@@ -137,10 +136,6 @@ def is_horizontal_strip(lam, mu):
     return all(mu[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def is_vertical_strip(lam, mu):
-    return is_horizontal_strip(conjugate(lam), conjugate(mu))
-
-
 def multiplicities(lam):
     """Dict part value -> multiplicity, zero part excluded."""
     out = {}
@@ -177,6 +172,8 @@ def t_binomial(m, a):
     """Gaussian binomial coefficient [m choose a] as a polynomial in t."""
     if a < 0 or a > m:
         return L_ZERO
+    if a in (0, m):
+        return L_ONE
     return t_factorial(m).exact_div(t_factorial(a) * t_factorial(m - a))
 
 

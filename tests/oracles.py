@@ -32,13 +32,31 @@ values must satisfy:
   * `elementary_over_one_minus_t`: e_m(A/(1-t)) truncated in t, by
     repeating each letter with every t-shift;
   * `exact_div_linear`: exact division by a difference of two variables
-    given as a polynomial.
+    given as a polynomial;
+  * `qprime_on_alphabet_by_schur`: the charge-route Schur expansion of
+    Q' with each Schur function evaluated by its Jacobi-Trudi
+    determinant, against `hall_littlewood.qprime_on_alphabet`, which
+    adds one letter at a time by the shifts X + a and X - a (exact
+    because Q'_{mu/nu} is homogeneous, so a letter only scales it);
+  * `skew_qprime_by_extraction`: Q'_{lam/mu}(A) by a unitriangular
+    solve over skew Schur determinants, against the same one-letter
+    iteration in `hall_littlewood.skew_qprime`;
+  * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
+    that only the tests use.
 """
 
-from hlkit.alphabets import schur_eval, schur_on_xvars
-from hlkit.hall_littlewood import skew_qprime_one
+from hlkit.alphabets import Letter, schur_eval, schur_on_xvars, skew_schur_eval
+from hlkit.hall_littlewood import _qprime_schur_cached, kostka_foulkes, skew_qprime_one
 from hlkit.laurent import LaurentPoly, ONE as L_ONE, _accumulate
-from hlkit.partitions import contains, is_partition, normalize, suffix_nonneg
+from hlkit.partitions import (
+    conjugate,
+    contains,
+    is_horizontal_strip,
+    is_partition,
+    normalize,
+    partitions_of,
+    suffix_nonneg,
+)
 from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
 from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
@@ -373,3 +391,49 @@ def exact_div_linear(f, divisor):
             raise ValueError("divisor must be a difference of two variables")
         names.append(hits[0][0])
     return f.exact_div_diff(names[0], names[1])
+
+
+def qprime_on_alphabet_by_schur(lam, A):
+    """Q'_lam(A) as sum_rho KF(rho, lam) S_rho(A), each S_rho(A) a
+    Jacobi-Trudi determinant."""
+    return _linear_combination(
+        (schur_eval(rho, A), kf) for rho, kf in _qprime_schur_cached(normalize(lam))
+    )
+
+
+def skew_qprime_by_extraction(lam, mu, A):
+    """Q'_{lam/mu}(A) by unitriangular extraction.
+
+    The coefficient of S_kappa in the second alphabet is
+    C_kappa = sum_rho KF(rho,lam) S_{rho/kappa}(A) and also
+    C_kappa = sum_{nu dominated by kappa} KF(kappa,nu) Q'_{lam/nu}(A);
+    ascending lex refines dominance, so one sweep over the partitions
+    kappa of |mu| solves the system.
+    """
+    lam, mu = normalize(lam), normalize(mu)
+    charge_route = _qprime_schur_cached(lam)
+    solved = {}
+    for kappa in sorted(partitions_of(sum(mu))):
+        known = [(skew_schur_eval(rho, kappa, A), kf) for rho, kf in charge_route]
+        lower = [(q, -kostka_foulkes(kappa, nu)) for nu, q in solved.items()]
+        solved[kappa] = _linear_combination(known + lower)
+    return solved[mu]
+
+
+def resultant(y, A):
+    """prod over letters a of A of (y - a); A must be purely positive."""
+    if A.minus:
+        raise ValueError("resultant needs a plus-only alphabet")
+    yv = y.value() if isinstance(y, Letter) else y
+    acc = X_ONE
+    for a in A.plus:
+        acc = acc * (yv - a.value())
+    return acc
+
+
+def is_vertical_strip(lam, mu):
+    return is_horizontal_strip(conjugate(lam), conjugate(mu))
+
+
+def format_partition(lam):
+    return "[" + ",".join(str(p) for p in lam) + "]" if lam else "[]"

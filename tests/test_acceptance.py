@@ -6,7 +6,9 @@ each test fails loudly with the criterion's own detail string.
 
 import pytest
 
+from hlkit import acceptance
 from hlkit.acceptance import CRITERIA, run_all
+from hlkit.laurent import T
 
 
 @pytest.mark.parametrize(
@@ -28,3 +30,15 @@ def test_run_all_aggregates():
 def test_run_all_subset():
     results = run_all(numbers=[1, 13])
     assert [num for num, _, _, _ in results] == [1, 13]
+
+
+def test_criterion_5_catches_a_wrong_aleph(monkeypatch):
+    true_aleph = acceptance.aleph
+
+    def perturbed(lam, mu):
+        val = true_aleph(lam, mu)
+        return val * T if (lam, mu) == ((3, 2, 1), (2, 1)) else val
+
+    monkeypatch.setattr(acceptance, "aleph", perturbed)
+    ok, detail = acceptance.criterion_5()
+    assert ok is False, detail

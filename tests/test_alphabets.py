@@ -17,7 +17,6 @@ from hlkit.alphabets import (
     complete_series,
     letter,
     parse_alphabet,
-    resultant,
     schur_eval,
     schur_on_xvars,
     skew_schur_eval,
@@ -26,6 +25,7 @@ from oracles import (
     berele_regev_check,
     elementary_over_one_minus_t,
     rectangle_vanishing_check,
+    resultant,
 )
 
 

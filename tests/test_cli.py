@@ -41,6 +41,13 @@ class TestExpansionVerbs:
         assert code == 0
         assert out.strip() == "(-1 + t)*Qp[1,1] + t*Qp[2]"
 
+    def test_qprime_partition_index_qp_basis(self, capsys):
+        # A partition index is its own Q' expansion: no back-substitution
+        # through every partition of 13.
+        code, out = run(capsys, "qprime", "1^13", "--basis", "Qp")
+        assert code == 0
+        assert out.strip() == "Qp[1,1,1,1,1,1,1,1,1,1,1,1,1]"
+
     def test_qprime_long_zero_vector(self, capsys):
         # A route that recurses once per entry overflows the stack here.
         code, out = run(capsys, "qprime", "0^1200")

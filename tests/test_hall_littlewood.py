@@ -50,8 +50,9 @@ from hlkit.hall_littlewood import (
     two_letter_factorization_check,
     two_letter_shape,
 )
+from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import layer_chains
-from oracles import chain_weight
+from oracles import chain_weight, qprime_on_alphabet_by_schur, skew_qprime_by_extraction
 
 T = LaurentPoly.t_power
 
@@ -119,6 +120,12 @@ class TestVectorArguments:
     def test_partition_is_identity(self):
         for lam in partitions_up_to(4):
             assert qprime_of_vector(lam).coeffs == {lam: L_ONE}
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2])
+    def test_partition_shortcut_matches_back_substitution(self, zeros):
+        for lam in partitions_up_to(7):
+            u = lam + (0,) * zeros
+            assert qprime_of_vector(u).coeffs == schur_to_qprime(kernel_schur(u)), u
 
     def test_frozen(self):
         assert qprime_of_vector((1, -1)).coeffs == {}
@@ -259,6 +266,7 @@ class TestSkewAlphabet:
             for mu in subpartitions(lam):
                 got = skew_qprime(lam, mu, Alphabet.unit())
                 assert got == XPoly.const(aleph(lam, mu)), (lam, mu)
+                assert got == skew_qprime_by_extraction(lam, mu, Alphabet.unit())
 
     def test_two_block_sum_rule(self):
         AX = Alphabet.of_vars(*xvars(2))
@@ -268,6 +276,66 @@ class TestSkewAlphabet:
             for mu in subpartitions(lam):
                 acc = acc + qprime_on_alphabet(mu, AX) * skew_qprime(lam, mu, AY)
             assert acc == qprime_on_alphabet(lam, AX + AY), lam
+
+
+LETTERS = st.builds(
+    lambda k, names: letter(k, *names),
+    st.integers(-2, 2),
+    st.sampled_from([(), ("x1",), ("x2",), ("x1", "y1"), ("x1", "x1")]),
+)
+ALPHABETS = st.builds(
+    lambda plus, minus: Alphabet(tuple(plus), tuple(minus)),
+    st.lists(LETTERS, max_size=2),
+    st.lists(LETTERS, max_size=2),
+)
+SMALL_PARTITIONS = st.integers(0, 4).flatmap(lambda m: st.sampled_from(partitions_of(m)))
+
+
+class TestAlphabetOracles:
+    """The one-letter iteration against the charge route read through
+    Jacobi-Trudi determinants, on random signed alphabets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_PARTITIONS, ALPHABETS)
+    def test_qprime_on_alphabet(self, lam, A):
+        assert qprime_on_alphabet(lam, A) == qprime_on_alphabet_by_schur(lam, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        SMALL_PARTITIONS.flatmap(
+            lambda lam: st.tuples(
+                st.just(lam),
+                st.one_of(
+                    # inside lam, written reversed with a zero part
+                    st.sampled_from(subpartitions(lam)).map(lambda mu: (0,) + mu[::-1]),
+                    # any list of parts, inside lam or not
+                    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+                ),
+            )
+        ),
+        ALPHABETS,
+    )
+    def test_skew_qprime(self, lam_mu, A):
+        lam, mu = lam_mu
+        assert skew_qprime(lam, mu, A) == skew_qprime_by_extraction(lam, mu, A)
+
+    def test_skew_qprime_inside_and_outside(self):
+        A = Alphabet((letter(-1), letter(0, "x1", "y1")), (letter(1, "x2"),))
+        for lam in partitions_up_to(4):
+            for mu in subpartitions(lam) + [(0, 1, 2), (5,), (1, 1, 1, 1, 1)]:
+                assert skew_qprime(lam, mu, A) == skew_qprime_by_extraction(
+                    lam, mu, A
+                ), (lam, mu)
+
+    def test_empty_alphabet(self):
+        A = Alphabet.empty()
+        one = XPoly.monomial((), ())
+        for lam in partitions_up_to(4):
+            assert qprime_on_alphabet(lam, A) == (one if not lam else XPoly.zero())
+            for mu in subpartitions(lam):
+                want = one if mu == lam else XPoly.zero()
+                assert skew_qprime(lam, mu, A) == want
+                assert skew_qprime_by_extraction(lam, mu, A) == want
 
 
 class TestPlanePartitionRoute:

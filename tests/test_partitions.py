@@ -10,10 +10,8 @@ from hlkit.partitions import (
     conjugate,
     contains,
     dominance_leq,
-    format_partition,
     is_horizontal_strip,
     is_partition,
-    is_vertical_strip,
     multiplicities,
     n_skew,
     n_stat,
@@ -28,6 +26,7 @@ from hlkit.partitions import (
     t_binomial,
     t_factorial,
 )
+from oracles import format_partition, is_vertical_strip
 
 parts = st.lists(st.integers(1, 6), max_size=5).map(normalize)
 
