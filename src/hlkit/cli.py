@@ -2,8 +2,18 @@
 
 Pure plumbing: every verb parses its arguments, calls one library
 operation, and prints the result in canonical order (text by default,
-lossless JSON with --json).  Exit codes: 0 success / identity holds,
-1 a verification found a discrepancy, 2 usage error.
+lossless JSON with --json; --out FILE gets every JSON line too).  Exit
+codes: 0 success / identity holds, 1 a verification found a
+discrepancy, 2 usage error.
+
+The verbs are data: `VERBS` maps each one to its handler, its help
+text and its arguments, and `build_parser` reads that table.  A process
+parses one command line, and building a subparser costs about as much
+as a small request, so when the first argument names a verb `main`
+builds that verb's subparser alone.  Anything else (no arguments,
+`--help`, an unknown verb, a top-level option) gets the parser with
+every verb, so the help listing and argparse's messages are the same
+either way.
 """
 
 from __future__ import annotations
@@ -105,13 +115,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, text, payload):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-    if getattr(args, "json", False):
-        text = json.dumps(payload, sort_keys=True)
+    """Print `text`, or with --json the payload as one JSON line; with
+    --out, also append that JSON line to FILE."""
+    if args.json or args.out:
+        line = json.dumps(payload, sort_keys=True)
+        if args.out:
+            with open(args.out, "a") as fh:
+                fh.write(line + "\n")
+        if args.json:
+            text = line
     print(text)
 
 
@@ -137,7 +149,7 @@ def _cmd_aleph(args):
 
 
 def _cmd_shift(args):
-    exp = args.shift(args.partition)
+    exp = (add_one if args.verb == "addone" else sub_one)(args.partition)
     _emit(args, exp.render(), exp.to_json())
     return 0
 
@@ -189,7 +201,7 @@ def _report(args, ok, text, name, failure):
     payload = {
         k: v.to_json() if hasattr(v, "to_json") else v for k, v in failure.items()
     }
-    print(json.dumps(payload, sort_keys=True))
+    _emit(args, json.dumps(payload, sort_keys=True), payload)
     return 1
 
 
@@ -265,104 +277,149 @@ def _cmd_verify(args):
     all_ok = True
     for num, title, ok, detail in acceptance.run_all():
         flag = "PASS" if ok else "FAIL"
-        print(f"[{flag}] {num:2d} {title}: {detail}")
+        _emit(
+            args,
+            f"[{flag}] {num:2d} {title}: {detail}",
+            {"criterion": num, "title": title, "holds": bool(ok), "detail": detail},
+        )
         all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 
-def build_parser():
+def _arg(*flags, **options):
+    """One `add_argument` call, kept as data."""
+    return flags, options
+
+
+# Every verb, in the order `hlkit --help` lists them: name -> (handler,
+# help, arguments).  Each verb also takes --json and --out.
+VERBS = {
+    "qprime": (
+        _cmd_qprime,
+        "expand Q' of an integer vector",
+        (
+            _arg("index", type=VECTOR, help="integer vector, e.g. 2,1 or 0,2 or 1^3"),
+            _arg("--basis", choices=("S", "Qp"), default="S"),
+            _arg("--on", help="evaluate on an alphabet literal instead"),
+            _arg("-n", type=int, default=None, help="size binding for X/Y atoms"),
+        ),
+    ),
+    "aleph": (
+        _cmd_aleph,
+        "one-letter skew value of outer/inner",
+        (_arg("outer", type=PARTITION), _arg("inner", type=PARTITION)),
+    ),
+    "addone": (
+        _cmd_shift,
+        "Q' expansion at the argument X+1",
+        (_arg("partition", type=PARTITION),),
+    ),
+    "subone": (
+        _cmd_shift,
+        "Q' expansion at the argument X-1",
+        (_arg("partition", type=PARTITION),),
+    ),
+    "pp-expand": (
+        _cmd_pp_expand,
+        "plane-partition (layer chain) expansion on n variables",
+        (_arg("partition", type=PARTITION), _arg("n", type=int)),
+    ),
+    "charge": (
+        _cmd_charge,
+        "charge of a word, e.g. 3412 or 3,4,1,2",
+        (_arg("word", type=WORD),),
+    ),
+    "tableaux": (
+        _cmd_tableaux,
+        "enumerate semistandard tableaux",
+        (
+            _arg("shape", type=PARTITION),
+            _arg("--weight", type=WEIGHT, default=None),
+            _arg("--nletters", type=int, default=None),
+        ),
+    ),
+    "factor-check": (
+        _cmd_factor_check,
+        "check the width-split factorization for one case",
+        (
+            _arg("partition", type=PARTITION),
+            _arg("n", type=int),
+            _arg("r", type=int),
+        ),
+    ),
+    "scalar": (
+        _cmd_scalar,
+        "constant-term pairing of Q_outer with the inner monomial",
+        (
+            _arg("outer", type=PARTITION),
+            _arg("inner", type=PARTITION),
+            _arg("-n", type=int, default=None),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run an identity verification",
+        (
+            _arg(
+                "what",
+                choices=(
+                    "warnaar",
+                    "sigmaxy",
+                    "prodx",
+                    "theta-scalar",
+                    "defq-note",
+                    "factor",
+                    "all",
+                ),
+            ),
+            _arg("--nx", type=int, default=2),
+            _arg("--ny", type=int, default=2),
+            _arg("--deg", type=int, default=None, help="degree cap (or HLKIT_DEG)"),
+            _arg("--l", type=PARTITION, default=(), help="theta-scalar lambda"),
+            _arg("--m", type=PARTITION, default=(), help="theta-scalar mu"),
+            _arg("-n", type=int, default=None),
+            _arg(
+                "--lambda",
+                dest="lam",
+                type=PARTITION,
+                default=(),
+                help="partition for factor",
+            ),
+            _arg("-r", type=int, default=0),
+        ),
+    ),
+}
+
+
+def build_parser(verb=None):
+    """The parser with the subparser of `verb` alone, or of every verb."""
     p = _Parser(
         prog="hlkit",
         description="Exact Hall-Littlewood computations: expansions, "
         "argument shifts, plane partitions, identity verification.",
     )
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, fn, help):
+    for name in VERBS if verb is None else (verb,):
+        fn, help, arguments = VERBS[name]
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--json", action="store_true", help="JSON to stdout")
         sp.add_argument("--out", metavar="FILE", help="also write JSON to FILE")
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = verb("qprime", _cmd_qprime, "expand Q' of an integer vector")
-    sp.add_argument("index", type=VECTOR, help="integer vector, e.g. 2,1 or 0,2 or 1^3")
-    sp.add_argument("--basis", choices=("S", "Qp"), default="S")
-    sp.add_argument("--on", help="evaluate on an alphabet literal instead")
-    sp.add_argument("-n", type=int, default=None, help="size binding for X/Y atoms")
-
-    sp = verb("aleph", _cmd_aleph, "one-letter skew value of outer/inner")
-    sp.add_argument("outer", type=PARTITION)
-    sp.add_argument("inner", type=PARTITION)
-
-    for name, shift, where in (("addone", add_one, "X+1"), ("subone", sub_one, "X-1")):
-        sp = verb(name, _cmd_shift, f"Q' expansion at the argument {where}")
-        sp.add_argument("partition", type=PARTITION)
-        sp.set_defaults(shift=shift)
-
-    sp = verb(
-        "pp-expand",
-        _cmd_pp_expand,
-        "plane-partition (layer chain) expansion on n variables",
-    )
-    sp.add_argument("partition", type=PARTITION)
-    sp.add_argument("n", type=int)
-
-    sp = verb("charge", _cmd_charge, "charge of a word, e.g. 3412 or 3,4,1,2")
-    sp.add_argument("word", type=WORD)
-
-    sp = verb("tableaux", _cmd_tableaux, "enumerate semistandard tableaux")
-    sp.add_argument("shape", type=PARTITION)
-    sp.add_argument("--weight", type=WEIGHT, default=None)
-    sp.add_argument("--nletters", type=int, default=None)
-
-    sp = verb(
-        "factor-check",
-        _cmd_factor_check,
-        "check the width-split factorization for one case",
-    )
-    sp.add_argument("partition", type=PARTITION)
-    sp.add_argument("n", type=int)
-    sp.add_argument("r", type=int)
-
-    sp = verb(
-        "scalar",
-        _cmd_scalar,
-        "constant-term pairing of Q_outer with the inner monomial",
-    )
-    sp.add_argument("outer", type=PARTITION)
-    sp.add_argument("inner", type=PARTITION)
-    sp.add_argument("-n", type=int, default=None)
-
-    sp = verb("verify", _cmd_verify, "run an identity verification")
-    sp.add_argument(
-        "what",
-        choices=(
-            "warnaar",
-            "sigmaxy",
-            "prodx",
-            "theta-scalar",
-            "defq-note",
-            "factor",
-            "all",
-        ),
-    )
-    sp.add_argument("--nx", type=int, default=2)
-    sp.add_argument("--ny", type=int, default=2)
-    sp.add_argument("--deg", type=int, default=None, help="degree cap (or HLKIT_DEG)")
-    sp.add_argument("--l", type=PARTITION, default=(), help="theta-scalar lambda")
-    sp.add_argument("--m", type=PARTITION, default=(), help="theta-scalar mu")
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument(
-        "--lambda", dest="lam", type=PARTITION, default=(), help="partition for factor"
-    )
-    sp.add_argument("-r", type=int, default=0)
     return p
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A verb named first is all this process parses, so only its
+    # subparser is built; help, no verb or an unknown one needs them all.
+    verb = argv[0] if argv and argv[0] in VERBS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(verb).parse_args(argv)
+        if args.out:  # each emitted line is appended to a fresh file
+            with open(args.out, "w"):
+                pass
         return args.fn(args)
     except SystemExit:  # --help; usage errors raise ValueError
         return 0

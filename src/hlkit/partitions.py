@@ -34,6 +34,10 @@ def is_partition(parts):
 
 _SEPARATOR = re.compile(r"\s*,\s*|\s+")
 _ENTRY = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
+# The most entries one integer list may expand to.  The repeat counts
+# are totalled before the list is built, so `1^1000000000` is refused
+# at once instead of asking for gigabytes.
+MAX_LIST_LENGTH = 10**6
 
 
 def parse_ints(text):
@@ -43,9 +47,9 @@ def parse_ints(text):
     Commas and/or whitespace separate entries; `a^m` repeats `a` m >= 0
     times; one matching `[]` or `()` pair may enclose the list; '', '-'
     and 'empty' are the empty list.  So '[0 2^2, 1]' is (0, 2, 2, 1).
-    An empty field, a bad repeat, a repeat count too large for a list,
-    an unbalanced bracket or a non-integer raises ValueError quoting the
-    text.
+    An empty field, a bad repeat, a list of more than MAX_LIST_LENGTH
+    entries, an unbalanced bracket or a non-integer raises ValueError
+    quoting the text.
     """
     body = text.strip()
     if body[:1] in ("[", "(") or body[-1:] in ("]", ")"):
@@ -54,17 +58,19 @@ def parse_ints(text):
         body = body[1:-1].strip()
     if body in ("", "-", "empty"):
         return ()
-    out = []
+    runs = []
     for field in _SEPARATOR.split(body):
         if not field:
             raise ValueError(f"empty entry in {text!r}; write 0 for a zero entry")
         m = _ENTRY.fullmatch(field)
         if m is None:
             raise ValueError(f"bad entry {field!r} in {text!r}; write a or a^m, m >= 0")
-        try:
-            out += [int(m[1])] * (int(m[2]) if m[2] else 1)
-        except OverflowError:
-            raise ValueError(f"repeat count too large: {field!r} in {text!r}") from None
+        runs.append((int(m[1]), int(m[2]) if m[2] else 1))
+    if sum(count for _, count in runs) > MAX_LIST_LENGTH:
+        raise ValueError(f"{text!r} has more than {MAX_LIST_LENGTH} entries")
+    out = []
+    for a, count in runs:
+        out += [a] * count
     return tuple(out)
 
 

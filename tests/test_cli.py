@@ -1,5 +1,6 @@
 """Command-line surface: output text, JSON mode, exit codes."""
 
+import importlib.util
 import json
 import shlex
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hlkit import cli
-from hlkit.cli import main, _deg_default, DEFAULT_DEG
+from hlkit.cli import VERBS, build_parser, main, _deg_default, DEFAULT_DEG
 from hlkit.hall_littlewood import BasisExpansion, qprime_schur
 from hlkit.laurent import ONE as L_ONE, T
 from hlkit.xpoly import XPoly
@@ -339,8 +340,41 @@ NAMED_USAGE_ERRORS = [
     (("verify", "factor", "--lambda", "x"), "argument --lambda:"),
     (("pp-expand", "2,1", "x"), "argument n:"),
     (("qprime", "1^99999999999999999999"), "argument index:"),
+    (("qprime", "1^1000000000"), "argument index:"),
     (("qprime",), "required: index"),
     (("frobnicate",), "argument verb:"),
+]
+
+
+# Requests that exit 2 with one `error:` line and print nothing.
+MALFORMED_INPUT = [
+    ("verify", "warnaar", "--nx", "-1"),
+    ("verify", "sigmaxy", "--nx", "-1", "--deg", "2"),
+    ("verify", "sigmaxy", "--ny", "-2", "--deg", "2"),
+    ("qprime", "2,1", "--on", "X", "-n", "-1"),
+    ("qprime", "2,1", "--on", "X"),
+    ("qprime", "2,,1"),
+    ("qprime", "2,1,"),
+    ("qprime", "--", ",2,1"),
+    ("tableaux", "2,1", "--nletters", "-1"),
+    ("tableaux", "2,1", "--weight", "2,-1,2"),
+    ("scalar", "3", "1,1,1,1", "-n", "2"),
+    ("scalar", "1,1", "1,1", "-n", "1"),
+    ("scalar", "2,1", "2,1", "-n", "0"),
+    ("verify", "theta-scalar", "--l", "2,1", "--m", "1", "-n", "0"),
+    ("verify", "factor", "--lambda", "2,1", "-n", "0"),
+    ("verify", "warnaar", "--deg", "-1"),
+    ("verify", "sigmaxy", "--deg", "-1"),
+    ("verify", "prodx", "--deg", "-1"),
+    ("pp-expand", "2,1", "-1"),
+    ("aleph", "3,-1", "1"),
+    ("charge", "122"),
+    ("qprime", "1", "--on", "x1+"),
+    ("qprime", "1", "--on", "x1++x2"),
+    ("qprime", "1", "--on", "x1-"),
+    ("qprime", "1", "--on", "-"),
+    ("qprime", "1", "--on", "+"),
+    *(argv for argv, _ in NAMED_USAGE_ERRORS),
 ]
 
 
@@ -384,39 +418,7 @@ class TestErrorsAndDefaults:
     def test_zero_count_exits_2(self, capsys, argv):
         assert_usage_error(capsys, *argv)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "warnaar", "--nx", "-1"),
-            ("verify", "sigmaxy", "--nx", "-1", "--deg", "2"),
-            ("verify", "sigmaxy", "--ny", "-2", "--deg", "2"),
-            ("qprime", "2,1", "--on", "X", "-n", "-1"),
-            ("qprime", "2,1", "--on", "X"),
-            ("qprime", "2,,1"),
-            ("qprime", "2,1,"),
-            ("qprime", "--", ",2,1"),
-            ("tableaux", "2,1", "--nletters", "-1"),
-            ("tableaux", "2,1", "--weight", "2,-1,2"),
-            ("scalar", "3", "1,1,1,1", "-n", "2"),
-            ("scalar", "1,1", "1,1", "-n", "1"),
-            ("scalar", "2,1", "2,1", "-n", "0"),
-            ("verify", "theta-scalar", "--l", "2,1", "--m", "1", "-n", "0"),
-            ("verify", "factor", "--lambda", "2,1", "-n", "0"),
-            ("verify", "warnaar", "--deg", "-1"),
-            ("verify", "sigmaxy", "--deg", "-1"),
-            ("verify", "prodx", "--deg", "-1"),
-            ("pp-expand", "2,1", "-1"),
-            ("aleph", "3,-1", "1"),
-            ("charge", "122"),
-            ("qprime", "1", "--on", "x1+"),
-            ("qprime", "1", "--on", "x1++x2"),
-            ("qprime", "1", "--on", "x1-"),
-            ("qprime", "1", "--on", "-"),
-            ("qprime", "1", "--on", "+"),
-            *(argv for argv, _ in NAMED_USAGE_ERRORS),
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", MALFORMED_INPUT, ids=" ".join)
     def test_malformed_input_exits_2(self, capsys, argv):
         # One `error:` line on stderr leaves no room for a traceback.
         assert assert_usage_error(capsys, *argv) == ""
@@ -451,6 +453,125 @@ class TestErrorsAndDefaults:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+
+class TestOutFile:
+    """--out FILE gets every JSON line that --json prints, in order."""
+
+    def test_every_prodx_verdict(self, capsys, tmp_path):
+        target = tmp_path / "verdicts.jsonl"
+        code, out = run(capsys, "verify", "prodx", "--deg", "2", "--out", str(target))
+        assert code == 0
+        assert len(out.splitlines()) == 6 and all(
+            line.endswith(" deg=2: holds") for line in out.splitlines()
+        )
+        code, json_out = run(capsys, "verify", "prodx", "--deg", "2", "--json")
+        assert target.read_text() == json_out
+        assert [json.loads(line)["holds"] for line in json_out.splitlines()] == [True] * 6
+
+    def test_failures_too(self, capsys, monkeypatch, tmp_path):
+        def sides(fam, n, deg):
+            return (X1, X1) if n == 1 else (X1, T * X1)
+
+        monkeypatch.setattr(cli, "prodx_sides", sides)
+        target = tmp_path / "verdicts.jsonl"
+        code = main(["verify", "prodx", "--deg", "2", "--json", "--out", str(target)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert target.read_text() == out
+        assert [json.loads(line)["holds"] for line in out.splitlines()] == [
+            True, False
+        ] * 3
+
+    def test_replaces_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "expansion.json"
+        target.write_text("stale\n")
+        code, out = run(capsys, "aleph", "2,2,1", "1", "--out", str(target))
+        assert code == 0 and out == "t^2 + t^3 + t^4\n"
+        assert target.read_text() == '{"2": 1, "3": 1, "4": 1}\n'
+
+    def test_verify_all(self, capsys, tmp_path):
+        target = tmp_path / "gate.jsonl"
+        code, out = run(capsys, "verify", "all", "--json", "--out", str(target))
+        assert code == 0
+        assert target.read_text() == out
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["criterion"] for row in rows] == list(range(1, 14))
+        assert all(row["holds"] is True and row["title"] and row["detail"] for row in rows)
+
+
+def bench_cli_catalog():
+    """The benchmark's CLI requests by group (`perfbench/workloads.py`)."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.cli_catalog()
+
+
+def parse_outcome(parser, argv, capsys):
+    """What `parser` makes of argv: its namespace, usage error or help."""
+    try:
+        return vars(parser.parse_args(list(argv)))
+    except ValueError as e:
+        return f"error: {e}"
+    except SystemExit:
+        return capsys.readouterr().out
+
+
+class TestVerbTable:
+    """`main` builds only the subparser of the verb named first; that
+    parser must read every command line as the full one does."""
+
+    def assert_same(self, argv, capsys):
+        full = parse_outcome(build_parser(), argv, capsys)
+        assert parse_outcome(build_parser(argv[0]), argv, capsys) == full
+        return full
+
+    def test_catalog(self, capsys):
+        requests = [argv for group in bench_cli_catalog().values() for argv in group]
+        assert {argv[0] for argv in requests} == set(VERBS)
+        full = build_parser()
+        one = {verb: build_parser(verb) for verb in VERBS}
+        for argv in requests:
+            namespace = parse_outcome(full, argv, capsys)
+            assert isinstance(namespace, dict), argv
+            assert parse_outcome(one[argv[0]], argv, capsys) == namespace, argv
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in MALFORMED_INPUT if a[0] in VERBS], ids=" ".join
+    )
+    def test_malformed_input(self, capsys, argv):
+        self.assert_same(argv, capsys)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help(self, capsys, verb):
+        assert self.assert_same((verb, "--help"), capsys).startswith(
+            f"usage: hlkit {verb} [-h] [--json] [--out FILE]"
+        )
+
+    def test_help_lists_every_verb(self, capsys):
+        code, out = run(capsys, "--help")
+        assert code == 0
+        verbs = (
+            "qprime,aleph,addone,subone,pp-expand,charge,tableaux,"
+            "factor-check,scalar,verify"
+        )
+        assert f"{{{verbs}}}" in out
+        assert tuple(VERBS) == tuple(verbs.split(","))
+
+    def test_named_verb_builds_one_subparser(self, capsys, monkeypatch):
+        built = []
+
+        def spy(verb=None):
+            built.append(verb)
+            return build_parser(verb)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for argv in (["charge", "21"], ["--help"], ["q"], [], ["-h", "charge"]):
+            main(argv)
+        assert built == ["charge", None, None, None, None]
 
 
 def readme_cli_lines():

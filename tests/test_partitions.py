@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hlkit.laurent import ONE, T
 from hlkit.partitions import (
+    MAX_LIST_LENGTH,
     b_poly,
     conjugate,
     contains,
@@ -72,11 +73,18 @@ class TestBasics:
     @pytest.mark.parametrize(
         "text",
         ["2,,1", "2,1,", ",2", "2, ,1", "2^", "^2", "2^-1", "2^x", "[2,1", "2,1]",
-         "[2,1)", "[", "x", "1.5", "[[1]]", "2 1^99999999999999999999"],
+         "[2,1)", "[", "x", "1.5", "[[1]]", "2 1^99999999999999999999",
+         "1^1000000000"],
     )
     def test_parse_ints_refuses_and_quotes(self, text):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             parse_ints(text)
+
+    def test_parse_ints_length_bound(self):
+        # The repeat counts are totalled before the list is built.
+        assert len(parse_ints(f"1^{MAX_LIST_LENGTH}")) == MAX_LIST_LENGTH
+        with pytest.raises(ValueError, match="more than"):
+            parse_ints(f"1^{MAX_LIST_LENGTH}, 2")
 
     def test_format_round_trip(self):
         lam = (4, 4, 3)
