@@ -18,6 +18,13 @@ alphabet route: Q'_mu[X +- a] = sum_nu a^{|mu/nu|} Q'_{mu/nu}[+-1] Q'_nu[X],
 exact letter by letter because Q'_{mu/nu} is homogeneous of degree
 |mu/nu|.  Q' on an alphabet, the skew values on an alphabet and the
 plane-partition expansion (Macdonald III.5) are all this one iteration.
+
+P and Q run the same iteration with the strip rule in place of the
+shifts: P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over
+the horizontal strips mu/nu (Macdonald III (5.11')), one step per
+variable, and Q_lam = b_lam(t) P_lam.  The letters x and -t*x of
+Q_lam = Q'_lam[X(1-t)] would walk every subpartition and every vertical
+strip, and most of their terms cancel.
 Last come the factorizations of Q' at arguments t^r minus variables.
 """
 
@@ -48,7 +55,7 @@ from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import kernel_schur
 from .alphabets import Alphabet, letter, schur_on_xvars
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars
-from .xpoly import _flat, _mul_into, _unflatten
+from .xpoly import _mul_into, _nonzero, _unflatten
 
 
 @dataclass
@@ -183,39 +190,81 @@ def qprime_vector_schur(u):
 # ---------------------------------------------------------------- alphabet route
 
 
-def _branch(lam, A, end=()):
-    """Q'_{lam/end}(A), adding the letters of A one at a time.
+def _branch(lam, A, end=(), strips=False):
+    """Q'_{lam/end}(A), or P_lam(A) with `strips`, adding the letters of
+    A one at a time.
 
     The state maps each mu reached to its coefficient, flat int
     coefficients keyed by the exponents of A's variables, so x and t*x
-    in X(1-t) cancel at the step that meets them.  A letter a sends mu
-    to nu with a^{|mu/nu|} times the coefficient of Q'_nu in sub_one(mu)
-    (minus letters, which go first) or add_one(mu).  A nu not containing
-    `end` is dropped; the last letter computes only the one for `end`.
+    in X(1-t) cancel at the step that meets them; LaurentPoly values are
+    built once, for the result.  A letter a sends mu to nu with
+    a^{|mu/nu|} times the coefficient of the nu term of mu's shift by
+    that letter: sub_one(mu) (minus letters, which go first) or
+    add_one(mu) over Q', and `_strip_terms(mu)` over P.  A nu not
+    containing `end` is dropped; the last letter computes only the one
+    for `end`.  Over P a horizontal strip shortens mu by at most one
+    part, so a nu with more parts than letters left is dropped too.
     """
     lam, end = normalize(lam), normalize(end)
     vars = A.var_names()
     letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
-    state = {lam: {(0,) * len(vars): L_ONE}}
+    tables = {}
+    state = {lam: {(0,) * len(vars): {0: 1}}}
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
+        last = k == len(letters)
+        longest = len(letters) - k if strips else len(lam)
         new = {}
-        for mu, terms in state.items():
-            if k < len(letters):
-                coeffs = _sub_one_terms(mu) if minus else add_one(mu).coeffs.items()
+        for mu, flat in state.items():
+            if strips:
+                coeffs = tables.get(mu)
+                if coeffs is None:
+                    coeffs = tables[mu] = _strip_terms(mu)
             elif minus:
-                coeffs = [(nu, c) for nu, c in _sub_one_terms(mu) if nu == end]
+                coeffs = _sub_one_terms(mu)
+            elif not last:
+                coeffs = add_one(mu).coeffs.items()
             else:
                 coeffs = ((end, skew_qprime_one(mu, end)),)
-            flat, size = _flat(terms), sum(mu)
+            flat, size = flat.items(), sum(mu)
             for nu, c in coeffs:
-                if c:
+                if c and len(nu) <= longest and (nu == end or not last):
                     d = size - sum(nu)
-                    a_d = (tuple(d * e for e in exps), c.shift(d * l.t_exp).coeffs)
+                    shifted = {t + d * l.t_exp: v for t, v in c.coeffs.items()}
+                    a_d = (tuple(d * e for e in exps), shifted)
                     _mul_into(new.setdefault(nu, {}), flat, (a_d,))
-        new = {nu: _unflatten(acc) for nu, acc in new.items() if contains(nu, end)}
-        state = {nu: terms for nu, terms in new.items() if terms}
-    return XPoly._trusted(vars, state.get(end, {}))
+        state = {}
+        for nu, acc in new.items():
+            if contains(nu, end):
+                acc = _nonzero(acc)
+                if acc:
+                    state[nu] = acc
+    return XPoly._trusted(vars, _unflatten(state.get(end, {})))
+
+
+def _strip_terms(mu):
+    """The (nu, psi_{mu/nu}(t)) pairs of P_mu[X + 1] = sum_nu psi_{mu/nu}(t)
+    P_nu[X].
+
+    nu runs over the partitions with mu/nu a horizontal strip, and
+    psi_{mu/nu}(t) = prod_{j in J} (1 - t^{m_j(nu)}), where J holds the
+    columns j >= 1 that mu/nu leaves empty while it fills column j + 1
+    (Macdonald, Symmetric Functions and Hall Polynomials, III (5.8'),
+    (5.11')).  Such a j is a part of nu, so no factor vanishes.
+    """
+    bounds = [range(b, a + 1) for a, b in zip(mu, mu[1:] + (0,))]
+    out = []
+    for parts in iproduct(*bounds):
+        cols = set()
+        for a, b in zip(mu, parts):
+            cols.update(range(b + 1, a + 1))
+        nu = parts[: len(parts) - parts.count(0)]
+        psi = L_ONE
+        for j, m in multiplicities(nu).items():
+            if j + 1 in cols and j not in cols:
+                psi = psi - psi.shift(m)
+        out.append((nu, psi))
+    return out
 
 
 @cache
@@ -248,15 +297,17 @@ def tableau_route_xpoly(lam, n):
     )
 
 
-def q_on_alphabet(lam, A):
-    """Q_lam X = Q'_lam(X(1-t))."""
-    return qprime_on_alphabet(tuple(normalize(lam)), A.one_minus_t())
-
-
 def p_on_alphabet(lam, A):
-    """P_lam = Q_lam / b_lam; the division is exact."""
-    lam = normalize(lam)
-    return q_on_alphabet(lam, A).exact_div_scalar(b_poly(lam))
+    """P_lam(A) for an alphabet A of plus letters: one horizontal-strip
+    step per letter (see `_branch`)."""
+    if A.minus:
+        raise ValueError(f"P and Q take an alphabet of plus letters, not {A}")
+    return _branch(lam, A, strips=True)
+
+
+def q_on_alphabet(lam, A):
+    """Q_lam(A) = b_lam(t) P_lam(A), which is Q'_lam(A(1-t))."""
+    return p_on_alphabet(lam, A).scale(b_poly(normalize(lam)))
 
 
 @cache

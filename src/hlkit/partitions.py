@@ -38,6 +38,10 @@ _ENTRY = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
 # are totalled before the list is built, so `1^1000000000` is refused
 # at once instead of asking for gigabytes.
 MAX_LIST_LENGTH = 10**6
+# The most digits an entry or a repeat count may be written with.
+# Longer text is refused before it is converted: Python converts at most
+# 4300 digits to an int, and no route here can use a number near 10^100.
+MAX_DIGITS = 100
 
 
 def parse_ints(text):
@@ -47,9 +51,10 @@ def parse_ints(text):
     Commas and/or whitespace separate entries; `a^m` repeats `a` m >= 0
     times; one matching `[]` or `()` pair may enclose the list; '', '-'
     and 'empty' are the empty list.  So '[0 2^2, 1]' is (0, 2, 2, 1).
-    An empty field, a bad repeat, a list of more than MAX_LIST_LENGTH
-    entries, an unbalanced bracket or a non-integer raises ValueError
-    quoting the text.
+    An empty field, a bad repeat, a number written with more than
+    MAX_DIGITS digits, a list of more than MAX_LIST_LENGTH entries, an
+    unbalanced bracket or a non-integer raises ValueError quoting the
+    text.
     """
     body = text.strip()
     if body[:1] in ("[", "(") or body[-1:] in ("]", ")"):
@@ -65,6 +70,8 @@ def parse_ints(text):
         m = _ENTRY.fullmatch(field)
         if m is None:
             raise ValueError(f"bad entry {field!r} in {text!r}; write a or a^m, m >= 0")
+        if any(len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups("")):
+            raise ValueError(f"{text!r} has a number of more than {MAX_DIGITS} digits")
         runs.append((int(m[1]), int(m[2]) if m[2] else 1))
     if sum(count for _, count in runs) > MAX_LIST_LENGTH:
         raise ValueError(f"{text!r} has more than {MAX_LIST_LENGTH} entries")

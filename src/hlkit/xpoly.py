@@ -85,14 +85,20 @@ def _flat(terms):
     return [(e, c.coeffs) for e, c in terms.items()]
 
 
-def _unflatten(acc):
-    """Term dict of the nonzero flat coefficients in `acc`."""
+def _nonzero(acc):
+    """The flat coefficients in `acc` without zero entries, dropping the
+    terms that are left empty."""
     out = {}
     for k, d in acc.items():
         d = {t: v for t, v in d.items() if v}
         if d:
-            out[k] = LaurentPoly._trusted(d)
+            out[k] = d
     return out
+
+
+def _unflatten(acc):
+    """Term dict of the nonzero flat coefficients in `acc`."""
+    return {k: LaurentPoly._trusted(d) for k, d in _nonzero(acc).items()}
 
 
 def _degree(vars, count_vars):
@@ -293,7 +299,17 @@ class XPoly:
         c = _coerce_coeff(c)
         if not c:
             return X_ZERO
-        return XPoly._trusted(self.vars, {k: v * c for k, v in self.terms.items()})
+        if len(c.coeffs) > 1:
+            return XPoly._trusted(self.vars, {k: v * c for k, v in self.terms.items()})
+        # one term m*t^s: shift each coefficient and multiply it by m
+        ((s, m),) = c.coeffs.items()
+        return XPoly._trusted(
+            self.vars,
+            {
+                k: LaurentPoly._trusted({e + s: m * a for e, a in v.coeffs.items()})
+                for k, v in self.terms.items()
+            },
+        )
 
     def exact_div_scalar(self, c):
         c = _coerce_coeff(c)

@@ -38,6 +38,11 @@ values must satisfy:
     determinant, against `hall_littlewood.qprime_on_alphabet`, which
     adds one letter at a time by the shifts X + a and X - a (exact
     because Q'_{mu/nu} is homogeneous, so a letter only scales it);
+  * `q_on_alphabet_by_qprime`, `p_on_alphabet_by_qprime`: Q_lam(A) as
+    Q'_lam(A(1-t)), the one-letter iteration over the 2n letters x and
+    -t*x, and P_lam as its exact quotient by b_lam, against
+    `hall_littlewood.p_on_alphabet`, which takes one horizontal-strip
+    step per letter, and `q_on_alphabet` = b_lam P_lam;
   * `skew_qprime_by_extraction`: Q'_{lam/mu}(A) by a unitriangular
     solve over skew Schur determinants, against the same one-letter
     iteration in `hall_littlewood.skew_qprime`;
@@ -46,9 +51,15 @@ values must satisfy:
 """
 
 from hlkit.alphabets import Letter, schur_eval, schur_on_xvars, skew_schur_eval
-from hlkit.hall_littlewood import _qprime_schur_cached, kostka_foulkes, skew_qprime_one
+from hlkit.hall_littlewood import (
+    _qprime_schur_cached,
+    kostka_foulkes,
+    qprime_on_alphabet,
+    skew_qprime_one,
+)
 from hlkit.laurent import LaurentPoly, ONE as L_ONE, _accumulate
 from hlkit.partitions import (
+    b_poly,
     conjugate,
     contains,
     is_horizontal_strip,
@@ -399,6 +410,16 @@ def qprime_on_alphabet_by_schur(lam, A):
     return _linear_combination(
         (schur_eval(rho, A), kf) for rho, kf in _qprime_schur_cached(normalize(lam))
     )
+
+
+def q_on_alphabet_by_qprime(lam, A):
+    """Q_lam(A) = Q'_lam(A(1-t)), cancelling letters and all."""
+    return qprime_on_alphabet(normalize(lam), A.one_minus_t())
+
+
+def p_on_alphabet_by_qprime(lam, A):
+    """P_lam(A) = Q'_lam(A(1-t)) / b_lam; the division is exact."""
+    return q_on_alphabet_by_qprime(lam, A).exact_div_scalar(b_poly(normalize(lam)))
 
 
 def skew_qprime_by_extraction(lam, mu, A):

@@ -325,6 +325,12 @@ class TestVerifyFailures:
         )
 
 
+def argv_id(argv):
+    """The test id of an argv: its words, a long one cut to its head
+    and length."""
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in argv)
+
+
 # Operands that argparse refuses, each with the argument its one-line
 # error names.
 NAMED_USAGE_ERRORS = [
@@ -341,6 +347,9 @@ NAMED_USAGE_ERRORS = [
     (("pp-expand", "2,1", "x"), "argument n:"),
     (("qprime", "1^99999999999999999999"), "argument index:"),
     (("qprime", "1^1000000000"), "argument index:"),
+    # past the 4300 digits that Python converts to an int
+    (("qprime", "1^" + "9" * 5000), "argument index:"),
+    (("qprime", "9" * 5000), "argument index:"),
     (("qprime",), "required: index"),
     (("frobnicate",), "argument verb:"),
 ]
@@ -418,7 +427,7 @@ class TestErrorsAndDefaults:
     def test_zero_count_exits_2(self, capsys, argv):
         assert_usage_error(capsys, *argv)
 
-    @pytest.mark.parametrize("argv", MALFORMED_INPUT, ids=" ".join)
+    @pytest.mark.parametrize("argv", MALFORMED_INPUT, ids=argv_id)
     def test_malformed_input_exits_2(self, capsys, argv):
         # One `error:` line on stderr leaves no room for a traceback.
         assert assert_usage_error(capsys, *argv) == ""
@@ -426,7 +435,7 @@ class TestErrorsAndDefaults:
     @pytest.mark.parametrize(
         "argv, name",
         NAMED_USAGE_ERRORS,
-        ids=[" ".join(argv) for argv, _ in NAMED_USAGE_ERRORS],
+        ids=[argv_id(argv) for argv, _ in NAMED_USAGE_ERRORS],
     )
     def test_usage_error_names_argument(self, capsys, argv, name):
         main(list(argv))
@@ -540,7 +549,7 @@ class TestVerbTable:
             assert parse_outcome(one[argv[0]], argv, capsys) == namespace, argv
 
     @pytest.mark.parametrize(
-        "argv", [a for a in MALFORMED_INPUT if a[0] in VERBS], ids=" ".join
+        "argv", [a for a in MALFORMED_INPUT if a[0] in VERBS], ids=argv_id
     )
     def test_malformed_input(self, capsys, argv):
         self.assert_same(argv, capsys)

@@ -1,9 +1,9 @@
 """Charge-route expansions, argument shifts, and factorizations.
 
 Cross-checks used here, none of which share code with the route under
-test: the symmetrizer definition of Q, the layer-chain expansion, the
-four-term exchange relation for vector arguments, and classical
-specializations (t=0 Schur, t=1 monomial).
+test: the symmetrizer definition of Q, Q and P through Q'(X(1-t)), the
+layer-chain expansion, the four-term exchange relation for vector
+arguments, and classical specializations (t=0 Schur, t=1 monomial).
 """
 
 import itertools
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import (
-    b_poly,
     n_stat,
     normalize,
     partitions_of,
@@ -31,9 +30,11 @@ from hlkit.hall_littlewood import (
     compose_shift,
     kostka_foulkes,
     one_minus_x_factorization_check,
+    p_on_alphabet,
     p_on_xvars,
     plane_partition_qprime,
     principal_specialization_check,
+    q_on_alphabet,
     q_on_xvars,
     q_via_operator,
     qprime_of_vector,
@@ -52,7 +53,13 @@ from hlkit.hall_littlewood import (
 )
 from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import layer_chains
-from oracles import chain_weight, qprime_on_alphabet_by_schur, skew_qprime_by_extraction
+from oracles import (
+    chain_weight,
+    p_on_alphabet_by_qprime,
+    q_on_alphabet_by_qprime,
+    qprime_on_alphabet_by_schur,
+    skew_qprime_by_extraction,
+)
 
 T = LaurentPoly.t_power
 
@@ -171,6 +178,14 @@ class TestVectorArguments:
             assert qprime_vector_schur(v).coeffs == via_qp, v
 
 
+# one variable, x or y, or a constant, each times a power of t
+PLUS_LETTERS = st.builds(
+    lambda k, names: letter(k, *names),
+    st.integers(0, 2),
+    st.sampled_from([(), ("x1",), ("x2",), ("y1",), ("y2",)]),
+)
+
+
 class TestEvaluations:
     @pytest.mark.parametrize("n", [2, 3])
     def test_operator_route_agrees(self, n):
@@ -187,10 +202,30 @@ class TestEvaluations:
         assert not q_on_xvars((1, 1, 1), 2)
         assert not p_on_xvars((2, 2, 1), 2)
 
-    def test_q_is_b_times_p(self):
-        for lam in partitions_up_to(4):
-            got = p_on_xvars(lam, 2).scale(b_poly(lam))
-            assert got == q_on_xvars(lam, 2), lam
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_strip_route_matches_two_letter_route(self, n):
+        A = Alphabet.of_vars(*xvars(n))
+        for lam in partitions_up_to(5):
+            assert p_on_xvars(lam, n) == p_on_alphabet_by_qprime(lam, A), lam
+            assert q_on_xvars(lam, n) == q_on_alphabet_by_qprime(lam, A), lam
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+        st.lists(PLUS_LETTERS, max_size=4),
+    )
+    def test_strip_route_on_random_alphabets(self, lam, plus):
+        A = Alphabet(tuple(plus))
+        assert p_on_alphabet(lam, A) == p_on_alphabet_by_qprime(lam, A)
+        assert q_on_alphabet(lam, A) == q_on_alphabet_by_qprime(lam, A)
+
+    @pytest.mark.parametrize("route", [p_on_alphabet, q_on_alphabet])
+    def test_strip_route_refuses_minus_letters(self, route):
+        A = Alphabet((letter(0, "x1"),), (letter(1, "x2"),))
+        with pytest.raises(ValueError, match="plus letters"):
+            route((2, 1), A)
+        with pytest.raises(ValueError, match="plus letters"):
+            route((), -Alphabet.of_vars("x1"))
 
     def test_t_zero_is_schur(self):
         for lam in partitions_up_to(4):

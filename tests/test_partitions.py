@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hlkit.laurent import ONE, T
 from hlkit.partitions import (
+    MAX_DIGITS,
     MAX_LIST_LENGTH,
     b_poly,
     conjugate,
@@ -85,6 +86,16 @@ class TestBasics:
         assert len(parse_ints(f"1^{MAX_LIST_LENGTH}")) == MAX_LIST_LENGTH
         with pytest.raises(ValueError, match="more than"):
             parse_ints(f"1^{MAX_LIST_LENGTH}, 2")
+
+    def test_parse_ints_digit_bound(self):
+        # refused before int(), which stops at 4300 digits
+        big = "9" * 5000
+        for text in (big, f"1^{big}", f"-{big}", "0" * (MAX_DIGITS + 1)):
+            with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+                parse_ints(text)
+        assert parse_ints("9" * MAX_DIGITS) == (10**MAX_DIGITS - 1,)
+        zeros = "0" * MAX_DIGITS
+        assert parse_ints(f"+{zeros}^{zeros[1:]}1") == (0,)
 
     def test_format_round_trip(self):
         lam = (4, 4, 3)

@@ -81,6 +81,14 @@ class TestArithmetic:
         cap = 4
         assert f.mul_capped(g, cap) == (f * g).truncate_degree(cap)
 
+    @given(xpolys(), coeffs)
+    @settings(max_examples=60)
+    def test_scale_is_product_by_a_constant(self, f, c):
+        # one-term coefficients take the shift path, the others multiply
+        got = f.scale(c)
+        assert got == f * XPoly.const(c)
+        assert_canonical(got)
+
 
 class TestStructure:
     def test_coeff_of_missing_var(self):
