@@ -21,7 +21,7 @@ from .partitions import (
 )
 from .tableaux import charge, enumerate_ssyt
 from .symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur
-from .alphabets import Alphabet, letter, parse_alphabet, schur_eval
+from .alphabets import Alphabet, letter, parse_alphabet
 from .hall_littlewood import (
     BasisExpansion,
     add_one,
@@ -30,6 +30,7 @@ from .hall_littlewood import (
     plane_partition_qprime,
     qprime_of_vector,
     qprime_schur,
+    schur_eval,
     skew_qprime,
     sub_one,
 )

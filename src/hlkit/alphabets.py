@@ -6,20 +6,19 @@ common letters cancelled.  This is enough to express every argument
 shape used here: X+Y, X-1, t^r-X, X(1-t), XY(1-t), after clearing any
 1/(1-t) by hand.  Power sums are additive over plus letters and
 subtractive over minus ones, which pins down every symmetric-function
-evaluation; complete functions come from the product generating series
-and Schur values from Jacobi-Trudi determinants.
+evaluation.  The evaluations themselves (Q', P, Q and Schur functions)
+live in `hall_littlewood`, which adds the letters of an alphabet one at
+a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, ONE as L_ONE
-from .xpoly import XPoly, X_ONE, X_ZERO, var_key
-from .xpoly import _flat, _mul_into, _sorted_vars, _unflatten
+from .laurent import LaurentPoly
+from .xpoly import XPoly, var_key, xvars, yvars
 
 
 class NonTerminatingSeriesError(ValueError):
@@ -155,104 +154,6 @@ class Alphabet:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@cache
-def complete_series(A, D):
-    """h_0(A), ..., h_D(A), exactly.
-
-    Series product: multiply in each minus letter (one binomial factor)
-    and each plus letter (geometric recurrence).  Finite at every fixed
-    index, whatever the letters' degrees.  The series is kept as flat
-    int coefficients over the variables of A until the end.
-    """
-    vars = A.var_names()
-    h = [{(0,) * len(vars): {0: 1}}] + [{} for _ in range(D)]
-    for sign, letters, ks in (
-        (-1, A.minus, range(D, 0, -1)),
-        (1, A.plus, range(1, D + 1)),
-    ):
-        for l in letters:
-            factor = ((tuple(l.mono.count(v) for v in vars), {l.t_exp: 1}),)
-            for k in ks:
-                _mul_into(h[k], h[k - 1].items(), factor, sign)
-    return tuple(XPoly._trusted(vars, _unflatten(hk)) for hk in h)
-
-
-def _det(mat):
-    """Determinant by expansion along the first remaining row."""
-    vars = _sorted_vars(f for row in mat for f in row)
-    ent = [[_flat(f._expand_to(vars)) for f in row] for row in mat]
-    memo = {0: {(0,) * len(vars): L_ONE}}
-    return XPoly._trusted(vars, _minor(ent, memo, (1 << len(mat)) - 1))
-
-
-def _minor(ent, memo, mask):
-    """Terms of the minor of `ent` on its last popcount(mask) rows and
-    the columns in `mask`, each summed once over flat int coefficients.
-    A module-level function, not a closure, so that no reference cycle
-    keeps `memo` alive after the determinant is built."""
-    got = memo.get(mask)
-    if got is None:
-        n = len(ent)
-        r = n - mask.bit_count()
-        acc = {}
-        sign = 1
-        for c in range(n):
-            if mask & (1 << c):
-                if ent[r][c]:
-                    sub = _minor(ent, memo, mask ^ (1 << c))
-                    _mul_into(acc, ent[r][c], _flat(sub), sign)
-                sign = -sign
-        memo[mask] = got = _unflatten(acc)
-    return got
-
-
-def _jacobi_trudi(lam, mu, A):
-    """det h_{lam_i - mu_j - i + j}(A) for partitions lam, mu without
-    zero parts, mu inside lam."""
-    l = len(lam)
-    if not l:
-        return X_ONE
-    mu = mu + (0,) * (l - len(mu))
-    D = lam[0] + l - 1
-    h = complete_series(A, D)
-    mat = [
-        [
-            h[lam[i] - mu[j] - i + j]
-            if 0 <= lam[i] - mu[j] - i + j <= D
-            else X_ZERO
-            for j in range(l)
-        ]
-        for i in range(l)
-    ]
-    return _det(mat)
-
-
-@cache
-def schur_eval(lam, A):
-    """S_lam(A) by the Jacobi-Trudi determinant det h_{lam_i - i + j}."""
-    lam = tuple(p for p in lam if p)
-    if not A.minus and len(lam) > len(A.plus):
-        return X_ZERO
-    return _jacobi_trudi(lam, (), A)
-
-
-@cache
-def skew_schur_eval(lam, mu, A):
-    """S_{lam/mu}(A) = det h_{lam_i - mu_j - i + j}; 0 unless mu fits."""
-    lam = tuple(p for p in lam if p)
-    mu = tuple(p for p in mu if p)
-    if len(mu) > len(lam) or any(m > p for m, p in zip(mu, lam)):
-        return X_ZERO
-    return _jacobi_trudi(lam, mu, A)
-
-
-@cache
-def schur_on_xvars(lam, n):
-    from .xpoly import xvars
-
-    return schur_eval(tuple(lam), Alphabet.of_vars(*xvars(n)))
-
-
 _ATOM_T = re.compile(r"^t(?:\^(-?\d+))?$")
 _ATOM_V = re.compile(r"^[A-Za-z]\d+$")
 
@@ -265,8 +166,6 @@ def parse_alphabet(text, nx=None, ny=None):
     the corresponding size to be bound; atoms multiply out, so 'X*Y'
     is the full product set.
     """
-    from .xpoly import xvars, yvars
-
     text = text.strip().replace(" ", "")
     scale = 0
     while text.endswith("*(1-t)"):
@@ -277,7 +176,7 @@ def parse_alphabet(text, nx=None, ny=None):
     if not text:
         raise ValueError("empty alphabet literal")
     plus, minus = [], []
-    fields = re.split(r"([+-])", text)
+    fields = re.split(r"(?<!\^)([+-])", text)
     fields = fields[1:] if fields[0] == "" else ["+", *fields]
     for sign, tok in zip(fields[::2], fields[1::2]):
         if not tok:

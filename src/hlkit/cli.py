@@ -4,7 +4,7 @@ Pure plumbing: every verb parses its arguments, calls one library
 operation, and prints the result in canonical order (text by default,
 lossless JSON with --json; --out FILE gets every JSON line too).  Exit
 codes: 0 success / identity holds, 1 a verification found a
-discrepancy, 2 usage error.
+discrepancy, 2 usage error, 141 the reader of stdout went away.
 
 The verbs are data: `VERBS` maps each one to its handler, its help
 text and its arguments, and `build_parser` reads that table.  A process
@@ -416,13 +416,22 @@ def main(argv=None):
     # subparser is built; help, no verb or an unknown one needs them all.
     verb = argv[0] if argv and argv[0] in VERBS else None
     try:
-        args = build_parser(verb).parse_args(argv)
-        if args.out:  # each emitted line is appended to a fresh file
-            with open(args.out, "w"):
-                pass
-        return args.fn(args)
+        try:
+            args = build_parser(verb).parse_args(argv)
+            if args.out:  # each emitted line is appended to a fresh file
+                with open(args.out, "w"):
+                    pass
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
     except SystemExit:  # --help; usage errors raise ValueError
         return 0
+    except BrokenPipeError:  # the reader of stdout has gone, as with | head
+        # Python flushes stdout again at exit; devnull takes what is left.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

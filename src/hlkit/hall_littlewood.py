@@ -19,12 +19,14 @@ exact letter by letter because Q'_{mu/nu} is homogeneous of degree
 |mu/nu|.  Q' on an alphabet, the skew values on an alphabet and the
 plane-partition expansion (Macdonald III.5) are all this one iteration.
 
-P and Q run the same iteration with the strip rule in place of the
-shifts: P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over
-the horizontal strips mu/nu (Macdonald III (5.11')), one step per
-variable, and Q_lam = b_lam(t) P_lam.  The letters x and -t*x of
+P, Q and Schur functions run the same iteration with other tables.
+P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
+horizontal strips mu/nu (Macdonald III (5.11')), one step per variable,
+and Q_lam = b_lam(t) P_lam; the letters x and -t*x of
 Q_lam = Q'_lam[X(1-t)] would walk every subpartition and every vertical
-strip, and most of their terms cancel.
+strip, and most of their terms cancel.  s_lam is Q'_lam and P_lam at
+t = 0: a plus letter takes P's strips and a minus letter Q''s signed
+vertical strips, each coefficient read at t = 0 (Macdonald I (5.11)).
 Last come the factorizations of Q' at arguments t^r minus variables.
 """
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct, zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
 from .laurent import _accumulate, _fmt_coeff
@@ -52,8 +55,8 @@ from .partitions import (
     t_factorial,
 )
 from .tableaux import _charge, enumerate_ssyt, reading_word
-from .symmetrize import kernel_schur
-from .alphabets import Alphabet, letter, schur_on_xvars
+from .symmetrize import kernel_schur, pi_omega
+from .alphabets import Alphabet, letter
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars
 from .xpoly import _mul_into, _nonzero, _unflatten
 
@@ -190,47 +193,54 @@ def qprime_vector_schur(u):
 # ---------------------------------------------------------------- alphabet route
 
 
-def _branch(lam, A, end=(), strips=False):
-    """Q'_{lam/end}(A), or P_lam(A) with `strips`, adding the letters of
-    A one at a time.
+class _Table(NamedTuple):
+    """The (nu, c) pairs of F_mu[X + 1] = sum_nu c F_nu[X] and F_mu[X - 1]."""
+
+    plus: object  # (mu, end) -> pairs; end is set on the last letter only,
+    #               where its pair alone will do
+    minus: object  # mu -> pairs
+    strips: bool  # each pair of plus is a horizontal strip mu/nu
+    t_zero: bool  # each c is read at t = 0
+
+
+def _add_one_terms(mu, end):
+    if end is None:
+        return add_one(mu).coeffs.items()
+    return ((end, skew_qprime_one(mu, end)),)
+
+
+def _branch(table, lam, A, end=()):
+    """F_{lam/end}(A) for F = Q', P or s by its `table`, adding the
+    letters of A one at a time.
 
     The state maps each mu reached to its coefficient, flat int
     coefficients keyed by the exponents of A's variables, so x and t*x
     in X(1-t) cancel at the step that meets them; LaurentPoly values are
     built once, for the result.  A letter a sends mu to nu with
-    a^{|mu/nu|} times the coefficient of the nu term of mu's shift by
-    that letter: sub_one(mu) (minus letters, which go first) or
-    add_one(mu) over Q', and `_strip_terms(mu)` over P.  A nu not
-    containing `end` is dropped; the last letter computes only the one
-    for `end`.  Over P a horizontal strip shortens mu by at most one
-    part, so a nu with more parts than letters left is dropped too.
+    a^{|mu/nu|} times the c of nu in F_mu[X - 1] (minus letters, which
+    go first) or F_mu[X + 1].  A nu not containing `end` is dropped; the
+    last letter asks the table for the pair of `end` alone.  A
+    horizontal strip shortens mu by at most one part, so over strips a
+    nu with more parts than len(end) plus the letters left is dropped.
     """
     lam, end = normalize(lam), normalize(end)
     vars = A.var_names()
     letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
-    tables = {}
     state = {lam: {(0,) * len(vars): {0: 1}}}
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
         last = k == len(letters)
-        longest = len(letters) - k if strips else len(lam)
+        strips = table.strips and not minus
+        longest = len(end) + len(letters) - k if strips else len(lam)
         new = {}
         for mu, flat in state.items():
-            if strips:
-                coeffs = tables.get(mu)
-                if coeffs is None:
-                    coeffs = tables[mu] = _strip_terms(mu)
-            elif minus:
-                coeffs = _sub_one_terms(mu)
-            elif not last:
-                coeffs = add_one(mu).coeffs.items()
-            else:
-                coeffs = ((end, skew_qprime_one(mu, end)),)
+            coeffs = table.minus(mu) if minus else table.plus(mu, end if last else None)
             flat, size = flat.items(), sum(mu)
             for nu, c in coeffs:
                 if c and len(nu) <= longest and (nu == end or not last):
                     d = size - sum(nu)
-                    shifted = {t + d * l.t_exp: v for t, v in c.coeffs.items()}
+                    c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
+                    shifted = {t + d * l.t_exp: v for t, v in c.items()}
                     a_d = (tuple(d * e for e in exps), shifted)
                     _mul_into(new.setdefault(nu, {}), flat, (a_d,))
         state = {}
@@ -242,6 +252,7 @@ def _branch(lam, A, end=(), strips=False):
     return XPoly._trusted(vars, _unflatten(state.get(end, {})))
 
 
+@cache
 def _strip_terms(mu):
     """The (nu, psi_{mu/nu}(t)) pairs of P_mu[X + 1] = sum_nu psi_{mu/nu}(t)
     P_nu[X].
@@ -250,7 +261,8 @@ def _strip_terms(mu):
     psi_{mu/nu}(t) = prod_{j in J} (1 - t^{m_j(nu)}), where J holds the
     columns j >= 1 that mu/nu leaves empty while it fills column j + 1
     (Macdonald, Symmetric Functions and Hall Polynomials, III (5.8'),
-    (5.11')).  Such a j is a part of nu, so no factor vanishes.
+    (5.11')).  Such a j is a part of nu, so no factor vanishes.  At
+    t = 0 every psi is 1: s_mu[X + 1] = sum_nu s_nu[X] (Macdonald I (5.11)).
     """
     bounds = [range(b, a + 1) for a, b in zip(mu, mu[1:] + (0,))]
     out = []
@@ -264,20 +276,20 @@ def _strip_terms(mu):
             if j + 1 in cols and j not in cols:
                 psi = psi - psi.shift(m)
         out.append((nu, psi))
-    return out
+    return tuple(out)
 
 
 @cache
 def qprime_on_alphabet(lam, A):
     """Q'_lam evaluated on a formal alphabet, one letter at a time by the
     shifts X + a and X - a (see `_branch`)."""
-    return _branch(lam, A)
+    return _branch(_SHIFTS, lam, A)
 
 
 def skew_qprime(lam, mu, A):
     """Q'_{lam/mu} evaluated at the alphabet A: the coefficient of Q'_mu
     in Q'_lam[X + A], one letter of A at a time (see `_branch`)."""
-    return _branch(lam, A, mu)
+    return _branch(_SHIFTS, lam, A, mu)
 
 
 def plane_partition_qprime(lam, n):
@@ -285,7 +297,7 @@ def plane_partition_qprime(lam, n):
     Q'_lam(x_1..x_n) = sum_mu aleph(lam, mu) x_1^{|lam/mu|} Q'_mu(x_2..x_n),
     a sum over the plane partitions of shape lam with entries at most n:
     `_branch` on the alphabet x_1 + ... + x_n."""
-    return _branch(lam, Alphabet.of_vars(*xvars(n)))
+    return _branch(_SHIFTS, lam, Alphabet.of_vars(*xvars(n)))
 
 
 def tableau_route_xpoly(lam, n):
@@ -302,7 +314,7 @@ def p_on_alphabet(lam, A):
     step per letter (see `_branch`)."""
     if A.minus:
         raise ValueError(f"P and Q take an alphabet of plus letters, not {A}")
-    return _branch(lam, A, strips=True)
+    return _branch(_P_STRIPS, lam, A)
 
 
 def q_on_alphabet(lam, A):
@@ -317,7 +329,26 @@ def p_on_xvars(lam, n):
 
 @cache
 def q_on_xvars(lam, n):
-    return q_on_alphabet(normalize(lam), Alphabet.of_vars(*xvars(n)))
+    return p_on_xvars(lam, n).scale(b_poly(normalize(lam)))
+
+
+@cache
+def schur_eval(lam, A):
+    """s_lam(A), one letter of A at a time by the strip rules read at
+    t = 0 (see `_branch`)."""
+    return _branch(_S_STRIPS, lam, A)
+
+
+@cache
+def skew_schur_eval(lam, mu, A):
+    """s_{lam/mu}(A): the coefficient of s_mu in s_lam[X + A], 0 unless
+    mu fits in lam (see `_branch`)."""
+    return _branch(_S_STRIPS, lam, A, mu)
+
+
+@cache
+def schur_on_xvars(lam, n):
+    return _branch(_S_STRIPS, lam, Alphabet.of_vars(*xvars(n)))
 
 
 # ------------------------------------------------------- one-letter skew values
@@ -411,6 +442,13 @@ def _sub_one_terms(lam):
             parts.extend([v - 1] * a)
         _accumulate(out, normalize(parts), coeff if sign > 0 else -coeff)
     return tuple(out.items())
+
+
+# The tables of `_branch`.  s = Q' = P at t = 0 takes P's horizontal
+# strips for plus letters and Q''s signed vertical strips for minus ones.
+_SHIFTS = _Table(_add_one_terms, _sub_one_terms, strips=False, t_zero=False)
+_P_STRIPS = _Table(lambda mu, end: _strip_terms(mu), None, strips=True, t_zero=False)
+_S_STRIPS = _P_STRIPS._replace(minus=_sub_one_terms, t_zero=True)
 
 
 def compose_shift(expansion, shift_fn):
@@ -540,8 +578,6 @@ def q_via_operator(lam, n):
     """Q_lam on n variables straight from the symmetrizer definition:
     normalize x^lam * prod_{i<j}(1 - t x_j/x_i) after the longest
     isobaric divided difference.  Only dominant weights extend this way."""
-    from .symmetrize import pi_omega
-
     lam = normalize(lam)
     if len(lam) > n:
         raise ValueError("partition longer than the variable count")

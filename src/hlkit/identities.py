@@ -14,14 +14,17 @@ from itertools import product as iproduct
 from operator import sub
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
-from .partitions import b_poly, conjugate, normalize, n_stat, partitions_of
+from .partitions import b_poly, conjugate, n_skew, n_stat, normalize, partitions_of
+from .partitions import subpartitions
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import pi_omega
 from .hall_littlewood import (
     BasisExpansion,
     aleph,
+    p_on_alphabet,
     p_on_xvars,
+    q_on_alphabet,
     q_on_xvars,
     q_via_operator,
     qprime_of_vector,
@@ -135,8 +138,6 @@ def sigmaxy_coefficient(lam, ny=None, cap=None):
     """For fixed lam, the P-over-Y expansion of the coefficient of
     P_lam X: mu -> b_mu times the one-letter skew value of lam/mu.
     The sum is finite; ny and cap only restrict the reported terms."""
-    from .partitions import subpartitions
-
     lam = normalize(lam)
     out = {}
     for mu in subpartitions(lam):
@@ -177,15 +178,11 @@ def sigmaxy_check(nx, ny, cap):
 
 @cache
 def _p_on_yvars(mu, ny):
-    from .hall_littlewood import p_on_alphabet
-
     return p_on_alphabet(mu, Alphabet.of_vars(*yvars(ny)))
 
 
 @cache
 def _q_on_yvars(mu, ny):
-    from .hall_littlewood import q_on_alphabet
-
     return q_on_alphabet(mu, Alphabet.of_vars(*yvars(ny)))
 
 
@@ -202,8 +199,6 @@ def theta(lam, mu):
 
 def theta_skew_form(lam, mu):
     """Equivalent exponent n(lam/mu) - |mu| when mu sits inside lam."""
-    from .partitions import n_skew
-
     lam, mu = normalize(lam), normalize(mu)
     return LaurentPoly.t_power(n_skew(lam, mu) - sum(mu))
 
@@ -245,8 +240,6 @@ def warnaar3_sides(lam, n, cap):
     """Skewed single-alphabet form: sum over mu inside lam of
     t^{-|mu|} Q_mu X times the one-letter skew value, against
     sigma_1(-X) times the theta-weighted P sum."""
-    from .partitions import subpartitions
-
     lam = normalize(lam)
     xs = set(xvars(n))
     lhs = _linear_combination(

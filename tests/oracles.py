@@ -33,6 +33,12 @@ values must satisfy:
     repeating each letter with every t-shift;
   * `exact_div_linear`: exact division by a difference of two variables
     given as a polynomial;
+  * `complete_series`, `schur_eval_by_jacobi_trudi`,
+    `skew_schur_eval_by_jacobi_trudi`: h_0..h_D of an alphabet from the
+    product generating series, and (skew) Schur values as Jacobi-Trudi
+    determinants of them, against `hall_littlewood.schur_eval` and
+    `skew_schur_eval`, which add one letter at a time by horizontal
+    strips (plus letters) and signed vertical strips (minus letters);
   * `qprime_on_alphabet_by_schur`: the charge-route Schur expansion of
     Q' with each Schur function evaluated by its Jacobi-Trudi
     determinant, against `hall_littlewood.qprime_on_alphabet`, which
@@ -50,11 +56,15 @@ values must satisfy:
     that only the tests use.
 """
 
-from hlkit.alphabets import Letter, schur_eval, schur_on_xvars, skew_schur_eval
+from functools import cache
+
+from hlkit.alphabets import Letter
 from hlkit.hall_littlewood import (
     _qprime_schur_cached,
     kostka_foulkes,
     qprime_on_alphabet,
+    schur_eval,
+    schur_on_xvars,
     skew_qprime_one,
 )
 from hlkit.laurent import LaurentPoly, ONE as L_ONE, _accumulate
@@ -71,6 +81,7 @@ from hlkit.partitions import (
 from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
 from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
+from hlkit.xpoly import _flat, _mul_into, _sorted_vars, _unflatten
 
 
 def enumerate_ssyt_by_cells(shape, weight=None, nletters=None):
@@ -404,11 +415,103 @@ def exact_div_linear(f, divisor):
     return f.exact_div_diff(names[0], names[1])
 
 
+@cache
+def complete_series(A, D):
+    """h_0(A), ..., h_D(A), exactly.
+
+    Series product: multiply in each minus letter (one binomial factor)
+    and each plus letter (geometric recurrence).  Finite at every fixed
+    index, whatever the letters' degrees.  The series is kept as flat
+    int coefficients over the variables of A until the end.
+    """
+    vars = A.var_names()
+    h = [{(0,) * len(vars): {0: 1}}] + [{} for _ in range(D)]
+    for sign, letters, ks in (
+        (-1, A.minus, range(D, 0, -1)),
+        (1, A.plus, range(1, D + 1)),
+    ):
+        for l in letters:
+            factor = ((tuple(l.mono.count(v) for v in vars), {l.t_exp: 1}),)
+            for k in ks:
+                _mul_into(h[k], h[k - 1].items(), factor, sign)
+    return tuple(XPoly._trusted(vars, _unflatten(hk)) for hk in h)
+
+
+def _det(mat):
+    """Determinant by expansion along the first remaining row."""
+    vars = _sorted_vars(f for row in mat for f in row)
+    ent = [[_flat(f._expand_to(vars)) for f in row] for row in mat]
+    memo = {0: {(0,) * len(vars): L_ONE}}
+    return XPoly._trusted(vars, _minor(ent, memo, (1 << len(mat)) - 1))
+
+
+def _minor(ent, memo, mask):
+    """Terms of the minor of `ent` on its last popcount(mask) rows and
+    the columns in `mask`, each summed once over flat int coefficients.
+    A module-level function, not a closure, so that no reference cycle
+    keeps `memo` alive after the determinant is built."""
+    got = memo.get(mask)
+    if got is None:
+        n = len(ent)
+        r = n - mask.bit_count()
+        acc = {}
+        sign = 1
+        for c in range(n):
+            if mask & (1 << c):
+                if ent[r][c]:
+                    sub = _minor(ent, memo, mask ^ (1 << c))
+                    _mul_into(acc, ent[r][c], _flat(sub), sign)
+                sign = -sign
+        memo[mask] = got = _unflatten(acc)
+    return got
+
+
+def _jacobi_trudi(lam, mu, A):
+    """det h_{lam_i - mu_j - i + j}(A) for partitions lam, mu without
+    zero parts, mu inside lam."""
+    l = len(lam)
+    if not l:
+        return X_ONE
+    mu = mu + (0,) * (l - len(mu))
+    D = lam[0] + l - 1
+    h = complete_series(A, D)
+    mat = [
+        [
+            h[lam[i] - mu[j] - i + j]
+            if 0 <= lam[i] - mu[j] - i + j <= D
+            else X_ZERO
+            for j in range(l)
+        ]
+        for i in range(l)
+    ]
+    return _det(mat)
+
+
+@cache
+def schur_eval_by_jacobi_trudi(lam, A):
+    """S_lam(A) by the Jacobi-Trudi determinant det h_{lam_i - i + j}."""
+    lam = tuple(p for p in lam if p)
+    if not A.minus and len(lam) > len(A.plus):
+        return X_ZERO
+    return _jacobi_trudi(lam, (), A)
+
+
+@cache
+def skew_schur_eval_by_jacobi_trudi(lam, mu, A):
+    """S_{lam/mu}(A) = det h_{lam_i - mu_j - i + j}; 0 unless mu fits."""
+    lam = tuple(p for p in lam if p)
+    mu = tuple(p for p in mu if p)
+    if len(mu) > len(lam) or any(m > p for m, p in zip(mu, lam)):
+        return X_ZERO
+    return _jacobi_trudi(lam, mu, A)
+
+
 def qprime_on_alphabet_by_schur(lam, A):
     """Q'_lam(A) as sum_rho KF(rho, lam) S_rho(A), each S_rho(A) a
     Jacobi-Trudi determinant."""
     return _linear_combination(
-        (schur_eval(rho, A), kf) for rho, kf in _qprime_schur_cached(normalize(lam))
+        (schur_eval_by_jacobi_trudi(rho, A), kf)
+        for rho, kf in _qprime_schur_cached(normalize(lam))
     )
 
 
@@ -435,7 +538,10 @@ def skew_qprime_by_extraction(lam, mu, A):
     charge_route = _qprime_schur_cached(lam)
     solved = {}
     for kappa in sorted(partitions_of(sum(mu))):
-        known = [(skew_schur_eval(rho, kappa, A), kf) for rho, kf in charge_route]
+        known = [
+            (skew_schur_eval_by_jacobi_trudi(rho, kappa, A), kf)
+            for rho, kf in charge_route
+        ]
         lower = [(q, -kostka_foulkes(kappa, nu)) for nu, q in solved.items()]
         solved[kappa] = _linear_combination(known + lower)
     return solved[mu]

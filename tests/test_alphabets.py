@@ -1,31 +1,30 @@
 """Letters, alphabets, complete functions, and Schur values.
 
-schur_eval goes through the complete-function determinant, so the
-tableau enumerator gives a fully independent value to compare against.
-The small closed forms (geometric h_k, the two-letter difference) were
-worked out from the generating series by hand.
+schur_eval adds one letter at a time by the strip rules; the tableau
+enumerator and the Jacobi-Trudi determinants of the oracles give
+independent values to compare against.  The small closed forms
+(geometric h_k, the two-letter difference) were worked out from the
+generating series by hand.
 """
+
+import random
 
 import pytest
 
 from hlkit.laurent import LaurentPoly
-from hlkit.partitions import conjugate, partitions_up_to
+from hlkit.partitions import conjugate, partitions_up_to, subpartitions
 from hlkit.tableaux import enumerate_ssyt, tableau_weight
 from hlkit.xpoly import XPoly, xvars
-from hlkit.alphabets import (
-    Alphabet,
-    complete_series,
-    letter,
-    parse_alphabet,
-    schur_eval,
-    schur_on_xvars,
-    skew_schur_eval,
-)
+from hlkit.alphabets import Alphabet, letter, parse_alphabet
+from hlkit.hall_littlewood import schur_eval, schur_on_xvars, skew_schur_eval
 from oracles import (
     berele_regev_check,
+    complete_series,
     elementary_over_one_minus_t,
     rectangle_vanishing_check,
     resultant,
+    schur_eval_by_jacobi_trudi,
+    skew_schur_eval_by_jacobi_trudi,
 )
 
 
@@ -165,6 +164,43 @@ class TestSkewSchur:
             assert acc == schur_eval(lam, A + B), lam
 
 
+def random_alphabet(rng):
+    """Up to four letters, plus or minus, each t^-1..t^2 times a product
+    of at most two of x1, x2, y1 (repeats allowed)."""
+    sides = ([], [])
+    for _ in range(rng.randint(0, 4)):
+        names = rng.choices(["x1", "x2", "y1"], k=rng.randint(0, 2))
+        sides[rng.random() < 0.4].append(letter(rng.randint(-1, 2), *names))
+    return Alphabet(tuple(sides[0]), tuple(sides[1]))
+
+
+class TestStripRouteAgainstJacobiTrudi:
+    """The strip route of schur_eval and skew_schur_eval against the
+    Jacobi-Trudi determinants, on seeded random alphabets."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_alphabets(self, seed):
+        rng = random.Random(seed)
+        shapes = partitions_up_to(5)
+        for _ in range(25):
+            A = random_alphabet(rng)
+            lam = rng.choice(shapes)
+            assert schur_eval(lam, A) == schur_eval_by_jacobi_trudi(lam, A), (lam, A)
+            # mostly ends inside lam, sometimes one that does not fit
+            mu = rng.choice(subpartitions(lam) if rng.random() < 0.8 else shapes)
+            got = skew_schur_eval(lam, mu, A)
+            assert got == skew_schur_eval_by_jacobi_trudi(lam, mu, A), (lam, mu, A)
+
+    def test_skew_end_on_plus_letters(self):
+        # Each plus letter may shorten a shape by one part: with two
+        # letters, (2,2,1,1) reaches the end (1,1) but not ().
+        A = Alphabet.of_vars("x1", "x2")
+        for lam, mu in (((2, 2, 1, 1), (1, 1)), ((3, 2, 1), (1,)), ((2, 2, 1, 1), ())):
+            want = skew_schur_eval_by_jacobi_trudi(lam, mu, A)
+            assert skew_schur_eval(lam, mu, A) == want, (lam, mu)
+        assert skew_schur_eval((2, 2, 1, 1), (1, 1), A)
+
+
 class TestFactorizations:
     def test_resultant(self):
         A = Alphabet.of_vars("x1", "x2")
@@ -241,6 +277,13 @@ class TestParseAlphabet:
     def test_t_powers(self):
         assert parse_alphabet("t^2-x1") == Alphabet((letter(2),), (letter(0, "x1"),))
         assert parse_alphabet("t") == Alphabet((letter(1),))
+
+    def test_negative_t_powers(self):
+        # A sign right after ^ belongs to the exponent.
+        assert parse_alphabet("t^-1-x1") == Alphabet((letter(-1),), (letter(0, "x1"),))
+        got = parse_alphabet("t^-1*x1*y1-x1*y1")
+        assert got == Alphabet((letter(-1, "x1", "y1"),), (letter(0, "x1", "y1"),))
+        assert parse_alphabet(str(got)) == got
 
     def test_scaling_suffix(self):
         assert parse_alphabet("x1*(1-t)") == A_X.one_minus_t()

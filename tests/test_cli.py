@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 from hlkit import cli
 from hlkit.cli import VERBS, build_parser, main, _deg_default, DEFAULT_DEG
-from hlkit.hall_littlewood import BasisExpansion, qprime_schur
+from hlkit.alphabets import parse_alphabet
+from hlkit.hall_littlewood import BasisExpansion, qprime_on_alphabet, qprime_schur
 from hlkit.laurent import ONE as L_ONE, T
 from hlkit.xpoly import XPoly
 
@@ -64,6 +66,14 @@ class TestExpansionVerbs:
         code, out = run(capsys, "qprime", "2,1", "--on", "1-x1")
         assert code == 0
         assert out.strip() == "x1^2 + (-1 - t)*x1 + t"
+
+    @pytest.mark.parametrize("literal", ["t^-1-x1", "t^-1*x1*y1-x1*y1"])
+    def test_qprime_on_negative_t_powers(self, capsys, literal):
+        code, out = run(capsys, "qprime", "2", "--on", literal)
+        assert code == 0
+        want = qprime_on_alphabet((2,), parse_alphabet(literal))
+        assert out.strip() == str(want)
+        assert "t^-" in out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "expansion.json"
@@ -462,6 +472,25 @@ class TestErrorsAndDefaults:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141_silently(self, unbuffered):
+        # The reader of the pipe is gone before hlkit writes, as with
+        # `hlkit ... | head -0`; that is no usage error.  Buffered, the
+        # write fails only when stdout is flushed.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hlkit", "verify", "prodx", "--deg", "3"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestOutFile:

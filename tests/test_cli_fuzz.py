@@ -78,7 +78,8 @@ COUNT = count()
 DEG = st.integers(-1, 4).map(str)
 ALPHABET = st.sampled_from(
     ["1-x1", "x1+x2", "t-x1", "x1*(1-t)", "(x1+x2)*(1-t)", "X", "1-X", "t^2-X",
-     "X*(1-t)", "Y", "x1+", "x1++x2", "x1-", "-", "+", "", "z", "X*", "-x1"]
+     "X*(1-t)", "Y", "t^-1-x1", "t^-1*x1*y1-x1*y1", "x1+", "x1++x2", "x1-", "-",
+     "+", "", "z", "X*", "-x1", "t^-", "t^+1"]
 )
 
 # verb -> (positional operands, {option: value strategy})

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
+from hlkit import hall_littlewood as hl
 from hlkit.partitions import (
+    b_poly,
     n_stat,
     normalize,
     partitions_of,
@@ -20,7 +22,7 @@ from hlkit.partitions import (
     subpartitions,
     t_binomial,
 )
-from hlkit.alphabets import Alphabet, letter, schur_on_xvars
+from hlkit.alphabets import Alphabet, letter
 from hlkit.xpoly import XPoly, xvars, yvars
 from hlkit.hall_littlewood import (
     BasisExpansion,
@@ -41,6 +43,7 @@ from hlkit.hall_littlewood import (
     qprime_on_alphabet,
     qprime_schur,
     qprime_vector_schur,
+    schur_on_xvars,
     schur_to_qprime,
     skew_qprime,
     skew_qprime_one,
@@ -218,6 +221,20 @@ class TestEvaluations:
         A = Alphabet(tuple(plus))
         assert p_on_alphabet(lam, A) == p_on_alphabet_by_qprime(lam, A)
         assert q_on_alphabet(lam, A) == q_on_alphabet_by_qprime(lam, A)
+
+    def test_q_on_xvars_reads_the_p_memo(self, monkeypatch):
+        p_on_xvars.cache_clear()
+        q_on_xvars.cache_clear()
+        p = p_on_xvars((3, 1), 3)
+        calls = []
+        branch = hl._branch
+        monkeypatch.setattr(
+            hl, "_branch", lambda *args: calls.append(args) or branch(*args)
+        )
+        q = q_on_xvars((3, 1), 3)
+        assert calls == []
+        assert q == p.scale(b_poly((3, 1)))
+        assert q == q_on_alphabet_by_qprime((3, 1), Alphabet.of_vars(*xvars(3)))
 
     @pytest.mark.parametrize("route", [p_on_alphabet, q_on_alphabet])
     def test_strip_route_refuses_minus_letters(self, route):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
-from hlkit.alphabets import schur_on_xvars
+from hlkit.hall_littlewood import schur_on_xvars
 from hlkit.hall_littlewood import qprime_schur
 from hlkit.partitions import conjugate, n_stat, partitions_of, t_factorial
 from hlkit.symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
