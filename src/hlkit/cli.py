@@ -113,6 +113,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def print_help(self, file=None):
+        # argparse's own write swallows OSError, which would hide a
+        # closed stdout from `main` when unbuffered.
+        (file or sys.stdout).write(self.format_help())
+
 
 def _emit(args, text, payload):
     """Print `text`, or with --json the payload as one JSON line; with

@@ -5,6 +5,12 @@ identities are graded, so agreement of every capped component is a
 genuine check of those components.  The building blocks (P, Q, the
 one-letter skew values, theta) are exact; only sigma-style series are
 truncated.
+
+Each construction is written once: the one-variable removal sum
+(`removal_sum`) and its capped product (`removal_product`) serve prodx
+and theta, and the two-alphabet Cauchy sum (`cauchy_sum`) serves
+Warnaar and sigmaxy.  A coefficient family is a function on partitions,
+None where undefined.
 """
 
 from __future__ import annotations
@@ -61,50 +67,62 @@ def sigma1_series(A, cap, count_vars=None):
 # ------------------------------------------------------- one-variable removal
 
 
-def _coeff_as_xpoly(c):
-    return c if isinstance(c, XPoly) else XPoly.const(c)
-
-
 def extend_family(c, w):
-    """Value at an arbitrary integer vector of a family defined on
-    partitions, extended through the straightening expansion of Q'_w."""
-    return _linear_combination(
-        (_coeff_as_xpoly(c[mu]), d)
-        for mu, d in qprime_of_vector(w).coeffs.items()
-        if mu in c
+    """Value at an arbitrary integer vector w of a family defined on
+    partitions, extended through the straightening expansion of Q'_w.
+
+    `c` maps a partition to its value, or to None where the family is
+    undefined (pass `d.get` for a dict d).  The result is a LaurentPoly,
+    or an XPoly when the values are.
+    """
+    acc = L_ZERO
+    for mu, d in qprime_of_vector(w).coeffs.items():
+        v = c(mu)
+        if v is not None:
+            acc = acc + v * d
+    return acc
+
+
+def removal_sum(c, lam, n):
+    """The alternating cube sum over v in {0,1}^n of the family `c`
+    (see `extend_family`) at lam - v: the coefficient of P_lam(X) in
+    sigma_1(-X) times the c-weighted P sum, X = x1..xn."""
+    lam = normalize(lam)
+    if len(lam) > n:
+        raise ValueError("partition longer than n")
+    lam_pad = lam + (0,) * (n - len(lam))
+    acc = L_ZERO
+    for v in iproduct((0, 1), repeat=n):
+        ext = extend_family(c, tuple(map(sub, lam_pad, v)))
+        acc = acc - ext if sum(v) % 2 else acc + ext
+    return acc
+
+
+def removal_product(c, n, cap):
+    """sigma_1(-X) times the sum of c(mu) P_mu(X) over partitions mu,
+    X = x1..xn, up to x-degree cap; `c` is None where undefined."""
+    xs = xvars(n)
+    terms = (
+        (v * p_on_xvars(mu, n), 1)
+        for m in range(cap + 1)
+        for mu in partitions_of(m, max_length=n)
+        if (v := c(mu)) is not None
     )
+    sig = sigma1_series(-Alphabet.of_vars(*xs), cap, xs)
+    return sig.mul_capped(_linear_combination(terms), cap, xs)
 
 
 def prodx_sides(c, n, cap):
-    """Both sides of the one-variable-removal identity.
-
-    LHS: sigma_1(-X) times sn the c-weighted P sum.  RHS: for every
-    partition lam, the alternating cube sum of the extended family at
-    lam minus a 0/1 vector, times P_lam.  x-degrees only are capped;
-    coefficient values may carry other variables.
-    """
-    xs = set(xvars(n))
-    sig = X_ONE
-    for v in xvars(n):
-        sig = sig * (X_ONE - XPoly.var(v))
-    lhs_sum = []
-    for mu, cv in c.items():
-        mu = normalize(mu)
-        if len(mu) <= n:
-            lhs_sum.append((_coeff_as_xpoly(cv) * p_on_xvars(mu, n), 1))
-    lhs = sig.mul_capped(_linear_combination(lhs_sum), cap, xs)
-    rhs = []
-    for m in range(cap + 1):
-        for lam in partitions_of(m, max_length=n):
-            lam_pad = lam + (0,) * (n - len(lam))
-            inner = _linear_combination(
-                (extend_family(c, tuple(map(sub, lam_pad, v))), (-1) ** sum(v))
-                for v in iproduct((0, 1), repeat=n)
-            )
-            if inner:
-                rhs.append((inner * p_on_xvars(lam, n), 1))
-    rhs = _linear_combination(rhs)
-    return lhs.truncate_degree(cap, xs), rhs.truncate_degree(cap, xs)
+    """Both sides of the one-variable-removal identity for the dict `c`
+    on partitions: `removal_product`, against the sum of `removal_sum`
+    at lam times P_lam.  x-degrees only are capped; coefficient values
+    may carry other variables."""
+    rhs = _linear_combination(
+        (removal_sum(c.get, lam, n) * p_on_xvars(lam, n), 1)
+        for m in range(cap + 1)
+        for lam in partitions_of(m, max_length=n)
+    )
+    return removal_product(c.get, n, cap), rhs
 
 
 def prodx_check(c, n, cap):
@@ -151,24 +169,27 @@ def sigmaxy_coefficient(lam, ny=None, cap=None):
     return BasisExpansion("P", out)
 
 
+def cauchy_sum(row, nx, ny, cap):
+    """The sum of c P_lam(X) P_mu(Y) over |lam| + |mu| <= cap, with
+    X = x1..x{nx} and Y = y1..y{ny}.  `row(lam)` gives the (mu, c) pairs
+    of lam, each mu of length <= ny and |mu| <= cap - |lam|."""
+    return _linear_combination(
+        (p_on_xvars(lam, nx) * _p_on_yvars(mu, ny), c)
+        for m in range(cap + 1)
+        for lam in partitions_of(m, max_length=nx)
+        for mu, c in row(lam)
+    )
+
+
 def sigmaxy_sides(nx, ny, cap):
     AX = Alphabet.of_vars(*xvars(nx))
     AY = Alphabet.of_vars(*yvars(ny))
     A = AX + AX.times(AY).one_minus_t()
-    lhs = sigma1_series(A, cap)
-    rhs = []
-    for m in range(cap + 1):
-        for lam in partitions_of(m, max_length=nx):
-            pl = p_on_xvars(lam, nx)
-            if not pl:
-                continue
-            for mu, bm in sigmaxy_coefficient(lam).coeffs.items():
-                if len(mu) > ny or m + sum(mu) > cap:
-                    continue
-                pm = _p_on_yvars(mu, ny)
-                if pm:
-                    rhs.append((pl * pm, bm))
-    return lhs, _linear_combination(rhs).truncate_degree(cap)
+
+    def row(lam):
+        return sigmaxy_coefficient(lam, ny, cap - sum(lam)).coeffs.items()
+
+    return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
 
 
 def sigmaxy_check(nx, ny, cap):
@@ -216,19 +237,13 @@ def warnaar_sides(nx, ny, cap):
     AY = Alphabet.of_vars(*yvars(ny))
     AXY = AX.times(AY)
     A = AX + AY + AXY.times_letter(letter(-1)) - AXY
-    lhs = sigma1_series(A, cap)
-    rhs = []
-    for ml in range(cap + 1):
-        for lam in partitions_of(ml, max_length=nx):
-            pl = p_on_xvars(lam, nx)
-            if not pl:
-                continue
-            for mm in range(cap + 1 - ml):
-                for mu in partitions_of(mm, max_length=ny):
-                    pm = _p_on_yvars(mu, ny)
-                    if pm:
-                        rhs.append((pl * pm, theta(lam, mu)))
-    return lhs, _linear_combination(rhs).truncate_degree(cap)
+
+    def row(lam):
+        for m in range(cap + 1 - sum(lam)):
+            for mu in partitions_of(m, max_length=ny):
+                yield mu, theta(lam, mu)
+
+    return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
 
 
 def warnaar_check(nx, ny, cap):
@@ -241,22 +256,13 @@ def warnaar3_sides(lam, n, cap):
     t^{-|mu|} Q_mu X times the one-letter skew value, against
     sigma_1(-X) times the theta-weighted P sum."""
     lam = normalize(lam)
-    xs = set(xvars(n))
     lhs = _linear_combination(
         (q_on_xvars(mu, n), aleph(lam, mu).shift(-sum(mu)))
         for mu in subpartitions(lam)
         if len(mu) <= n
     )
-    sig = X_ONE
-    for v in xvars(n):
-        sig = sig * (X_ONE - XPoly.var(v))
-    inner = _linear_combination(
-        (p_on_xvars(mu, n), theta(lam, mu))
-        for m in range(cap + 1)
-        for mu in partitions_of(m, max_length=n)
-    )
-    rhs = sig.mul_capped(inner, cap, xs)
-    return lhs.truncate_degree(cap, xs), rhs.truncate_degree(cap, xs)
+    rhs = removal_product(lambda mu: theta(lam, mu), n, cap)
+    return lhs.truncate_degree(cap, xvars(n)), rhs
 
 
 def warnaar3_check(lam, n, cap):
@@ -281,24 +287,12 @@ def dominant_scalar(f, g):
 def theta_extended(lam, w):
     """theta against an arbitrary integer second index, through the
     Q' expansion of w (the dominant reduction of x^w)."""
-    acc = L_ZERO
-    for kappa, d in qprime_of_vector(w).coeffs.items():
-        acc = acc + d * theta(lam, kappa)
-    return acc
+    return extend_family(lambda kappa: theta(lam, kappa), w)
 
 
 def theta_signed_sum(lam, mu, n):
     """Alternating cube sum of theta(lam, mu - v) over v in {0,1}^n."""
-    mu = normalize(mu)
-    if len(mu) > n:
-        raise ValueError("mu longer than n")
-    mu_pad = mu + (0,) * (n - len(mu))
-    acc = L_ZERO
-    for v in iproduct((0, 1), repeat=n):
-        w = tuple(a - b for a, b in zip(mu_pad, v))
-        tv = theta_extended(lam, w)
-        acc = acc + (-tv if sum(v) % 2 else tv)
-    return acc
+    return removal_sum(lambda kappa: theta(lam, kappa), mu, n)
 
 
 def theta_product_form(lam, mu):
@@ -376,22 +370,17 @@ def theta_scalar_check(lam, mu, n):
 def ct_scalar(f, g, n):
     """Constant-term pairing with the t-deformed Vandermonde kernel.
 
-    Multiplies f by the reversed-inverted g and the plain Vandermonde
-    factor, then pushes every monomial through the geometric kernel
-    column by column, keeping only paths that can still reach the
-    constant term: the kernel preserves total degree and only lowers a
+    Pushes every monomial of f times the reversed-inverted g through
+    the kernel column by column.  Each Vandermonde factor (1 - x_i/x_j)
+    rides in its series sum_k t^k (x_i/x_j)^k, so a step of k >= 1
+    weighs t^k - t^{k-1}.  Only paths that can still reach the constant
+    term are kept: the kernel preserves total degree and only lowers a
     column once its turn is over, so the bookkeeping is finite and
     complete.
     """
     vars = xvars(n)
     h = f * g.reverse_invert(vars)
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = h * (X_ONE - XPoly.monomial((vars[i], vars[j]), (1, -1)))
-    cur = {}
-    for e, c in h._expand_to(vars).items():
-        if sum(e) == 0:
-            cur[e] = c
+    cur = {e: c for e, c in h._expand_to(vars).items() if sum(e) == 0}
     for j in range(n, 1, -1):
         for i in range(j - 1, 0, -1):
             nxt = {}
@@ -404,13 +393,11 @@ def ct_scalar(f, g, n):
                     w = list(e)
                     w[i - 1] += k
                     w[j - 1] -= k
-                    _accumulate(nxt, tuple(w), c.shift(k) if k else c)
+                    _accumulate(nxt, tuple(w), c.shift(k) - c.shift(k - 1) if k else c)
             cur = nxt
-    acc = L_ZERO
-    for e, c in cur.items():
-        if all(x == 0 for x in e):
-            acc = acc + c
-    return acc
+    # the last push of each column j >= 2 empties it, and the total
+    # degree stays 0, so only the constant term is left
+    return cur.get((0,) * n, L_ZERO)
 
 
 # ------------------------------------------------------------- operator note

@@ -154,9 +154,6 @@ class LaurentPoly:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     def truncate_above(self, cap):
         """Drop all terms with exponent > cap (work mod t^(cap+1))."""
         return LaurentPoly._trusted({k: c for k, c in self.coeffs.items() if k <= cap})

@@ -391,15 +391,6 @@ class XPoly:
         """Substitute x_i -> 1/x_{n+1-i} over `vars` (default self.vars)."""
         return self._rekeyed(vars, lambda e: tuple(-x for x in reversed(e)))
 
-    def subs_one(self, names):
-        """Set every variable in `names` to 1."""
-        ns = set(names)
-        keep = [i for i, v in enumerate(self.vars) if v not in ns]
-        out = {}
-        for e, c in self.terms.items():
-            _accumulate(out, tuple(e[i] for i in keep), c)
-        return XPoly._trusted(tuple(self.vars[i] for i in keep), out)
-
     # -- exact division -------------------------------------------------
 
     def exact_div_diff(self, a, b):

@@ -473,22 +473,38 @@ class TestErrorsAndDefaults:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"])
-    def test_closed_stdout_exits_141_silently(self, unbuffered):
+    @staticmethod
+    def run_into_closed_pipe(argv, unbuffered):
         # The reader of the pipe is gone before hlkit writes, as with
         # `hlkit ... | head -0`; that is no usage error.  Buffered, the
         # write fails only when stdout is flushed.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hlkit", "verify", "prodx", "--deg", "3"],
+            return subprocess.run(
+                [sys.executable, "-m", "hlkit", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
             )
         finally:
             os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141_silently(self, unbuffered):
+        proc = self.run_into_closed_pipe(["verify", "prodx", "--deg", "3"], unbuffered)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["qprime", "--help"], ["verify", "--help"]],
+        ids=["top", "qprime", "verify"],
+    )
+    def test_help_into_closed_stdout_exits_141_silently(self, argv, unbuffered):
+        # argparse's own write would swallow the error when unbuffered
+        proc = self.run_into_closed_pipe(argv, unbuffered)
         assert proc.returncode == 141
         assert proc.stderr == b""
 

@@ -6,6 +6,7 @@ formula) before being written down.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import b_poly, n_stat, partitions_up_to
@@ -183,19 +184,40 @@ class TestConstantTermScalar:
         g = xmono(3, (2, 1, 0))
         assert ct_scalar(f, g, 3) == ct_scalar_bruteforce(f, g, 3)
 
+    @given(st.data(), st.integers(1, 3))
+    @settings(deadline=None, max_examples=60)
+    def test_random_pairs_match_bruteforce(self, data, n):
+        # non-dominant and negative exponents too; the oracle multiplies
+        # by the Vandermonde factors that ct_scalar folds into its push
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(-1, 3)] * n),
+            st.dictionaries(st.integers(-1, 2), st.integers(-3, 3), max_size=2).map(
+                LaurentPoly
+            ),
+            max_size=3,
+        )
+        f = XPoly(xvars(n), data.draw(terms))
+        g = XPoly(xvars(n), data.draw(terms))
+        assert ct_scalar(f, g, n) == ct_scalar_bruteforce(f, g, n)
+
 
 class TestFamilies:
     def test_extend_on_partition(self):
         c = {(2,): T(1), (1, 1): L_ONE}
-        assert extend_family(c, (2,)) == XPoly.const(T(1))
+        got = extend_family(c.get, (2,))
+        assert isinstance(got, LaurentPoly) and got == T(1)
 
     def test_extend_through_straightening(self):
         c = {(2,): T(1), (1, 1): L_ONE}
-        want = XPoly.const(T(2) + (T(1) - L_ONE))
-        assert extend_family(c, (0, 2)) == want
+        want = T(2) + (T(1) - L_ONE)
+        assert extend_family(c.get, (0, 2)) == want
+        # values with variables give an XPoly
+        y1 = XPoly.var("y1")
+        got = extend_family({mu: y1.scale(v) for mu, v in c.items()}.get, (0, 2))
+        assert isinstance(got, XPoly) and got == y1.scale(want)
 
     def test_missing_terms_drop(self):
-        assert not extend_family({}, (0, 2))
+        assert not extend_family({}.get, (0, 2))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_prodx_families(self, n):

@@ -126,12 +126,6 @@ class TestStructure:
         f = mono(("x1", "x2"), (2, -1))
         assert f.reverse_invert(("x1", "x2")) == mono(("x1", "x2"), (1, -2))
 
-    def test_subs_one(self):
-        f = mono(("x1", "x2"), (2, 1), T) + mono(("x1",), (1,))
-        assert f.subs_one(("x2",)) == mono(("x1",), (2,), T) + mono(
-            ("x1",), (1,)
-        )
-
 
 class TestDivision:
     def test_exact_div_scalar(self):
@@ -246,7 +240,7 @@ class TestCanonicalForm:
     def test_after_every_operation(self, f, g):
         results = [
             f + g, f - g, -f, f * g, f - f, (f + g) - g,
-            f.mul_capped(g, 2), f.scale(L_ONE - T), f.subs_one(("x2",)),
+            f.mul_capped(g, 2), f.scale(L_ONE - T),
             f.truncate_degree(1), f.truncate_t_above(0),
         ]
         for h in results:
