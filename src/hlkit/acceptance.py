@@ -117,7 +117,8 @@ def criterion_4():
     for lam in partitions_up_to(7):
         if len(lam) > 4:
             continue
-        charge_route = dict(_qprime_schur_cached(lam))
+        kfs = {rho: kostka_foulkes(rho, lam) for rho in partitions_of(sum(lam))}
+        charge_route = {rho: kf for rho, kf in kfs.items() if kf}
         for n in range(max(1, len(lam)), 5):
             padded = lam + (0,) * (n - len(lam))
             if kernel_schur(padded) != charge_route:
@@ -127,15 +128,15 @@ def criterion_4():
 
 
 def criterion_5():
-    """[S_kappa] Q'_lam(X+1), kappa inside lam, by the charge route,
-    sum_rho KF(rho, lam) [rho/kappa a horizontal strip], and by the
-    closed form, sum_nu KF(kappa, nu) aleph(lam, nu)."""
+    """[S_kappa] Q'_lam(X+1), kappa inside lam, by the creation operators,
+    sum_rho K(rho, lam) [rho/kappa a horizontal strip], and by charge and
+    the closed form, sum_nu KF(kappa, nu) aleph(lam, nu)."""
     checked = 0
     for lam in partitions_up_to(6):
-        charge_route = _qprime_schur_cached(lam)
+        expansion = _qprime_schur_cached(lam)
         inside = subpartitions(lam)
         for kappa in inside:
-            strips = [kf for rho, kf in charge_route if is_horizontal_strip(rho, kappa)]
+            strips = [kf for rho, kf in expansion if is_horizontal_strip(rho, kappa)]
             same_size = [nu for nu in inside if sum(nu) == sum(kappa)]
             by_aleph = [kostka_foulkes(kappa, nu) * aleph(lam, nu) for nu in same_size]
             if sum(strips, L_ZERO) != sum(by_aleph, L_ZERO):

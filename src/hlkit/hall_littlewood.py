@@ -1,16 +1,16 @@
 """Modified Hall-Littlewood polynomials and their argument-shift theory.
 
-Q' lives here in three incarnations that the test suite plays against
-each other:
+Q' lives here in two incarnations:
 
-  * charge route: Q'_mu = sum over tableaux T of weight mu of
-    t^charge(T) S_shape(T);
   * kernel route: Q'_u = H_{u_1} ... H_{u_l} . 1 by the creation
     operators of Jing and Garsia, defined for any integer vector u;
     H_m is the z^m part of the alphabet shift F[X - (1-t)/z] Omega[zX],
     and the product is the truncated symmetrization of x^u against the
-    geometric kernel (Garsia 1992);
+    geometric kernel (Garsia 1992); every Schur expansion of Q' reads it;
   * alphabet route: Q'_lam(A) one letter of A at a time.
+
+The paper's charge route, Q'_mu = sum over tableaux T of weight mu of
+t^charge(T) S_shape(T), is `kostka_foulkes`, the kernel route's oracle.
 
 On top of that sit the one-letter skew values (closed form and column
 rule) and the argument shifts by +1 and -1, whose coefficients drive the
@@ -55,7 +55,7 @@ from .partitions import (
     t_factorial,
 )
 from .tableaux import _charge, enumerate_ssyt, reading_word
-from .symmetrize import kernel_schur, pi_omega
+from .symmetrize import _kernel_schur_cached, kernel_schur, pi_omega
 from .alphabets import Alphabet, letter
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars
 from .xpoly import _mul_into, _nonzero, _unflatten
@@ -112,12 +112,14 @@ class BasisExpansion:
         )
 
 
-# ---------------------------------------------------------------- charge route
+# ------------------------------------------------------------- charge statistic
 
 
 @cache
 def kostka_foulkes(rho, mu):
     """Charge generating polynomial over tableaux of shape rho, weight mu."""
+    if not (is_partition(rho) and is_partition(mu)):
+        raise ValueError(f"shape {rho} and weight {mu} must be partitions")
     rho, mu = normalize(rho), normalize(mu)
     if sum(rho) != sum(mu) or not dominance_leq(mu, rho):
         return L_ZERO
@@ -128,25 +130,21 @@ def kostka_foulkes(rho, mu):
     return LaurentPoly(counts)
 
 
+# ---------------------------------------------------------------- kernel route
+
+
 @cache
 def _qprime_schur_cached(mu):
-    out = {}
-    for rho in partitions_of(sum(mu)):
-        kf = kostka_foulkes(rho, mu)
-        if kf:
-            out[rho] = kf
-    return tuple(sorted(out.items()))
+    return _kernel_schur_cached(mu)
 
 
 def qprime_schur(mu):
-    """Schur expansion of Q'_mu by the charge statistic."""
-    mu = normalize(mu)
+    """Schur expansion of Q'_mu by the creation operators; its coefficients
+    are the charge polynomials `kostka_foulkes(rho, mu)`."""
+    mu = tuple(int(x) for x in mu)
     if not is_partition(mu):
-        raise ValueError(f"{mu} is not a partition")
-    return BasisExpansion("S", dict(_qprime_schur_cached(mu)))
-
-
-# ---------------------------------------------------------------- kernel route
+        raise ValueError(f"{mu} is not a partition; qprime_vector_schur takes vectors")
+    return BasisExpansion("S", dict(_qprime_schur_cached(normalize(mu))))
 
 
 def schur_to_qprime(sdict):
@@ -301,7 +299,8 @@ def plane_partition_qprime(lam, n):
 
 
 def tableau_route_xpoly(lam, n):
-    """Q'_lam on n variables via the charge-route Schur expansion."""
+    """Q'_lam on n variables as sum_rho K_{rho,lam}(t) s_rho(x_1..x_n),
+    the Schur expansion of `qprime_schur` read on the variables."""
     return _linear_combination(
         (schur_on_xvars(rho, n), kf)
         for rho, kf in _qprime_schur_cached(normalize(lam))

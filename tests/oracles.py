@@ -39,6 +39,10 @@ values must satisfy:
     determinants of them, against `hall_littlewood.schur_eval` and
     `skew_schur_eval`, which add one letter at a time by horizontal
     strips (plus letters) and signed vertical strips (minus letters);
+  * `qprime_schur_by_charge`: Q'_mu in the Schur basis by the charge
+    statistic, sum over tableaux T of weight mu of t^charge(T) S_shape(T)
+    (`hall_littlewood.kostka_foulkes`), against `qprime_schur`, which
+    applies the creation operators;
   * `qprime_on_alphabet_by_schur`: the charge-route Schur expansion of
     Q' with each Schur function evaluated by its Jacobi-Trudi
     determinant, against `hall_littlewood.qprime_on_alphabet`, which
@@ -60,7 +64,6 @@ from functools import cache
 
 from hlkit.alphabets import Letter
 from hlkit.hall_littlewood import (
-    _qprime_schur_cached,
     kostka_foulkes,
     qprime_on_alphabet,
     schur_eval,
@@ -506,12 +509,20 @@ def skew_schur_eval_by_jacobi_trudi(lam, mu, A):
     return _jacobi_trudi(lam, mu, A)
 
 
+def qprime_schur_by_charge(mu):
+    """{rho: KF(rho, mu)} over the partitions rho of |mu| with a nonzero
+    charge polynomial: Q'_mu = sum_T t^charge(T) S_shape(T)."""
+    mu = normalize(mu)
+    kfs = {rho: kostka_foulkes(rho, mu) for rho in partitions_of(sum(mu))}
+    return {rho: kf for rho, kf in kfs.items() if kf}
+
+
 def qprime_on_alphabet_by_schur(lam, A):
     """Q'_lam(A) as sum_rho KF(rho, lam) S_rho(A), each S_rho(A) a
     Jacobi-Trudi determinant."""
     return _linear_combination(
         (schur_eval_by_jacobi_trudi(rho, A), kf)
-        for rho, kf in _qprime_schur_cached(normalize(lam))
+        for rho, kf in qprime_schur_by_charge(lam).items()
     )
 
 
@@ -535,7 +546,7 @@ def skew_qprime_by_extraction(lam, mu, A):
     kappa of |mu| solves the system.
     """
     lam, mu = normalize(lam), normalize(mu)
-    charge_route = _qprime_schur_cached(lam)
+    charge_route = qprime_schur_by_charge(lam).items()
     solved = {}
     for kappa in sorted(partitions_of(sum(mu))):
         known = [

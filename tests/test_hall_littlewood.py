@@ -1,9 +1,10 @@
-"""Charge-route expansions, argument shifts, and factorizations.
+"""Schur expansions of Q', argument shifts, and factorizations.
 
 Cross-checks used here, none of which share code with the route under
-test: the symmetrizer definition of Q, Q and P through Q'(X(1-t)), the
-layer-chain expansion, the four-term exchange relation for vector
-arguments, and classical specializations (t=0 Schur, t=1 monomial).
+test: the charge enumeration of the Schur expansion, the symmetrizer
+definition of Q, Q and P through Q'(X(1-t)), the layer-chain expansion,
+the four-term exchange relation for vector arguments, and classical
+specializations (t=0 Schur, t=1 monomial).
 """
 
 import itertools
@@ -61,6 +62,7 @@ from oracles import (
     p_on_alphabet_by_qprime,
     q_on_alphabet_by_qprime,
     qprime_on_alphabet_by_schur,
+    qprime_schur_by_charge,
     skew_qprime_by_extraction,
 )
 
@@ -95,6 +97,17 @@ class TestKostkaFoulkes:
         assert not kostka_foulkes((1, 1), (2,))
         assert not kostka_foulkes((2, 2), (3, 1))
 
+    @pytest.mark.parametrize(
+        "rho, mu", [((2, 1), (1, 2)), ((1, 2), (2, 1)), ((2, 0, 1), (3,))]
+    )
+    def test_refuses_non_partition(self, rho, mu):
+        # Charge is undefined on the weight (1, 2); sorting it gave 1.
+        with pytest.raises(ValueError, match="must be partitions"):
+            kostka_foulkes(rho, mu)
+
+    def test_trailing_zeros_allowed(self):
+        assert kostka_foulkes((2, 1, 0), (1, 1, 1, 0)) == LaurentPoly({1: 1, 2: 1})
+
 
 class TestQprimeSchur:
     def test_frozen_expansions(self):
@@ -106,6 +119,19 @@ class TestQprimeSchur:
             (3,): T(3),
         }
         assert qprime_schur((2, 1)).basis == "S"
+
+    def test_matches_charge_route(self):
+        for lam in partitions_up_to(9):
+            assert qprime_schur(lam).coeffs == qprime_schur_by_charge(lam), lam
+
+    @pytest.mark.parametrize("index", [(1, 2), (2, 0, 1), (1, -1)])
+    def test_refuses_unsorted_index(self, index):
+        # (1, 2) used to be sorted to Q'_(2,1); Q'_(1,2) is t*S[2,1] + t^2*S[3].
+        with pytest.raises(ValueError, match="qprime_vector_schur"):
+            qprime_schur(index)
+
+    def test_trailing_zeros_allowed(self):
+        assert qprime_schur((2, 1, 0, 0)) == qprime_schur((2, 1))
 
     def test_t_zero_collapse(self):
         for lam in partitions_up_to(6):

@@ -1,5 +1,7 @@
-"""The scripts read their operands through hlkit's integer-list grammar."""
+"""The scripts read their operands through hlkit's integer-list grammar,
+and the gate script's JSON lines match `hlkit verify all --json`."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,16 +10,20 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def run_script(name, *args):
+def proc_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=proc_env(),
     )
 
 
@@ -42,3 +48,22 @@ def test_worked_examples_lam_is_a_partition():
     assert "Argument shifts of Q'_(2, 1)" in proc.stdout
     proc = run_script("worked_examples.py", "--lam", "2,,1")
     assert proc.returncode == 2 and "argument --lam: empty entry" in proc.stderr
+
+
+def test_verify_all_json_lines():
+    proc = run_script("verify_all.py", "--json", "--only", "1,3")
+    assert proc.returncode == 0
+    *verdicts, last = [json.loads(line) for line in proc.stdout.splitlines()]
+    cli = subprocess.run(
+        [sys.executable, "-m", "hlkit", "verify", "all", "--json"],
+        capture_output=True,
+        text=True,
+        env=proc_env(),
+    )
+    by_num = {v["criterion"]: v for v in map(json.loads, cli.stdout.splitlines())}
+    assert [v["criterion"] for v in verdicts] == [1, 3]
+    for v in verdicts:
+        seconds = v.pop("seconds")
+        assert isinstance(seconds, float) and seconds >= 0
+        assert v == by_num[v["criterion"]]
+    assert set(last) == {"total", "failures"} and last["failures"] == 0
