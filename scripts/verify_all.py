@@ -16,7 +16,7 @@ import sys
 import time
 
 from hlkit.acceptance import CRITERIA
-from hlkit.cli import VECTOR
+from hlkit.cli import VECTOR, piped
 
 
 def criterion_numbers(text):
@@ -63,4 +63,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(piped(main))

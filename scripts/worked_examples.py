@@ -8,7 +8,7 @@ smoke run and as a readable tour of the API.
 import argparse
 import sys
 
-from hlkit.cli import PARTITION
+from hlkit.cli import PARTITION, piped
 from hlkit.laurent import LaurentPoly
 from hlkit.alphabets import Alphabet, parse_alphabet
 from hlkit.hall_littlewood import (
@@ -99,4 +99,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(piped(main))

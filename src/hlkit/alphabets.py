@@ -35,9 +35,6 @@ class Letter(NamedTuple):
             tuple(sorted(self.mono + other.mono, key=var_key)),
         )
 
-    def shift_t(self, k):
-        return Letter(self.t_exp + k, self.mono)
-
     def value(self):
         exps = {}
         for v in self.mono:

@@ -415,28 +415,40 @@ def build_parser(verb=None):
     return p
 
 
+def piped(fn, *args):
+    """fn(*args) with stdout flushed before it returns.  When the reader
+    of stdout has gone, as with | head, the result is the exit status
+    141 and no traceback."""
+    try:
+        try:
+            return fn(*args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _run(verb, argv):
+    args = build_parser(verb).parse_args(argv)
+    if args.out:  # each emitted line is appended to a fresh file
+        with open(args.out, "w"):
+            pass
+    return args.fn(args)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # A verb named first is all this process parses, so only its
     # subparser is built; help, no verb or an unknown one needs them all.
     verb = argv[0] if argv and argv[0] in VERBS else None
     try:
-        try:
-            args = build_parser(verb).parse_args(argv)
-            if args.out:  # each emitted line is appended to a fresh file
-                with open(args.out, "w"):
-                    pass
-            return args.fn(args)
-        finally:
-            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return piped(_run, verb, argv)
     except SystemExit:  # --help; usage errors raise ValueError
         return 0
-    except BrokenPipeError:  # the reader of stdout has gone, as with | head
-        # Python flushes stdout again at exit; devnull takes what is left.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

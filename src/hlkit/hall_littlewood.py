@@ -57,8 +57,7 @@ from .partitions import (
 from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import _kernel_schur_cached, kernel_schur, pi_omega
 from .alphabets import Alphabet, letter
-from .xpoly import XPoly, X_ONE, _linear_combination, xvars
-from .xpoly import _mul_into, _nonzero, _unflatten
+from .xpoly import XPoly, X_ONE, _linear_combination, _mul_into, xvars
 
 
 @dataclass
@@ -211,20 +210,20 @@ def _branch(table, lam, A, end=()):
     """F_{lam/end}(A) for F = Q', P or s by its `table`, adding the
     letters of A one at a time.
 
-    The state maps each mu reached to its coefficient, flat int
-    coefficients keyed by the exponents of A's variables, so x and t*x
-    in X(1-t) cancel at the step that meets them; LaurentPoly values are
-    built once, for the result.  A letter a sends mu to nu with
-    a^{|mu/nu|} times the c of nu in F_mu[X - 1] (minus letters, which
-    go first) or F_mu[X + 1].  A nu not containing `end` is dropped; the
-    last letter asks the table for the pair of `end` alone.  A
-    horizontal strip shortens mu by at most one part, so over strips a
-    nu with more parts than len(end) plus the letters left is dropped.
+    The state maps each mu reached to its coefficient, int coefficients
+    keyed by the power of t and the exponents of A's variables as in
+    XPoly.terms, so x and t*x in X(1-t) cancel at the step that meets
+    them.  A letter a sends mu to nu with a^{|mu/nu|} times the c of nu
+    in F_mu[X - 1] (minus letters, which go first) or F_mu[X + 1].  A
+    nu not containing `end` is dropped; the last letter asks the table
+    for the pair of `end` alone.  A horizontal strip shortens mu by at
+    most one part, so over strips a nu with more parts than len(end)
+    plus the letters left is dropped.
     """
     lam, end = normalize(lam), normalize(end)
     vars = A.var_names()
     letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
-    state = {lam: {(0,) * len(vars): {0: 1}}}
+    state = {lam: {(0,) * (len(vars) + 1): 1}}
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
         last = k == len(letters)
@@ -238,16 +237,17 @@ def _branch(table, lam, A, end=()):
                 if c and len(nu) <= longest and (nu == end or not last):
                     d = size - sum(nu)
                     c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
-                    shifted = {t + d * l.t_exp: v for t, v in c.items()}
-                    a_d = (tuple(d * e for e in exps), shifted)
-                    _mul_into(new.setdefault(nu, {}), flat, (a_d,))
+                    a_d = [((s + d * l.t_exp, *(d * e for e in exps)), v)
+                           for s, v in c.items()]
+                    _mul_into(new.setdefault(nu, {}), flat, a_d)
         state = {}
         for nu, acc in new.items():
             if contains(nu, end):
-                acc = _nonzero(acc)
+                if not all(acc.values()):
+                    acc = {key: v for key, v in acc.items() if v}
                 if acc:
                     state[nu] = acc
-    return XPoly._trusted(vars, _unflatten(state.get(end, {})))
+    return XPoly._trusted(vars, state.get(end, {}))
 
 
 @cache

@@ -22,7 +22,7 @@ from operator import sub
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import b_poly, conjugate, n_skew, n_stat, normalize, partitions_of
 from .partitions import subpartitions
-from .xpoly import XPoly, X_ONE, _linear_combination, xvars, yvars
+from .xpoly import XPoly, X_ONE, _grouped, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import pi_omega
 from .hall_littlewood import (
@@ -284,12 +284,6 @@ def dominant_scalar(f, g):
     return acc
 
 
-def theta_extended(lam, w):
-    """theta against an arbitrary integer second index, through the
-    Q' expansion of w (the dominant reduction of x^w)."""
-    return extend_family(lambda kappa: theta(lam, kappa), w)
-
-
 def theta_signed_sum(lam, mu, n):
     """Alternating cube sum of theta(lam, mu - v) over v in {0,1}^n."""
     return removal_sum(lambda kappa: theta(lam, kappa), mu, n)
@@ -380,24 +374,31 @@ def ct_scalar(f, g, n):
     """
     vars = xvars(n)
     h = f * g.reverse_invert(vars)
-    cur = {e: c for e, c in h._expand_to(vars).items() if sum(e) == 0}
+    # keys are (t, e_1, ..., e_n) as in XPoly.terms, so column j is slot j
+    cur = {k: v for k, v in h._expand_to(vars).items() if sum(k) == k[0]}
     for j in range(n, 1, -1):
         for i in range(j - 1, 0, -1):
             nxt = {}
-            for e, c in cur.items():
-                rem = e[j - 1]
+            for key, v in cur.items():
+                rem = key[j]
                 if rem < 0:
                     continue
                 ks = range(rem + 1) if i > 1 else (rem,)
                 for k in ks:
-                    w = list(e)
-                    w[i - 1] += k
-                    w[j - 1] -= k
-                    _accumulate(nxt, tuple(w), c.shift(k) - c.shift(k - 1) if k else c)
-            cur = nxt
+                    w = list(key)
+                    w[i] += k
+                    w[j] -= k
+                    w[0] += k
+                    up = tuple(w)
+                    nxt[up] = nxt.get(up, 0) + v
+                    if k:  # the -t^(k-1) of the Vandermonde factor
+                        w[0] -= 1
+                        down = tuple(w)
+                        nxt[down] = nxt.get(down, 0) - v
+            cur = {key: v for key, v in nxt.items() if v}
     # the last push of each column j >= 2 empties it, and the total
     # degree stays 0, so only the constant term is left
-    return cur.get((0,) * n, L_ZERO)
+    return LaurentPoly._trusted({k[0]: v for k, v in cur.items() if not any(k[1:])})
 
 
 # ------------------------------------------------------------- operator note
@@ -465,7 +466,8 @@ def is_proportional(f, g):
         return True
     if not f or not g:
         return False
-    vars_, a, b = f._aligned(g)
+    _, a, b = f._aligned(g)
+    a, b = _grouped(a), _grouped(b)
     e0 = next(iter(b))
     f0, g0 = a.get(e0, L_ZERO), b[e0]
     for e in set(a) | set(b):

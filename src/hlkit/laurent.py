@@ -1,12 +1,16 @@
 """Exact Laurent polynomials in the deformation parameter t.
 
 Coefficients are arbitrary-precision Python ints and exponents may be
-negative.  Values are canonical: a zero coefficient is never stored, so
-two polynomials are equal iff their coefficient dicts are equal.  All
-operations return new objects; constructed values are never mutated.
+negative; the constructor reads both with operator.index, so a float
+raises TypeError instead of being truncated.  Values are canonical: a
+zero coefficient is never stored, so two polynomials are equal iff
+their coefficient dicts are equal.  All operations return new objects;
+constructed values are never mutated.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class NotDivisibleError(ArithmeticError):
@@ -32,8 +36,9 @@ class LaurentPoly:
         data = {}
         if coeffs:
             for k, c in coeffs.items():
+                c = index(c)
                 if c:
-                    data[int(k)] = c
+                    data[index(k)] = c
         self.coeffs = data
 
     @classmethod
@@ -42,10 +47,6 @@ class LaurentPoly:
         res = object.__new__(cls)
         res.coeffs = coeffs
         return res
-
-    @classmethod
-    def from_int(cls, c):
-        return cls({0: c})
 
     @classmethod
     def t_power(cls, k, c=1):
@@ -153,10 +154,6 @@ class LaurentPoly:
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
-
-    def truncate_above(self, cap):
-        """Drop all terms with exponent > cap (work mod t^(cap+1))."""
-        return LaurentPoly._trusted({k: c for k, c in self.coeffs.items() if k <= cap})
 
     def at_t_zero(self):
         """Value at t = 0; only defined when no exponent is negative."""

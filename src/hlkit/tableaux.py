@@ -90,10 +90,6 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
     return results
 
 
-def tableau_weight(tab, nletters=None):
-    return word_weight([a for row in tab for a in row], nletters)
-
-
 def reading_word(tab):
     """Bottom row first, longest row last."""
     out = []

@@ -1,9 +1,10 @@
 """Exact multivariate Laurent polynomials over the t-coefficient ring.
 
 An XPoly is a finite sum of monomials in named variables (x1, x2, ...,
-y1, ...) whose coefficients are LaurentPoly values in t.  Storage is a
-dict mapping exponent tuples (one slot per variable, negative allowed)
-to coefficients.  Values are canonical:
+y1, ...) whose coefficients are Laurent polynomials in t.  Storage is
+one dict mapping (t, e_1, ..., e_n) tuples, the power of t in slot 0
+and one slot per variable after it (negative allowed), to nonzero int
+coefficients.  Values are canonical:
 
   * variable names are kept in natural sorted order (x1 < x2 < x10 < y1),
   * a variable appearing with exponent 0 in every term is dropped,
@@ -12,22 +13,21 @@ to coefficients.  Values are canonical:
 Binary operations align variable lists automatically, so polynomials
 built over different alphabets compare and combine correctly.
 
-The public constructor validates and canonicalizes its input.  Results
-of arithmetic are canonical by construction and go through the private
-XPoly._trusted, which only drops the variables that cancellation left
-unused.  Products and sums of many terms accumulate flat int
-coefficients, {exponents: {t exponent: int}} (see _mul_into), and turn
-each output coefficient into a LaurentPoly once (_unflatten).
+The public constructor takes {exponents: LaurentPoly or int}, validates
+it and canonicalizes it.  Results of arithmetic go through the private
+XPoly._trusted, which only drops zero coefficients and the variables
+that cancellation left unused.  Products multiply the letters t^s x^e
+by adding keys, t included (see _mul_into).  Values leave as one
+LaurentPoly per monomial (_grouped) only to be read or rendered.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from operator import add
+from operator import add, index
 
-from .laurent import LaurentPoly, NotDivisibleError, ZERO as L_ZERO, ONE as L_ONE
-from .laurent import _accumulate, _fmt_coeff
+from .laurent import LaurentPoly, ZERO as L_ZERO, NotDivisibleError, _fmt_coeff
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
@@ -60,55 +60,36 @@ def merge_vars(a, b):
 
 
 def _mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b over flat int coefficients.
+    """acc += sign * a * b over (t, exponents) keys.
 
-    `a` and `b` iterate over (exponent tuple, {t exponent: int}) pairs
-    over the same variables; `acc` maps exponent tuples to such dicts
-    and may keep zero entries, which _unflatten drops.
+    `a` and `b` iterate over (key, int) pairs over the same variables;
+    `acc` maps keys to ints and may keep zero entries, which
+    XPoly._trusted drops.
     """
-    b = [(e2, c2.items()) for e2, c2 in b]
-    for e1, c1 in a:
-        c1 = [(t, sign * v) for t, v in c1.items()]
-        for e2, c2 in b:
-            k = tuple(map(add, e1, e2))
-            d = acc.get(k)
-            if d is None:
-                d = acc[k] = {}
-            for t1, v1 in c1:
-                for t2, v2 in c2:
-                    t = t1 + t2
-                    d[t] = d.get(t, 0) + v1 * v2
+    b = [(k, sign * v) for k, v in b]
+    get = acc.get
+    for k1, v1 in a:
+        for k2, v2 in b:
+            k = tuple(map(add, k1, k2))
+            acc[k] = get(k, 0) + v1 * v2
 
 
-def _flat(terms):
-    """The (exponents, int coefficients) pairs of a term dict."""
-    return [(e, c.coeffs) for e, c in terms.items()]
-
-
-def _nonzero(acc):
-    """The flat coefficients in `acc` without zero entries, dropping the
-    terms that are left empty."""
+def _grouped(terms):
+    """{exponents: LaurentPoly} of a dict of (t, exponents) keys."""
     out = {}
-    for k, d in acc.items():
-        d = {t: v for t, v in d.items() if v}
-        if d:
-            out[k] = d
-    return out
-
-
-def _unflatten(acc):
-    """Term dict of the nonzero flat coefficients in `acc`."""
-    return {k: LaurentPoly._trusted(d) for k, d in _nonzero(acc).items()}
+    for k, v in terms.items():
+        out.setdefault(k[1:], {})[k[0]] = v
+    return {e: LaurentPoly._trusted(d) for e, d in out.items()}
 
 
 def _degree(vars, count_vars):
-    """Total degree of an exponent tuple over `vars`, counting only the
-    variables in `count_vars` (default: all)."""
+    """Total degree of a (t, exponents) key over `vars`, counting only
+    the variables in `count_vars` (default: all)."""
     if count_vars is None:
-        return sum
+        return lambda k: sum(k) - k[0]
     cs = set(count_vars)
     mask = [v in cs for v in vars]
-    return lambda e: sum(x for x, m in zip(e, mask) if m)
+    return lambda k: sum(x for x, m in zip(k[1:], mask) if m)
 
 
 def _sorted_vars(polys):
@@ -124,16 +105,25 @@ def _linear_combination(pairs):
     zero = (0,) * len(vars)
     acc = {}
     for f, c in pairs:
-        _mul_into(acc, _flat(f._expand_to(vars)), ((zero, c.coeffs),))
-    return XPoly._trusted(vars, _unflatten(acc))
+        const = [((s,) + zero, m) for s, m in c.coeffs.items()]
+        _mul_into(acc, f._expand_to(vars).items(), const)
+    return XPoly._trusted(vars, acc)
 
 
 def _coerce_coeff(c):
-    if isinstance(c, LaurentPoly):
-        return c
-    if isinstance(c, int):
-        return LaurentPoly.from_int(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+    return c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
+
+
+def _pruned(vars, terms):
+    """`vars` and `terms` without zero coefficients and without the
+    variables that no term uses."""
+    if not all(terms.values()):
+        terms = {k: v for k, v in terms.items() if v}
+    used = [i for i in range(1, len(vars) + 1) if any(k[i] for k in terms)]
+    if len(used) < len(vars):
+        vars = tuple(vars[i - 1] for i in used)
+        terms = {(k[0], *(k[i] for i in used)): v for k, v in terms.items()}
+    return vars, terms
 
 
 class XPoly:
@@ -141,37 +131,27 @@ class XPoly:
 
     def __init__(self, vars=(), terms=None):
         vars = tuple(vars)
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _coerce_coeff(c)
-                if not c:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(vars):
-                    raise ValueError("exponent tuple does not match variables")
-                _accumulate(clean, exps, c)
-        # sort variables, drop the ones never used
+        if len(set(vars)) < len(vars):
+            raise ValueError(f"repeated variable name in {vars}")
         order = sorted(range(len(vars)), key=lambda i: var_key(vars[i]))
-        used = [i for i in order if any(e[i] for e in clean)]
-        self.vars = tuple(vars[i] for i in used)
-        if used == list(range(len(vars))):
-            self.terms = clean
-        else:
-            self.terms = {tuple(e[i] for i in used): c for e, c in clean.items()}
+        flat = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(map(index, exps))
+            if len(exps) != len(vars):
+                raise ValueError("exponent tuple does not match variables")
+            exps = tuple(exps[i] for i in order)
+            for s, v in _coerce_coeff(c).coeffs.items():
+                key = (s, *exps)
+                flat[key] = flat.get(key, 0) + v
+        self.vars, self.terms = _pruned(tuple(vars[i] for i in order), flat)
 
     @classmethod
     def _trusted(cls, vars, terms):
-        """Build from a tuple `vars` sorted by var_key and nonzero
-        LaurentPoly coefficients keyed by int tuples: only drops the
-        variables that cancellation left unused."""
-        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
-        if len(used) < len(vars):
-            vars = tuple(vars[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        """Build from a tuple `vars` sorted by var_key and int
+        coefficients keyed by (t, exponents) tuples: only drops zero
+        coefficients and the variables that cancellation left unused."""
         res = object.__new__(cls)
-        res.vars = vars
-        res.terms = terms
+        res.vars, res.terms = _pruned(vars, terms)
         return res
 
     # -- constructors ------------------------------------------------
@@ -182,16 +162,15 @@ class XPoly:
 
     @classmethod
     def const(cls, c):
-        c = _coerce_coeff(c)
-        return cls._trusted((), {(): c} if c else {})
+        return cls._trusted((), {(s,): v for s, v in _coerce_coeff(c).coeffs.items()})
 
     @classmethod
     def var(cls, name, exp=1):
-        return cls((name,), {(exp,): L_ONE})
+        return cls((name,), {(exp,): 1})
 
     @classmethod
     def monomial(cls, vars, exps, coeff=1):
-        return cls(tuple(vars), {tuple(exps): _coerce_coeff(coeff)})
+        return cls(tuple(vars), {tuple(exps): coeff})
 
     # -- alignment ---------------------------------------------------
 
@@ -199,13 +178,13 @@ class XPoly:
         """Terms re-keyed over the superset `vars` (must contain self.vars)."""
         if vars == self.vars:
             return self.terms
-        pos = {v: i for i, v in enumerate(vars)}
+        pos = {v: i for i, v in enumerate(vars, 1)}
         idx = [pos[v] for v in self.vars]
-        n = len(vars)
+        n = len(vars) + 1
         out = {}
-        for exps, c in self.terms.items():
-            key = [0] * n
-            for i, e in zip(idx, exps):
+        for k, c in self.terms.items():
+            key = [k[0]] + [0] * (n - 1)
+            for i, e in zip(idx, k[1:]):
                 key[i] = e
             out[tuple(key)] = c
         return out
@@ -244,14 +223,14 @@ class XPoly:
             return NotImplemented
         vars, a, b = self._aligned(other)
         out = dict(a)
-        for k, c in b.items():
-            _accumulate(out, k, c)
+        for k, v in b.items():
+            out[k] = out.get(k, 0) + v
         return XPoly._trusted(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly._trusted(self.vars, {k: -c for k, c in self.terms.items()})
+        return XPoly._trusted(self.vars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -268,8 +247,8 @@ class XPoly:
             return NotImplemented
         vars, a, b = self._aligned(other)
         acc = {}
-        _mul_into(acc, _flat(a), _flat(b))
-        return XPoly._trusted(vars, _unflatten(acc))
+        _mul_into(acc, a.items(), b.items())
+        return XPoly._trusted(vars, acc)
 
     __rmul__ = __mul__
 
@@ -285,36 +264,34 @@ class XPoly:
         deg = _degree(vars, count_vars)
         # b by ascending degree: the partners of a degree-d term of a
         # are a prefix of it
-        bs = sorted(_flat(b), key=lambda ec: deg(ec[0]))
-        degs = [deg(e) for e, _ in bs]
+        bs = sorted(b.items(), key=lambda kv: deg(kv[0]))
+        degs = [deg(k) for k, _ in bs]
         by_deg = {}
-        for e, c in a.items():
-            by_deg.setdefault(deg(e), []).append((e, c.coeffs))
+        for k, v in a.items():
+            by_deg.setdefault(deg(k), []).append((k, v))
         acc = {}
         for d, part in by_deg.items():
             _mul_into(acc, part, bs[: bisect_right(degs, cap - d)])
-        return XPoly._trusted(vars, _unflatten(acc))
+        return XPoly._trusted(vars, acc)
 
     def scale(self, c):
         c = _coerce_coeff(c)
-        if not c:
-            return X_ZERO
-        if len(c.coeffs) > 1:
-            return XPoly._trusted(self.vars, {k: v * c for k, v in self.terms.items()})
-        # one term m*t^s: shift each coefficient and multiply it by m
-        ((s, m),) = c.coeffs.items()
+        if len(c.coeffs) != 1:
+            return _linear_combination(((self, c),))
+        ((s, m),) = c.coeffs.items()  # m*t^s: add s to slot 0
         return XPoly._trusted(
-            self.vars,
-            {
-                k: LaurentPoly._trusted({e + s: m * a for e, a in v.coeffs.items()})
-                for k, v in self.terms.items()
-            },
+            self.vars, {(k[0] + s, *k[1:]): m * v for k, v in self.terms.items()}
         )
 
     def exact_div_scalar(self, c):
         c = _coerce_coeff(c)
         return XPoly._trusted(
-            self.vars, {k: v.exact_div(c) for k, v in self.terms.items()}
+            self.vars,
+            {
+                (s, *e): v
+                for e, q in _grouped(self.terms).items()
+                for s, v in q.exact_div(c).coeffs.items()
+            },
         )
 
     # -- structure queries --------------------------------------------
@@ -326,13 +303,13 @@ class XPoly:
         self outside `vars` must have exponent 0 for a hit.
         """
         if vars is None:
-            return self.terms.get(tuple(exps), L_ZERO)
-        given = dict(zip(vars, exps))
-        key = tuple(given.get(v, 0) for v in self.vars)
-        extra = [v for v in given if v not in self.vars and given[v]]
-        if extra:
-            return L_ZERO
-        return self.terms.get(key, L_ZERO)
+            key = tuple(exps)
+        else:
+            given = dict(zip(vars, exps))
+            if any(given[v] for v in given if v not in self.vars):
+                return L_ZERO
+            key = tuple(given.get(v, 0) for v in self.vars)
+        return _grouped(self.terms).get(key, L_ZERO)
 
     def degree_in(self, names=None):
         """Max total degree over the named variables (0 for the zero poly)."""
@@ -343,22 +320,20 @@ class XPoly:
     def truncate_degree(self, cap, count_vars=None):
         """Drop terms whose counted total degree exceeds cap."""
         deg = _degree(self.vars, count_vars)
-        out = {e: c for e, c in self.terms.items() if deg(e) <= cap}
+        out = {k: v for k, v in self.terms.items() if deg(k) <= cap}
         return XPoly._trusted(self.vars, out)
-
-    def truncate_t_above(self, cap):
-        out = {e: c.truncate_above(cap) for e, c in self.terms.items()}
-        return XPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     # -- substitutions -------------------------------------------------
 
     def _rekeyed(self, vars, key):
         """Every exponent tuple over `vars` (default self.vars, which it
-        must contain) sent through the one-to-one map `key`."""
+        must contain) sent through the one-to-one map `key`; t is kept."""
         vars = self.vars if vars is None else tuple(vars)
-        out = {key(e): c for e, c in self._expand_to(vars).items()}
-        if vars is not self.vars and vars != merge_vars(vars, ()):
-            return XPoly(vars, out)  # unsorted slots: let the constructor sort
+        out = {(k[0], *key(k[1:])): v for k, v in self._expand_to(vars).items()}
+        order = sorted(range(len(vars)), key=lambda i: var_key(vars[i]))
+        if order != list(range(len(vars))):  # unsorted slots
+            vars = tuple(vars[i] for i in order)
+            out = {(k[0], *(k[i + 1] for i in order)): v for k, v in out.items()}
         return XPoly._trusted(vars, out)
 
     def permute_exponents(self, perm, vars=None):
@@ -396,26 +371,27 @@ class XPoly:
     def exact_div_diff(self, a, b):
         """Exact quotient by (a - b) for variable names a, b.
 
-        Groups terms by the exponents away from {a, b} and by the total
-        a+b degree; inside a group the poly is x_b^d * p(w) with
-        w = a/b, and division by a - b = x_b (w - 1) is one-variable.
+        Groups terms by the power of t and the exponents away from
+        {a, b}, and by the total a+b degree; inside a group the poly is
+        x_b^d * p(w) with w = a/b and integer coefficients, and division
+        by a - b = x_b (w - 1) is one-variable.
         """
         vars = merge_vars(self.vars, (a, b))
-        ia, ib = vars.index(a), vars.index(b)
+        ia, ib = vars.index(a) + 1, vars.index(b) + 1
         groups = {}
-        for e, c in self._expand_to(vars).items():
-            rest = list(e)
+        for k, v in self._expand_to(vars).items():
+            rest = list(k)
             rest[ia] = rest[ib] = 0
-            groups.setdefault((tuple(rest), e[ia] + e[ib]), {})[e[ia]] = c
+            groups.setdefault((tuple(rest), k[ia] + k[ib]), {})[k[ia]] = v
         out = {}
         for (rest, d), coeffs in groups.items():
             key = list(rest)
             hi = max(coeffs)
-            running = L_ZERO
-            for k in range(min(coeffs), hi + 1):
-                running = running + coeffs.get(k, L_ZERO)
-                if running and k < hi:
-                    key[ia], key[ib] = k, d - 1 - k
+            running = 0
+            for j in range(min(coeffs), hi + 1):
+                running += coeffs.get(j, 0)
+                if running and j < hi:
+                    key[ia], key[ib] = j, d - 1 - j
                     out[tuple(key)] = -running
             if running:
                 raise NotDivisibleError(f"not divisible by {a} - {b}")
@@ -427,8 +403,7 @@ class XPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(_grouped(self.terms).items(), reverse=True):
             mono = "*".join(
                 v if p == 1 else f"{v}^{p}"
                 for v, p in zip(self.vars, e)
@@ -448,7 +423,7 @@ class XPoly:
             "vars": list(self.vars),
             "terms": [
                 {"exps": list(e), "poly": c.to_json()}
-                for e, c in sorted(self.terms.items())
+                for e, c in sorted(_grouped(self.terms).items())
             ],
         }
 
@@ -465,4 +440,3 @@ class XPoly:
 
 X_ZERO = XPoly.zero()
 X_ONE = XPoly.const(1)
-

@@ -84,7 +84,7 @@ from hlkit.partitions import (
 from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
 from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
-from hlkit.xpoly import _flat, _mul_into, _sorted_vars, _unflatten
+from hlkit.xpoly import _grouped, _mul_into, _sorted_vars
 
 
 def enumerate_ssyt_by_cells(shape, weight=None, nletters=None):
@@ -234,7 +234,7 @@ def straighten_schur_by_exchange(v, max_steps=100000):
 def truncate_suffix_nonneg(f, n):
     """Keep only monomials whose x-exponent vector has all trailing sums >= 0."""
     vars = xvars(n)
-    terms = f._expand_to(vars)
+    terms = _grouped(f._expand_to(vars))
     kept = {e: c for e, c in terms.items() if suffix_nonneg(e)}
     return XPoly(vars, kept)
 
@@ -248,7 +248,7 @@ def to_schur(f, n):
     monomial is read off as a straightened Schur value.
     """
     vars = xvars(n)
-    terms = f._expand_to(vars)
+    terms = _grouped(f._expand_to(vars))
     out = {}
     for e, c in terms.items():
         if not suffix_nonneg(e):
@@ -314,7 +314,7 @@ def ct_scalar_bruteforce(f, g, n, order=None):
             h = h * (X_ONE - XPoly.monomial((vars[i], vars[j]), (1, -1)))
     if order is None:
         spread = max(
-            (max(abs(e[i]) for e in h._expand_to(vars)) for i in range(n)),
+            (max(abs(k[i]) for k in h._expand_to(vars)) for i in range(1, n + 1)),
             default=0,
         ) if h else 0
         order = spread + 1
@@ -382,19 +382,24 @@ def elementary_over_one_minus_t(A, m, t_cap):
     """
     if any(l.t_exp < 0 for l in A.plus + A.minus):
         raise ValueError("letters must have nonnegative t-exponent")
+
+    def capped(f):  # the terms of f up to t^t_cap; slot 0 is the power of t
+        kept = {k: v for k, v in f.terms.items() if k[0] <= t_cap}
+        return XPoly._trusted(f.vars, kept)
+
     # coefficients of z^0..z^m in E(z), as XPolys truncated in t
     e = [X_ONE] + [X_ZERO] * m
     for a in A.plus:
         for j in range(0, t_cap + 1 - a.t_exp):
-            av = a.shift_t(j).value()
+            av = Letter(a.t_exp + j, a.mono).value()
             for k in range(m, 0, -1):
-                e[k] = (e[k] + av * e[k - 1]).truncate_t_above(t_cap)
+                e[k] = capped(e[k] + av * e[k - 1])
     for b in A.minus:
         for j in range(0, t_cap + 1 - b.t_exp):
-            bv = b.shift_t(j).value()
+            bv = Letter(b.t_exp + j, b.mono).value()
             # divide by (1 + z * bv): e'_k = e_k - bv * e'_{k-1}
             for k in range(1, m + 1):
-                e[k] = (e[k] - bv * e[k - 1]).truncate_t_above(t_cap)
+                e[k] = capped(e[k] - bv * e[k - 1])
     return e[m]
 
 
@@ -406,8 +411,8 @@ def exact_div_linear(f, divisor):
     if len(divisor.terms) != 2:
         raise ValueError("divisor must be a difference of two variables")
     items = sorted(divisor.terms.items(), reverse=True)
-    (ea, ca), (eb, cb) = items
-    if ca != L_ONE or cb != -L_ONE:
+    ((ta, *ea), ca), ((tb, *eb), cb) = items
+    if ta or tb or ca != 1 or cb != -1:
         raise ValueError("divisor must be a difference of two variables")
     names = []
     for e, want in ((ea, 1), (eb, 1)):
@@ -424,33 +429,33 @@ def complete_series(A, D):
 
     Series product: multiply in each minus letter (one binomial factor)
     and each plus letter (geometric recurrence).  Finite at every fixed
-    index, whatever the letters' degrees.  The series is kept as flat
-    int coefficients over the variables of A until the end.
+    index, whatever the letters' degrees.  Each term is a product of
+    letters t^s x^e, so the series is built on XPoly term dicts.
     """
     vars = A.var_names()
-    h = [{(0,) * len(vars): {0: 1}}] + [{} for _ in range(D)]
+    h = [{(0,) * (len(vars) + 1): 1}] + [{} for _ in range(D)]
     for sign, letters, ks in (
         (-1, A.minus, range(D, 0, -1)),
         (1, A.plus, range(1, D + 1)),
     ):
         for l in letters:
-            factor = ((tuple(l.mono.count(v) for v in vars), {l.t_exp: 1}),)
+            factor = (((l.t_exp, *(l.mono.count(v) for v in vars)), 1),)
             for k in ks:
                 _mul_into(h[k], h[k - 1].items(), factor, sign)
-    return tuple(XPoly._trusted(vars, _unflatten(hk)) for hk in h)
+    return tuple(XPoly._trusted(vars, hk) for hk in h)
 
 
 def _det(mat):
     """Determinant by expansion along the first remaining row."""
     vars = _sorted_vars(f for row in mat for f in row)
-    ent = [[_flat(f._expand_to(vars)) for f in row] for row in mat]
-    memo = {0: {(0,) * len(vars): L_ONE}}
+    ent = [[list(f._expand_to(vars).items()) for f in row] for row in mat]
+    memo = {0: {(0,) * (len(vars) + 1): 1}}
     return XPoly._trusted(vars, _minor(ent, memo, (1 << len(mat)) - 1))
 
 
 def _minor(ent, memo, mask):
     """Terms of the minor of `ent` on its last popcount(mask) rows and
-    the columns in `mask`, each summed once over flat int coefficients.
+    the columns in `mask`, each summed once over XPoly term dicts.
     A module-level function, not a closure, so that no reference cycle
     keeps `memo` alive after the determinant is built."""
     got = memo.get(mask)
@@ -463,9 +468,9 @@ def _minor(ent, memo, mask):
             if mask & (1 << c):
                 if ent[r][c]:
                     sub = _minor(ent, memo, mask ^ (1 << c))
-                    _mul_into(acc, ent[r][c], _flat(sub), sign)
+                    _mul_into(acc, ent[r][c], sub.items(), sign)
                 sign = -sign
-        memo[mask] = got = _unflatten(acc)
+        memo[mask] = got = {k: v for k, v in acc.items() if v}
     return got
 
 

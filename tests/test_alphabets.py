@@ -13,7 +13,7 @@ import pytest
 
 from hlkit.laurent import LaurentPoly
 from hlkit.partitions import conjugate, partitions_up_to, subpartitions
-from hlkit.tableaux import enumerate_ssyt, tableau_weight
+from hlkit.tableaux import enumerate_ssyt, word_weight
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import Alphabet, letter, parse_alphabet
 from hlkit.hall_littlewood import schur_eval, schur_on_xvars, skew_schur_eval
@@ -47,7 +47,7 @@ A_AB = Alphabet((letter(0, "a1"),), (letter(0, "b1"),))
 def schur_by_tableaux(lam, n):
     acc = XPoly.zero()
     for tab in enumerate_ssyt(lam, nletters=n):
-        wt = tableau_weight(tab, nletters=n)
+        wt = word_weight([a for row in tab for a in row], nletters=n)
         acc = acc + XPoly.monomial(xvars(n), wt)
     return acc
 

@@ -24,7 +24,7 @@ from hlkit.partitions import (
     t_binomial,
 )
 from hlkit.alphabets import Alphabet, letter
-from hlkit.xpoly import XPoly, xvars, yvars
+from hlkit.xpoly import XPoly, _grouped, xvars, yvars
 from hlkit.hall_littlewood import (
     BasisExpansion,
     DecompositionError,
@@ -71,9 +71,8 @@ T = LaurentPoly.t_power
 
 def eval_t(f, value):
     """Exponent dict of f with the coefficient ring evaluated at t=value."""
-    names = f.vars if hasattr(f, "vars") else ()
     out = {}
-    for e, c in f._expand_to(names).items():
+    for e, c in _grouped(f.terms).items():
         v = sum(co * value**k for k, co in c.coeffs.items())
         if v:
             out[e] = v

@@ -27,7 +27,6 @@ from hlkit.identities import (
     sigmaxy_check,
     sigmaxy_coefficient,
     theta,
-    theta_extended,
     theta_product_form,
     theta_scalar_check,
     theta_scalar_holds,
@@ -88,13 +87,13 @@ class TestTheta:
     def test_extended_matches_on_partitions(self):
         for lam in partitions_up_to(3):
             for mu in partitions_up_to(3):
-                assert theta_extended(lam, mu) == theta(lam, mu)
+                assert extend_family(lambda k: theta(lam, k), mu) == theta(lam, mu)
 
     def test_extended_through_reduction(self):
         for lam in partitions_up_to(3):
             want = theta(lam, (2,)) * T(1) + theta(lam, (1, 1)) * (T(1) - L_ONE)
-            assert theta_extended(lam, (0, 2)) == want
-        assert not theta_extended((2, 1), (1, -1))
+            assert extend_family(lambda k: theta(lam, k), (0, 2)) == want
+        assert not extend_family(lambda k: theta((2, 1), k), (1, -1))
 
     @pytest.mark.parametrize("mu", [(1,), (2,), (1, 1), (2, 1)])
     def test_signed_sum_rank_independent(self, mu):

@@ -1,11 +1,14 @@
 """The scripts read their operands through hlkit's integer-list grammar,
-and the gate script's JSON lines match `hlkit verify all --json`."""
+the gate script's JSON lines match `hlkit verify all --json`, a closed
+stdout ends them quietly, and the worked examples print fixed bytes."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 
@@ -67,3 +70,36 @@ def test_verify_all_json_lines():
         assert isinstance(seconds, float) and seconds >= 0
         assert v == by_num[v["criterion"]]
     assert set(last) == {"total", "failures"} and last["failures"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify_all.py", "--only", "1"], ["worked_examples.py"]],
+    ids=["verify_all", "worked_examples"],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    # The reader is gone before the script writes, as with `| head -0`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=proc_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_worked_examples_bytes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "worked_examples.py")],
+        capture_output=True,
+        env=proc_env(),
+    )
+    assert proc.returncode == 0
+    golden = ROOT / "tests" / "golden" / "worked_examples.txt"
+    assert proc.stdout == golden.read_bytes()

@@ -26,7 +26,6 @@ from hlkit.tableaux import (
     enumerate_ssyt,
     layer_chains,
     reading_word,
-    tableau_weight,
     word_weight,
 )
 from oracles import charge_by_scanning, enumerate_ssyt_by_cells, knuth_neighbors
@@ -213,7 +212,7 @@ class TestEnumeration:
 
     def test_weight_filter(self):
         for tab in enumerate_ssyt((2, 2), (2, 1, 1)):
-            assert tableau_weight(tab, nletters=3) == (2, 1, 1)
+            assert word_weight([a for row in tab for a in row], nletters=3) == (2, 1, 1)
 
     def test_too_many_rows(self):
         assert enumerate_ssyt((1, 1, 1), nletters=2) == []

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +55,20 @@ class TestConstruction:
     def test_int_coeff_coercion(self):
         f = XPoly(("x1",), {(1,): 3})
         assert f.coeff_of((1,), ("x1",)) == LaurentPoly({0: 3})
+
+    def test_fractional_exponent_refused(self):
+        # int() would truncate 1.2 onto 1 and print 2*x1
+        with pytest.raises(TypeError):
+            XPoly(("x1",), {(1,): 1, (1.2,): 1})
+
+    def test_fractional_coefficient_refused(self):
+        with pytest.raises(TypeError):
+            XPoly(("x1",), {(1,): 0.5})
+
+    def test_repeated_variable_refused(self):
+        # x1*x1 would render like x1^2 and still compare unequal to it
+        with pytest.raises(ValueError, match="repeated variable"):
+            XPoly(("x1", "x1"), {(1, 1): 1})
 
 
 class TestArithmetic:
@@ -176,14 +192,16 @@ def mixed_xpolys(draw, lo=-2, hi=3):
 
 
 def assert_canonical(f):
+    """f.terms maps (t, e_1, ..., e_n) tuples of ints to nonzero ints."""
     assert list(f.vars) == sorted(set(f.vars), key=var_key)
     for i in range(len(f.vars)):
-        assert any(e[i] for e in f.terms), f"unused variable {f.vars[i]}"
-    for e, c in f.terms.items():
-        assert len(e) == len(f.vars) and all(type(x) is int for x in e)
-        assert isinstance(c, LaurentPoly) and c
-        assert all(type(k) is int and type(v) is int and v for k, v in c.coeffs.items())
-    again = XPoly(f.vars, f.terms)
+        assert any(k[i + 1] for k in f.terms), f"unused variable {f.vars[i]}"
+    by_monomial = {}
+    for k, v in f.terms.items():
+        assert len(k) == len(f.vars) + 1 and all(type(x) is int for x in k)
+        assert type(v) is int and v
+        by_monomial.setdefault(k[1:], {})[k[0]] = v
+    again = XPoly(f.vars, {e: LaurentPoly(c) for e, c in by_monomial.items()})
     assert again.vars == f.vars and again.terms == f.terms
 
 
@@ -191,14 +209,29 @@ def to_sympy(f):
     t = sympy.Symbol("t")
     syms = [sympy.Symbol(v) for v in f.vars]
     out = sympy.Integer(0)
-    for exps, c in f.terms.items():
-        coeff = sum(v * t**k for k, v in c.coeffs.items())
-        out += coeff * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+    for (k, *exps), v in f.terms.items():
+        out += v * t**k * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
     return out
+
+
+def laurent_to_sympy(c):
+    t = sympy.Symbol("t")
+    return sum((v * t**k for k, v in c.coeffs.items()), sympy.Integer(0))
 
 
 def same(f, expr):
     return sympy.expand(to_sympy(f) - expr) == 0
+
+
+def free_part(expr, names):
+    """The terms of expr in which no variable of `names` appears."""
+    syms = [sympy.Symbol(v) for v in names]
+    out = sympy.Integer(0)
+    for mono, c in sympy.expand(expr).as_coefficients_dict().items():
+        powers = mono.as_powers_dict()
+        if not any(powers.get(s, 0) for s in syms):
+            out += c * mono
+    return out
 
 
 def truncated(expr, cap, names):
@@ -216,19 +249,19 @@ class TestCanonicalForm:
     def test_added_variable_cancels(self):
         x1, x2 = XPoly.var("x1"), XPoly.var("x2")
         f = x1 + x2 - x2
-        assert f.vars == ("x1",) and f.terms == {(1,): L_ONE}
+        assert f.vars == ("x1",) and f.terms == {(0, 1): 1}
         assert_canonical(f)
 
     def test_subtracted_variable_cancels(self):
         x1, x2 = XPoly.var("x1"), XPoly.var("x2")
         f = (x1 - x2) - x1
-        assert f.vars == ("x2",) and f.terms == {(1,): -L_ONE}
+        assert f.vars == ("x2",) and f.terms == {(0, 1): -1}
         assert_canonical(f)
 
     def test_product_cancels_to_constant(self):
         x10 = XPoly.var("x10")
         f = (x10 + 1) * (x10 - 1) - x10 * x10
-        assert f.vars == () and f.terms == {(): -L_ONE}
+        assert f.vars == () and f.terms == {(0,): -1}
 
     def test_natural_variable_order(self):
         f = XPoly.var("y1") * XPoly.var("x10") + XPoly.var("x2")
@@ -241,7 +274,7 @@ class TestCanonicalForm:
         results = [
             f + g, f - g, -f, f * g, f - f, (f + g) - g,
             f.mul_capped(g, 2), f.scale(L_ONE - T),
-            f.truncate_degree(1), f.truncate_t_above(0),
+            f.truncate_degree(1),
         ]
         for h in results:
             assert_canonical(h)
@@ -289,3 +322,56 @@ class TestSympyOracle:
         q = (f * d).exact_div_diff(*pair)
         assert_canonical(q)
         assert same(q, to_sympy(f))
+
+    @given(mixed_xpolys(), coeffs)
+    @settings(deadline=None, max_examples=40)
+    def test_scale(self, f, c):
+        got = f.scale(c)
+        assert_canonical(got)
+        assert same(got, to_sympy(f) * laurent_to_sympy(c))
+
+    @given(mixed_xpolys(), coeffs.filter(bool))
+    @settings(deadline=None, max_examples=40)
+    def test_exact_div_scalar_of_a_multiple(self, f, c):
+        q = (f * XPoly.const(c)).exact_div_scalar(c)
+        assert_canonical(q)
+        assert same(q, to_sympy(f))
+
+    @given(mixed_xpolys(), st.permutations(NAMES), st.permutations(range(len(NAMES))))
+    @settings(deadline=None, max_examples=40)
+    def test_permute_exponents(self, f, names, perm):
+        # slots follow `names`, which need not be sorted
+        got = f.permute_exponents(perm, names)
+        assert_canonical(got)
+        syms = [sympy.Symbol(v) for v in names]
+        moved = {syms[p]: syms[i] for i, p in enumerate(perm)}
+        assert same(got, to_sympy(f).subs(moved, simultaneous=True))
+
+    @given(mixed_xpolys(), st.permutations(NAMES))
+    @settings(deadline=None, max_examples=40)
+    def test_reverse_invert(self, f, names):
+        got = f.reverse_invert(names)
+        assert_canonical(got)
+        syms = [sympy.Symbol(v) for v in names]
+        inverted = {s: 1 / r for s, r in zip(syms, reversed(syms))}
+        assert same(got, to_sympy(f).subs(inverted, simultaneous=True))
+
+    @given(mixed_xpolys(), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_coeff_of(self, f, data):
+        # a monomial of f half the time, else any exponents over NAMES
+        keys = [k[1:] for k in f._expand_to(NAMES)]
+        exps = data.draw(
+            st.sampled_from(keys) if keys and data.draw(st.booleans())
+            else st.tuples(*[st.integers(-2, 3)] * len(NAMES))
+        )
+        monomial = sympy.Mul(*(sympy.Symbol(v) ** e for v, e in zip(NAMES, exps)))
+        want = free_part(to_sympy(f) / monomial, NAMES)
+        assert sympy.expand(laurent_to_sympy(f.coeff_of(exps, NAMES)) - want) == 0
+
+    @given(mixed_xpolys())
+    @settings(deadline=None, max_examples=40)
+    def test_json_round_trip(self, f):
+        g = XPoly.from_json(json.loads(json.dumps(f.to_json())))
+        assert g == f
+        assert_canonical(g)
