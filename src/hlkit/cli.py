@@ -68,8 +68,9 @@ def _deg_default():
 def _deg(args):
     """The degree cap: --deg, else HLKIT_DEG, else the default."""
     deg = args.deg if args.deg is not None else _deg_default()
-    if deg < 0:
-        raise ValueError(f"degree cap must be nonnegative, got {deg}")
+    if deg < 1:
+        # at cap 0 both sides are 1, and "holds" would say nothing
+        raise ValueError(f"degree cap must be positive, got {deg}")
     return deg
 
 
@@ -120,16 +121,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, text, payload):
-    """Print `text`, or with --json the payload as one JSON line; with
-    --out, also append that JSON line to FILE."""
+    """Print text(), or with --json payload() as one JSON line; with
+    --out, also append that JSON line to FILE.  Each form is built only
+    when it is asked for."""
     if args.json or args.out:
-        line = json.dumps(payload, sort_keys=True)
+        line = json.dumps(payload(), sort_keys=True)
         if args.out:
             with open(args.out, "a") as fh:
                 fh.write(line + "\n")
         if args.json:
-            text = line
-    print(text)
+            print(line)
+            return
+    print(text())
 
 
 def _cmd_qprime(args):
@@ -139,35 +142,35 @@ def _cmd_qprime(args):
             (qprime_on_alphabet(mu, A), c)
             for mu, c in qprime_of_vector(args.index).coeffs.items()
         )
-        _emit(args, str(acc), acc.to_json())
+        _emit(args, acc.__str__, acc.to_json)
         return 0
     expand = qprime_vector_schur if args.basis == "S" else qprime_of_vector
     exp = expand(args.index)
-    _emit(args, exp.render(), exp.to_json())
+    _emit(args, exp.render, exp.to_json)
     return 0
 
 
 def _cmd_aleph(args):
     val = aleph(args.outer, args.inner)
-    _emit(args, str(val), val.to_json())
+    _emit(args, val.__str__, val.to_json)
     return 0
 
 
 def _cmd_shift(args):
     exp = (add_one if args.verb == "addone" else sub_one)(args.partition)
-    _emit(args, exp.render(), exp.to_json())
+    _emit(args, exp.render, exp.to_json)
     return 0
 
 
 def _cmd_pp_expand(args):
     f = plane_partition_qprime(args.partition, args.n)
-    _emit(args, str(f), f.to_json())
+    _emit(args, f.__str__, f.to_json)
     return 0
 
 
 def _cmd_charge(args):
     c = charge(args.word)
-    _emit(args, str(c), {"word": list(args.word), "charge": c})
+    _emit(args, c.__str__, lambda: {"word": list(args.word), "charge": c})
     return 0
 
 
@@ -187,12 +190,12 @@ def _cmd_tableaux(args):
         lines.append(
             "charge polynomial: undefined (some fillings have non-partition weight)"
         )
-    payload = {
+    payload = lambda: {
         "tableaux": [[list(row) for row in tab] for tab in tabs],
         "count": len(tabs),
         "charge_polynomial": None if gen is None else gen.to_json(),
     }
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), payload)
     return 0
 
 
@@ -201,12 +204,12 @@ def _report(args, ok, text, name, failure):
     return 0 when the identity holds, else print the `failure` payload
     as one JSON line and return 1."""
     if ok:
-        _emit(args, text, {"identity": name, "holds": True})
+        _emit(args, lambda: text, lambda: {"identity": name, "holds": True})
         return 0
     payload = {
         k: v.to_json() if hasattr(v, "to_json") else v for k, v in failure.items()
     }
-    _emit(args, json.dumps(payload, sort_keys=True), payload)
+    _emit(args, lambda: json.dumps(payload, sort_keys=True), lambda: payload)
     return 1
 
 
@@ -232,7 +235,7 @@ def _cmd_scalar(args):
     f = q_on_xvars(lam, n)
     g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
     val = ct_scalar(f, g, n)
-    _emit(args, str(val), val.to_json())
+    _emit(args, val.__str__, val.to_json)
     return 0
 
 
@@ -241,6 +244,8 @@ def _cmd_verify(args):
     if what in ("warnaar", "sigmaxy"):
         sides = warnaar_sides if what == "warnaar" else sigmaxy_sides
         deg = _deg(args)
+        if args.nx == 0 and args.ny == 0:
+            raise ValueError("--nx and --ny cannot both be 0 (both sides are 1)")
         lhs, rhs = sides(args.nx, args.ny, deg)
         return _sides_report(
             args, f"{what} nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs
@@ -284,8 +289,10 @@ def _cmd_verify(args):
         flag = "PASS" if ok else "FAIL"
         _emit(
             args,
-            f"[{flag}] {num:2d} {title}: {detail}",
-            {"criterion": num, "title": title, "holds": bool(ok), "detail": detail},
+            lambda: f"[{flag}] {num:2d} {title}: {detail}",
+            lambda: {
+                "criterion": num, "title": title, "holds": bool(ok), "detail": detail
+            },
         )
         all_ok = all_ok and ok
     return 0 if all_ok else 1

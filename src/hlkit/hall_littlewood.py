@@ -18,6 +18,11 @@ alphabet route: Q'_mu[X +- a] = sum_nu a^{|mu/nu|} Q'_{mu/nu}[+-1] Q'_nu[X],
 exact letter by letter because Q'_{mu/nu} is homogeneous of degree
 |mu/nu|.  Q' on an alphabet, the skew values on an alphabet and the
 plane-partition expansion (Macdonald III.5) are all this one iteration.
+On an alphabet whose variables are distinct single-variable letters of
+one sign and one power of t (x1 + ... + xn, X + Y, t^r - X), the value
+is symmetric in them, so the iteration walks only the weakly decreasing
+exponent paths and copies each coefficient over its orbit; skew values
+and every other alphabet walk every exponent vector.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -206,6 +211,48 @@ def _add_one_terms(mu, end):
     return ((end, skew_qprime_one(mu, end)),)
 
 
+def _symmetric(A):
+    """Whether F(A) is symmetric in A's variables in the way the orbit
+    path of `_branch` needs: at least two letters carry variables, each
+    one distinct variable to the first power, all on one side of A with
+    one power of t; every other letter is a power of t."""
+    sides = [side for side in (A.plus, A.minus) if any(l.mono for l in side)]
+    if len(sides) != 1:
+        return False
+    var_letters = [l for l in sides[0] if l.mono]
+    return (
+        len(var_letters) >= 2
+        and all(len(l.mono) == 1 for l in var_letters)
+        and len({l.mono for l in var_letters}) == len(var_letters)
+        and len({l.t_exp for l in var_letters}) == 1
+    )
+
+
+def _orbits(terms):
+    """Each (t, e) coefficient copied to every distinct rearrangement of
+    e, the rearrangements of each e computed once."""
+    perms = {}
+    out = {}
+    for k, v in terms.items():
+        e = k[1:]
+        if e not in perms:
+            perms[e] = list(_rearrangements(e))
+        for p in perms[e]:
+            out[(k[0], *p)] = v
+    return out
+
+
+def _rearrangements(e):
+    """The distinct permutations of the tuple e."""
+    if not e:
+        yield ()
+        return
+    for x in set(e):
+        i = e.index(x)
+        for rest in _rearrangements(e[:i] + e[i + 1 :]):
+            yield (x, *rest)
+
+
 def _branch(table, lam, A, end=()):
     """F_{lam/end}(A) for F = Q', P or s by its `table`, adding the
     letters of A one at a time.
@@ -219,35 +266,60 @@ def _branch(table, lam, A, end=()):
     for the pair of `end` alone.  A horizontal strip shortens mu by at
     most one part, so over strips a nu with more parts than len(end)
     plus the letters left is dropped.
+
+    Orbit rule: when end is empty and A is `_symmetric`, F(A) is
+    symmetric in A's variables, so only the coefficients whose variable
+    letters' exponents weakly decrease in letter order are computed.
+    A state is then keyed by mu and the exponent `cap` of the last
+    variable letter, a variable letter keeps nu only if d = |mu/nu| is
+    at most `cap`, and once no power-of-t letter is left a nu with
+    |nu| > d times the variable letters left is dropped.  Each of these
+    dominant coefficients is copied to the permutations of its
+    exponents at the end.  Any other alphabet or `end` walks every
+    exponent vector, with `cap` fixed at |lam|.
     """
     lam, end = normalize(lam), normalize(end)
     vars = A.var_names()
     letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
-    state = {lam: {(0,) * (len(vars) + 1): 1}}
+    orbit = not end and _symmetric(A)
+    last_t = max((k for k, (l, _) in enumerate(letters, 1) if not l.mono), default=0)
+    var_left = sum(1 for l, _ in letters if l.mono)
+    state = {(lam, sum(lam)): {(0,) * (len(vars) + 1): 1}}
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
         last = k == len(letters)
         strips = table.strips and not minus
         longest = len(end) + len(letters) - k if strips else len(lam)
+        capped = orbit and bool(l.mono)
+        var_left -= bool(l.mono)
+        bounded = orbit and k >= last_t
         new = {}
-        for mu, flat in state.items():
+        for (mu, cap), flat in state.items():
             coeffs = table.minus(mu) if minus else table.plus(mu, end if last else None)
             flat, size = flat.items(), sum(mu)
             for nu, c in coeffs:
                 if c and len(nu) <= longest and (nu == end or not last):
                     d = size - sum(nu)
+                    if capped and d > cap:
+                        continue
+                    nu_cap = d if capped else cap
+                    if bounded and size - d > nu_cap * var_left:
+                        continue
                     c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
                     a_d = [((s + d * l.t_exp, *(d * e for e in exps)), v)
                            for s, v in c.items()]
-                    _mul_into(new.setdefault(nu, {}), flat, a_d)
+                    _mul_into(new.setdefault((nu, nu_cap), {}), flat, a_d)
         state = {}
-        for nu, acc in new.items():
-            if contains(nu, end):
+        for mu_cap, acc in new.items():
+            if contains(mu_cap[0], end):
                 if not all(acc.values()):
                     acc = {key: v for key, v in acc.items() if v}
                 if acc:
-                    state[nu] = acc
-    return XPoly._trusted(vars, state.get(end, {}))
+                    state[mu_cap] = acc
+    terms = {
+        k: v for (mu, _), acc in state.items() if mu == end for k, v in acc.items()
+    }
+    return XPoly._trusted(vars, _orbits(terms) if orbit else terms)
 
 
 @cache

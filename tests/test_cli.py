@@ -14,7 +14,7 @@ from hlkit import cli
 from hlkit.cli import VERBS, build_parser, main, _deg_default, DEFAULT_DEG
 from hlkit.alphabets import parse_alphabet
 from hlkit.hall_littlewood import BasisExpansion, qprime_on_alphabet, qprime_schur
-from hlkit.laurent import ONE as L_ONE, T
+from hlkit.laurent import LaurentPoly, ONE as L_ONE, T
 from hlkit.xpoly import XPoly
 
 
@@ -385,6 +385,12 @@ MALFORMED_INPUT = [
     ("verify", "warnaar", "--deg", "-1"),
     ("verify", "sigmaxy", "--deg", "-1"),
     ("verify", "prodx", "--deg", "-1"),
+    # vacuous: at degree 0, or with no variables, both sides are 1
+    ("verify", "warnaar", "--deg", "0"),
+    ("verify", "sigmaxy", "--deg", "0"),
+    ("verify", "prodx", "--deg", "0"),
+    ("verify", "warnaar", "--nx", "0", "--ny", "0"),
+    ("verify", "sigmaxy", "--nx", "0", "--ny", "0", "--deg", "2"),
     ("pp-expand", "2,1", "-1"),
     ("aleph", "3,-1", "1"),
     ("charge", "122"),
@@ -420,6 +426,12 @@ class TestErrorsAndDefaults:
     @pytest.mark.parametrize("what", ["warnaar", "sigmaxy", "prodx"])
     def test_negative_degree_cap_exits_2(self, capsys, what):
         out = assert_usage_error(capsys, "verify", what, "--deg", "-1")
+        assert "holds" not in out
+
+    @pytest.mark.parametrize("what", ["warnaar", "sigmaxy", "prodx"])
+    def test_zero_deg_env_exits_2(self, capsys, monkeypatch, what):
+        monkeypatch.setenv("HLKIT_DEG", "0")
+        out = assert_usage_error(capsys, "verify", what, "--nx", "1", "--ny", "1")
         assert "holds" not in out
 
     def test_non_integer_deg_env_exits_2(self, capsys, monkeypatch):
@@ -507,6 +519,45 @@ class TestErrorsAndDefaults:
         proc = self.run_into_closed_pipe(argv, unbuffered)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+# (argv, the class of the printed value, its text method)
+ONE_FORM_CASES = [
+    (("pp-expand", "1", "2"), XPoly, "__str__"),
+    (("qprime", "1", "--on", "x1+x2"), XPoly, "__str__"),
+    (("qprime", "2,1"), BasisExpansion, "render"),
+    (("addone", "1"), BasisExpansion, "render"),
+    (("aleph", "2,1", "1"), LaurentPoly, "__str__"),
+    (("scalar", "1,1", "1,1"), LaurentPoly, "__str__"),
+]
+
+
+class TestOnlyTheAskedForm:
+    """Text is built only without --json, the JSON payload only with
+    --json or --out; the printed bytes are the same either way."""
+
+    @staticmethod
+    def refuse(monkeypatch, cls, name):
+        def refused(self):
+            raise AssertionError(f"{cls.__name__}.{name} was built")
+
+        monkeypatch.setattr(cls, name, refused)
+
+    @pytest.mark.parametrize(
+        "argv, cls, text", ONE_FORM_CASES, ids=[argv_id(c[0]) for c in ONE_FORM_CASES]
+    )
+    def test_one_form_each(self, capsys, monkeypatch, tmp_path, argv, cls, text):
+        _, want_text = run(capsys, *argv)
+        _, want_json = run(capsys, *argv, "--json")
+        with monkeypatch.context() as m:
+            self.refuse(m, cls, "to_json")
+            assert run(capsys, *argv) == (0, want_text)
+        with monkeypatch.context() as m:
+            self.refuse(m, cls, text)
+            assert run(capsys, *argv, "--json") == (0, want_json)
+        target = tmp_path / "out.jsonl"
+        assert run(capsys, *argv, "--out", str(target)) == (0, want_text)
+        assert target.read_text() == want_json
 
 
 class TestOutFile:

@@ -23,7 +23,7 @@ from hlkit.partitions import (
     subpartitions,
     t_binomial,
 )
-from hlkit.alphabets import Alphabet, letter
+from hlkit.alphabets import Alphabet, letter, parse_alphabet
 from hlkit.xpoly import XPoly, _grouped, xvars, yvars
 from hlkit.hall_littlewood import (
     BasisExpansion,
@@ -63,6 +63,7 @@ from oracles import (
     q_on_alphabet_by_qprime,
     qprime_on_alphabet_by_schur,
     qprime_schur_by_charge,
+    schur_eval_by_jacobi_trudi,
     skew_qprime_by_extraction,
 )
 
@@ -413,6 +414,98 @@ class TestAlphabetOracles:
                 want = one if mu == lam else XPoly.zero()
                 assert skew_qprime(lam, mu, A) == want
                 assert skew_qprime_by_extraction(lam, mu, A) == want
+
+
+def symmetric_alphabet(kind, n, r):
+    """x1+...+xn, t^r - X, X + Y (n split in two) or X + t^r."""
+    X = Alphabet.of_vars(*xvars(n))
+    if kind == "t^r-X":
+        return Alphabet.unit(r) - X
+    if kind == "X+Y":
+        return Alphabet.of_vars(*xvars(n // 2)) + Alphabet.of_vars(*yvars(n - n // 2))
+    if kind == "X+t^r":
+        return X + Alphabet.unit(r)
+    return X
+
+
+SYMMETRIC_ALPHABETS = st.builds(
+    symmetric_alphabet,
+    st.sampled_from(["X", "t^r-X", "X+Y", "X+t^r"]),
+    st.integers(2, 4),
+    st.integers(-1, 2),
+)
+PARTITIONS_TO_7 = st.integers(0, 7).flatmap(lambda m: st.sampled_from(partitions_of(m)))
+
+
+def branch_all(A, lam):
+    """Q', P (plus letters only) and s of lam on A, straight from `_branch`."""
+    tables = [hl._SHIFTS, hl._S_STRIPS] + ([] if A.minus else [hl._P_STRIPS])
+    return [hl._branch(table, lam, A) for table in tables]
+
+
+def oracles_all(A, lam):
+    """The same values by the routes of `tests/oracles.py`."""
+    out = [qprime_on_alphabet_by_schur(lam, A), schur_eval_by_jacobi_trudi(lam, A)]
+    return out + ([] if A.minus else [p_on_alphabet_by_qprime(lam, A)])
+
+
+def refuse_orbits(m):
+    """Make the orbit path of `_branch` fail the test if it is taken."""
+
+    def refused(terms):
+        raise AssertionError("took the orbit path")
+
+    m.setattr(hl, "_orbits", refused)
+
+
+class TestOrbitPath:
+    """`_branch` on alphabets symmetric in their variables computes one
+    coefficient per orbit; it must equal the walk over every exponent
+    vector and the oracles, and other alphabets must not take it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(PARTITIONS_TO_7, SYMMETRIC_ALPHABETS)
+    def test_matches_full_loop_and_oracles(self, lam, A):
+        assert hl._symmetric(A)
+        calls, orbits = [], hl._orbits
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hl, "_orbits", lambda terms: calls.append(1) or orbits(terms))
+            got = branch_all(A, lam)
+        assert len(calls) == len(got)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hl, "_symmetric", lambda A: False)
+            refuse_orbits(m)
+            assert got == branch_all(A, lam)
+        assert got == oracles_all(A, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        PARTITIONS_TO_7,
+        st.sampled_from(
+            ["x1+x1", "x1*x2", "x1+t*x2", "(x1+x2)*(1-t)", "1-x1+x2", "x1", "t-x1"]
+        ),
+    )
+    def test_other_alphabets_walk_every_vector(self, lam, text):
+        A = parse_alphabet(text)
+        assert not hl._symmetric(A)
+        with pytest.MonkeyPatch.context() as m:
+            refuse_orbits(m)
+            assert branch_all(A, lam) == oracles_all(A, lam)
+
+    def test_skew_walks_every_vector(self):
+        A = Alphabet.of_vars(*xvars(3))
+        with pytest.MonkeyPatch.context() as m:
+            refuse_orbits(m)
+            for lam in partitions_up_to(5):
+                for mu in subpartitions(lam)[1:]:
+                    assert skew_qprime(lam, mu, A) == skew_qprime_by_extraction(
+                        lam, mu, A
+                    ), (lam, mu)
+
+    def test_rearrangements(self):
+        assert sorted(hl._rearrangements((2, 1, 1))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert list(hl._rearrangements(())) == [()]
+        assert len(list(hl._rearrangements((3, 2, 2, 0, 0, 0)))) == 60
 
 
 class TestPlanePartitionRoute:
