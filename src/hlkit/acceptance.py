@@ -398,13 +398,3 @@ CRITERIA = (
     (13, "operator, truncation, and nonnegativity property suites", criterion_13),
 )
 
-
-def run_all(numbers=None):
-    """Run the gate; returns a list of (number, title, ok, detail)."""
-    results = []
-    for num, title, fn in CRITERIA:
-        if numbers and num not in numbers:
-            continue
-        ok, detail = fn()
-        results.append((num, title, ok, detail))
-    return results

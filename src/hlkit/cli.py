@@ -7,13 +7,17 @@ codes: 0 success / identity holds, 1 a verification found a
 discrepancy, 2 usage error, 141 the reader of stdout went away.
 
 The verbs are data: `VERBS` maps each one to its handler, its help
-text and its arguments, and `build_parser` reads that table.  A process
-parses one command line, and building a subparser costs about as much
-as a small request, so when the first argument names a verb `main`
-builds that verb's subparser alone.  Anything else (no arguments,
-`--help`, an unknown verb, a top-level option) gets the parser with
-every verb, so the help listing and argparse's messages are the same
-either way.
+text and its arguments, and `build_parser` reads that table.  `verify`
+holds a nested table of the same shape, `TARGETS`, in place of a
+handler: each target is a subcommand with only the options it reads,
+so argparse refuses any other.  A process parses one command line, and
+building a subparser costs about as much as a small request, so `main`
+builds only the entries that the first words of the command line name:
+`charge 21` builds `charge`'s subparser, and `verify prodx --deg 3`
+builds `verify`'s and `prodx`'s.  At a level that no word names (no
+arguments, `--help`, an unknown verb or target, an option before the
+name) every entry is built, so the help listings and argparse's
+messages are the same either way.
 """
 
 from __future__ import annotations
@@ -52,35 +56,20 @@ from .identities import (
 )
 from . import acceptance
 
-DEFAULT_DEG = 6
+
+def _positive(text):
+    """A count or a degree cap (at cap 0 both sides of an identity are 1)."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
-def _deg_default():
-    raw = os.environ.get("HLKIT_DEG")
-    if raw is None:
-        return DEFAULT_DEG
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"HLKIT_DEG must be an integer, got {raw!r}") from None
-
-
-def _deg(args):
-    """The degree cap: --deg, else HLKIT_DEG, else the default."""
-    deg = args.deg if args.deg is not None else _deg_default()
-    if deg < 1:
-        # at cap 0 both sides are 1, and "holds" would say nothing
-        raise ValueError(f"degree cap must be positive, got {deg}")
-    return deg
-
-
-def _count(args, default):
-    """The -n option, or `default` when it is absent."""
-    if args.n is None:
-        return default
-    if args.n < 1:
-        raise ValueError(f"-n must be a positive integer, got {args.n}")
-    return args.n
+def _nonempty(text):
+    """A partition at which the sides of an identity are not both 1."""
+    lam = parse_partition(text)
+    if not lam:
+        raise ValueError(f"expected a nonempty partition, got {text!r}")
+    return lam
 
 
 def _word(text):
@@ -90,7 +79,7 @@ def _word(text):
 
 
 def _operand(parse):
-    """An argparse type that reads one list operand with `parse`; a bad
+    """An argparse type that reads one operand with `parse`; a bad
     operand becomes argparse's `argument <name>: ...` usage error."""
 
     def convert(text):
@@ -102,8 +91,8 @@ def _operand(parse):
     return convert
 
 
-PARTITION, VECTOR, WEIGHT, WORD = map(
-    _operand, (parse_partition, parse_ints, parse_parts, _word)
+PARTITION, VECTOR, WEIGHT, WORD, POSITIVE, NONEMPTY = map(
+    _operand, (parse_partition, parse_ints, parse_parts, _word, _positive, _nonempty)
 )
 
 
@@ -137,6 +126,8 @@ def _emit(args, text, payload):
 
 def _cmd_qprime(args):
     if args.on is not None:
+        if args.basis is not None:
+            raise ValueError("--basis names an expansion; --on prints a polynomial")
         A = parse_alphabet(args.on, nx=args.n, ny=args.n)
         acc = _linear_combination(
             (qprime_on_alphabet(mu, A), c)
@@ -144,7 +135,9 @@ def _cmd_qprime(args):
         )
         _emit(args, acc.__str__, acc.to_json)
         return 0
-    expand = qprime_vector_schur if args.basis == "S" else qprime_of_vector
+    if args.n is not None:
+        raise ValueError("-n sizes the X/Y atoms of --on and needs --on")
+    expand = qprime_of_vector if args.basis == "Qp" else qprime_vector_schur
     exp = expand(args.index)
     _emit(args, exp.render, exp.to_json)
     return 0
@@ -218,18 +211,16 @@ def _sides_report(args, name, lhs, rhs):
     return _report(args, lhs == rhs, f"{name}: holds", name, failure)
 
 
-def _factor_report(args, lam, r, n):
+def _cmd_factor(args):
+    """`factor-check` and `verify factor`."""
+    lam, r, n = args.partition, args.r, args.n
     lhs, rhs = factorization_sides(lam, r, n)
     return _sides_report(args, f"factorization lam={list(lam)} r={r} n={n}", lhs, rhs)
 
 
-def _cmd_factor_check(args):
-    return _factor_report(args, args.partition, args.r, args.n)
-
-
 def _cmd_scalar(args):
     lam, mu = args.outer, args.inner
-    n = _count(args, max(len(lam), len(mu), 1))
+    n = args.n or max(len(lam), len(mu), 1)
     if len(lam) > n or len(mu) > n:
         raise ValueError("partitions longer than the variable count")
     f = q_on_xvars(lam, n)
@@ -239,53 +230,43 @@ def _cmd_scalar(args):
     return 0
 
 
-def _cmd_verify(args):
-    what = args.what
-    if what in ("warnaar", "sigmaxy"):
-        sides = warnaar_sides if what == "warnaar" else sigmaxy_sides
-        deg = _deg(args)
-        if args.nx == 0 and args.ny == 0:
-            raise ValueError("--nx and --ny cannot both be 0 (both sides are 1)")
-        lhs, rhs = sides(args.nx, args.ny, deg)
-        return _sides_report(
-            args, f"{what} nx={args.nx} ny={args.ny} deg={deg}", lhs, rhs
-        )
-    if what == "prodx":
-        deg = _deg(args)
-        code = 0
-        for name, fam in prodx_example_families(deg).items():
-            for n in (1, 2):
-                lhs, rhs = prodx_sides(fam, n, deg)
-                code = max(
-                    code,
-                    _sides_report(args, f"prodx [{name}] n={n} deg={deg}", lhs, rhs),
-                )
-        return code
-    if what == "theta-scalar":
-        lam, mu = args.l, args.m
-        n = _count(args, max(len(lam), len(mu), 1))
-        parts = theta_scalar_parts(lam, mu, n)
-        return _report(
-            args,
-            theta_scalar_holds(parts),
-            f"theta-scalar lam={list(lam)} mu={list(mu)} n={n}: holds",
-            "theta-scalar",
-            parts,
-        )
-    if what == "defq-note":
-        parts = defq_note_parts()
-        return _report(
-            args,
-            defq_note_holds(parts),
-            "operator boundary study: all four statements hold",
-            "defq-note",
-            parts,
-        )
-    if what == "factor":
-        return _factor_report(args, args.lam, args.r, _count(args, 2))
-    # what == "all": the acceptance gate
+def _verify_sides(args):
+    if args.nx == 0 and args.ny == 0:
+        raise ValueError("--nx and --ny cannot both be 0 (both sides are 1)")
+    sides = warnaar_sides if args.target == "warnaar" else sigmaxy_sides
+    lhs, rhs = sides(args.nx, args.ny, args.deg)
+    name = f"{args.target} nx={args.nx} ny={args.ny} deg={args.deg}"
+    return _sides_report(args, name, lhs, rhs)
+
+
+def _verify_prodx(args):
+    code = 0
+    for name, fam in prodx_example_families(args.deg).items():
+        for n in (1, 2):
+            lhs, rhs = prodx_sides(fam, n, args.deg)
+            name_n = f"prodx [{name}] n={n} deg={args.deg}"
+            code = max(code, _sides_report(args, name_n, lhs, rhs))
+    return code
+
+
+def _verify_theta_scalar(args):
+    lam, mu = args.l, args.m
+    n = args.n or max(len(lam), len(mu))
+    parts = theta_scalar_parts(lam, mu, n)
+    text = f"theta-scalar lam={list(lam)} mu={list(mu)} n={n}: holds"
+    return _report(args, theta_scalar_holds(parts), text, "theta-scalar", parts)
+
+
+def _verify_defq_note(args):
+    parts = defq_note_parts()
+    text = "operator boundary study: all four statements hold"
+    return _report(args, defq_note_holds(parts), text, "defq-note", parts)
+
+
+def _verify_all(args):
     all_ok = True
-    for num, title, ok, detail in acceptance.run_all():
+    for num, title, fn in acceptance.CRITERIA:
+        ok, detail = fn()
         flag = "PASS" if ok else "FAIL"
         _emit(
             args,
@@ -303,15 +284,51 @@ def _arg(*flags, **options):
     return flags, options
 
 
+_DEG = _arg("--deg", type=POSITIVE, default=6, help="degree cap")
+_SIDES = (
+    _arg("--nx", type=int, default=2, help="x variables"),
+    _arg("--ny", type=int, default=2, help="y variables"),
+    _DEG,
+)
+
+# The targets of `verify`, in the shape of `VERBS`: name -> (handler,
+# help, arguments).
+TARGETS = {
+    "warnaar": (_verify_sides, "two-alphabet identity with theta weights", _SIDES),
+    "sigmaxy": (_verify_sides, "identity at the alphabet X + XY(1-t)", _SIDES),
+    "prodx": (_verify_prodx, "one-variable removal on three families", (_DEG,)),
+    "theta-scalar": (
+        _verify_theta_scalar,
+        "scalar-product chain of two theta-weighted series",
+        (
+            _arg("--l", type=NONEMPTY, required=True, help="lambda"),
+            _arg("--m", type=NONEMPTY, required=True, help="mu"),
+            _arg("-n", type=POSITIVE, help="rank (default: longest)"),
+        ),
+    ),
+    "defq-note": (_verify_defq_note, "two-variable operator boundary study", ()),
+    "factor": (
+        _cmd_factor,
+        "width-split factorization of Q'_lambda(t^r - X)",
+        (
+            _arg("--lambda", dest="partition", type=NONEMPTY, required=True),
+            _arg("-n", type=POSITIVE, default=2, help="variables"),
+            _arg("-r", type=int, default=0, help="power of t"),
+        ),
+    ),
+    "all": (_verify_all, "the acceptance gate, one line per criterion", ()),
+}
+
 # Every verb, in the order `hlkit --help` lists them: name -> (handler,
-# help, arguments).  Each verb also takes --json and --out.
+# help, arguments), where a table in place of the handler nests one more
+# level of subcommands.  Each leaf also takes --json and --out.
 VERBS = {
     "qprime": (
         _cmd_qprime,
         "expand Q' of an integer vector",
         (
             _arg("index", type=VECTOR, help="integer vector, e.g. 2,1 or 0,2 or 1^3"),
-            _arg("--basis", choices=("S", "Qp"), default="S"),
+            _arg("--basis", choices=("S", "Qp"), help="default S; not with --on"),
             _arg("--on", help="evaluate on an alphabet literal instead"),
             _arg("-n", type=int, default=None, help="size binding for X/Y atoms"),
         ),
@@ -351,10 +368,10 @@ VERBS = {
         ),
     ),
     "factor-check": (
-        _cmd_factor_check,
+        _cmd_factor,
         "check the width-split factorization for one case",
         (
-            _arg("partition", type=PARTITION),
+            _arg("partition", type=NONEMPTY),
             _arg("n", type=int),
             _arg("r", type=int),
         ),
@@ -365,60 +382,39 @@ VERBS = {
         (
             _arg("outer", type=PARTITION),
             _arg("inner", type=PARTITION),
-            _arg("-n", type=int, default=None),
+            _arg("-n", type=POSITIVE, help="variables (default: longest)"),
         ),
     ),
-    "verify": (
-        _cmd_verify,
-        "run an identity verification",
-        (
-            _arg(
-                "what",
-                choices=(
-                    "warnaar",
-                    "sigmaxy",
-                    "prodx",
-                    "theta-scalar",
-                    "defq-note",
-                    "factor",
-                    "all",
-                ),
-            ),
-            _arg("--nx", type=int, default=2),
-            _arg("--ny", type=int, default=2),
-            _arg("--deg", type=int, default=None, help="degree cap (or HLKIT_DEG)"),
-            _arg("--l", type=PARTITION, default=(), help="theta-scalar lambda"),
-            _arg("--m", type=PARTITION, default=(), help="theta-scalar mu"),
-            _arg("-n", type=int, default=None),
-            _arg(
-                "--lambda",
-                dest="lam",
-                type=PARTITION,
-                default=(),
-                help="partition for factor",
-            ),
-            _arg("-r", type=int, default=0),
-        ),
-    ),
+    "verify": (TARGETS, "run an identity verification", ()),
 }
 
 
-def build_parser(verb=None):
-    """The parser with the subparser of `verb` alone, or of every verb."""
-    p = _Parser(
-        prog="hlkit",
-        description="Exact Hall-Littlewood computations: expansions, "
-        "argument shifts, plane partitions, identity verification.",
-    )
-    sub = p.add_subparsers(dest="verb", required=True)
-    for name in VERBS if verb is None else (verb,):
-        fn, help, arguments = VERBS[name]
-        sp = sub.add_parser(name, help=help)
+def _add_entries(sub, table, path):
+    """Add to `sub` the subparser of each entry of `table`, or of path[0]
+    alone; a nested table takes the rest of `path`."""
+    for name in path[:1] or table:
+        fn, help, arguments = table[name]
+        # no abbreviations: `verify factor` would read `--l` as `--lambda`
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        if isinstance(fn, dict):
+            _add_entries(sp.add_subparsers(dest="target", required=True), fn, path[1:])
+            continue
         sp.add_argument("--json", action="store_true", help="JSON to stdout")
         sp.add_argument("--out", metavar="FILE", help="also write JSON to FILE")
         for flags, options in arguments:
             sp.add_argument(*flags, **options)
         sp.set_defaults(fn=fn)
+
+
+def build_parser(*path):
+    """The parser with the subparsers that `path` names (a verb, then a
+    `verify` target) alone, and every entry at each level it leaves out."""
+    p = _Parser(
+        prog="hlkit",
+        description="Exact Hall-Littlewood computations: expansions, "
+        "argument shifts, plane partitions, identity verification.",
+    )
+    _add_entries(p.add_subparsers(dest="verb", required=True), VERBS, path)
     return p
 
 
@@ -439,8 +435,20 @@ def piped(fn, *args):
         return 141
 
 
-def _run(verb, argv):
-    args = build_parser(verb).parse_args(argv)
+def _named(argv):
+    """The first words of argv that name table entries: a verb, then a
+    target of `verify`."""
+    path, table = [], VERBS
+    for word in argv:
+        if not isinstance(table, dict) or word not in table:
+            break
+        path.append(word)
+        table = table[word][0]
+    return path
+
+
+def _run(path, argv):
+    args = build_parser(*path).parse_args(argv)
     if args.out:  # each emitted line is appended to a fresh file
         with open(args.out, "w"):
             pass
@@ -449,11 +457,10 @@ def _run(verb, argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A verb named first is all this process parses, so only its
-    # subparser is built; help, no verb or an unknown one needs them all.
-    verb = argv[0] if argv and argv[0] in VERBS else None
+    # This process parses one command line, so only the entries that it
+    # names are built; help, no verb or an unknown one needs them all.
     try:
-        return piped(_run, verb, argv)
+        return piped(_run, _named(argv), argv)
     except SystemExit:  # --help; usage errors raise ValueError
         return 0
     except (ValueError, ArithmeticError, OSError) as e:

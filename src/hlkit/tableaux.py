@@ -33,8 +33,9 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
     """All semistandard tableaux of the given shape, in lexicographic order.
 
     With `weight`, entries have exactly those multiplicities (letter i
-    appears weight[i-1] times); otherwise any filling with entries in
-    1..nletters.  Rows weakly increase, columns strictly increase.
+    appears weight[i-1] times); with `nletters` instead, any filling
+    with entries in 1..nletters.  Rows weakly increase, columns strictly
+    increase.
 
     Letters are placed one at a time: letter i fills a horizontal strip
     at the ends of the rows (at most one box per column), of exactly
@@ -43,6 +44,8 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
     """
     shape = normalize(shape)
     if weight is not None:
+        if nletters is not None:
+            raise ValueError("give a weight or a letter bound, not both")
         weight = tuple(int(w) for w in weight)
         if sum(shape) != sum(weight):
             return []

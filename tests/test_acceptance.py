@@ -7,7 +7,7 @@ each test fails loudly with the criterion's own detail string.
 import pytest
 
 from hlkit import acceptance
-from hlkit.acceptance import CRITERIA, run_all
+from hlkit.acceptance import CRITERIA
 from hlkit.laurent import T
 
 
@@ -19,17 +19,6 @@ def test_criterion(num, title, fn):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num}: {status} - {title}: {detail}")
     assert ok, f"criterion {num} ({title}): {detail}"
-
-
-def test_run_all_aggregates():
-    results = run_all()
-    assert len(results) == 13
-    assert all(ok for _, _, ok, _ in results)
-
-
-def test_run_all_subset():
-    results = run_all(numbers=[1, 13])
-    assert [num for num, _, _, _ in results] == [1, 13]
 
 
 def test_criterion_5_catches_a_wrong_aleph(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hlkit import cli
-from hlkit.cli import VERBS, build_parser, main, _deg_default, DEFAULT_DEG
+from hlkit.cli import TARGETS, VERBS, build_parser, main
 from hlkit.alphabets import parse_alphabet
 from hlkit.hall_littlewood import BasisExpansion, qprime_on_alphabet, qprime_schur
 from hlkit.laurent import LaurentPoly, ONE as L_ONE, T
@@ -354,6 +354,11 @@ NAMED_USAGE_ERRORS = [
     (("tableaux", "3", "--weight", "2,,1"), "argument --weight:"),
     (("verify", "theta-scalar", "--l", "2,1", "--m", "1,"), "argument --m:"),
     (("verify", "factor", "--lambda", "x"), "argument --lambda:"),
+    (("verify", "warnaar", "--deg", "x"), "argument --deg:"),
+    (("verify", "sigmaxy", "--deg", "x"), "argument --deg:"),
+    (("verify", "prodx", "--deg", "x"), "argument --deg:"),
+    (("scalar", "2,1", "2,1", "-n", "x"), "argument -n:"),
+    (("verify", "frobnicate"), "argument target:"),
     (("pp-expand", "2,1", "x"), "argument n:"),
     (("qprime", "1^99999999999999999999"), "argument index:"),
     (("qprime", "1^1000000000"), "argument index:"),
@@ -391,6 +396,23 @@ MALFORMED_INPUT = [
     ("verify", "prodx", "--deg", "0"),
     ("verify", "warnaar", "--nx", "0", "--ny", "0"),
     ("verify", "sigmaxy", "--nx", "0", "--ny", "0", "--deg", "2"),
+    ("factor-check", "empty", "2", "0"),
+    ("verify", "factor", "--lambda", "empty"),
+    ("verify", "theta-scalar", "--l", "empty", "--m", "empty"),
+    ("verify", "theta-scalar", "--l", "2,1", "--m", "empty"),
+    # a target's required operands are missing
+    ("verify", "factor"),
+    ("verify", "theta-scalar"),
+    # a verify flag that the target does not read
+    ("verify", "prodx", "-n", "3"),
+    ("verify", "warnaar", "-n", "5", "--l", "3,2", "-r", "4"),
+    ("verify", "all", "--deg", "3", "--nx", "7"),
+    ("verify", "factor", "--deg", "0"),
+    ("verify", "--json", "prodx"),
+    # an option that the rest of the request makes meaningless
+    ("qprime", "2,1", "-n", "3"),
+    ("qprime", "2,1", "--basis", "Qp", "--on", "x1"),
+    ("tableaux", "2,1", "--weight", "1,1,1", "--nletters", "2"),
     ("pp-expand", "2,1", "-1"),
     ("aleph", "3,-1", "1"),
     ("charge", "122"),
@@ -401,6 +423,49 @@ MALFORMED_INPUT = [
     ("qprime", "1", "--on", "+"),
     *(argv for argv, _ in NAMED_USAGE_ERRORS),
 ]
+
+
+# The flags each `verify` target reads; it refuses the others.
+VERIFY_READS = {
+    "warnaar": {"--nx", "--ny", "--deg"},
+    "sigmaxy": {"--nx", "--ny", "--deg"},
+    "prodx": {"--deg"},
+    "theta-scalar": {"--l", "--m", "-n"},
+    "defq-note": set(),
+    "factor": {"--lambda", "-n", "-r"},
+    "all": set(),
+}
+# every `verify` flag, with a valid value
+VERIFY_FLAGS = {
+    "--nx": "1", "--ny": "1", "--deg": "2", "--l": "1", "--m": "1", "-n": "2",
+    "--lambda": "2,1", "-r": "0",
+}
+# the operands a target requires
+VERIFY_REQUIRED = {
+    "theta-scalar": ("--l", "2,1", "--m", "1"), "factor": ("--lambda", "2,1")
+}
+UNREAD = [
+    (target, flag)
+    for target in VERIFY_READS
+    for flag in VERIFY_FLAGS
+    if flag not in VERIFY_READS[target]
+]
+
+
+class TestVerifyFlags:
+    def test_thirteen_read_pairs(self):
+        assert set(VERIFY_READS) == set(TARGETS)
+        assert sum(map(len, VERIFY_READS.values())) == 13
+        assert len(UNREAD) == 43
+
+    @pytest.mark.parametrize("target, flag", UNREAD, ids=[" ".join(p) for p in UNREAD])
+    def test_unread_flag_exits_2(self, capsys, target, flag):
+        value = VERIFY_FLAGS[flag]
+        argv = ["verify", target, *VERIFY_REQUIRED.get(target, ()), flag, value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 class TestErrorsAndDefaults:
@@ -427,16 +492,6 @@ class TestErrorsAndDefaults:
     def test_negative_degree_cap_exits_2(self, capsys, what):
         out = assert_usage_error(capsys, "verify", what, "--deg", "-1")
         assert "holds" not in out
-
-    @pytest.mark.parametrize("what", ["warnaar", "sigmaxy", "prodx"])
-    def test_zero_deg_env_exits_2(self, capsys, monkeypatch, what):
-        monkeypatch.setenv("HLKIT_DEG", "0")
-        out = assert_usage_error(capsys, "verify", what, "--nx", "1", "--ny", "1")
-        assert "holds" not in out
-
-    def test_non_integer_deg_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("HLKIT_DEG", "x")
-        assert_usage_error(capsys, "verify", "warnaar", "--nx", "1", "--ny", "1")
 
     @pytest.mark.parametrize(
         "argv",
@@ -470,11 +525,11 @@ class TestErrorsAndDefaults:
         assert code == 0
         assert out.strip() == "warnaar nx=0 ny=1 deg=2: holds"
 
-    def test_deg_default_env(self, monkeypatch):
-        monkeypatch.delenv("HLKIT_DEG", raising=False)
-        assert _deg_default() == DEFAULT_DEG
-        monkeypatch.setenv("HLKIT_DEG", "4")
-        assert _deg_default() == 4
+    def test_deg_defaults_to_6(self, capsys, monkeypatch):
+        monkeypatch.setenv("HLKIT_DEG", "2")  # no environment variable sets it
+        code, out = run(capsys, "verify", "warnaar", "--nx", "1", "--ny", "1")
+        assert code == 0
+        assert out.strip() == "warnaar nx=1 ny=1 deg=6: holds"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -626,23 +681,27 @@ def parse_outcome(parser, argv, capsys):
 
 
 class TestVerbTable:
-    """`main` builds only the subparser of the verb named first; that
-    parser must read every command line as the full one does."""
+    """`main` builds only the subparsers of the verb and the `verify`
+    target named first; that parser must read every command line as the
+    full one does."""
 
     def assert_same(self, argv, capsys):
         full = parse_outcome(build_parser(), argv, capsys)
-        assert parse_outcome(build_parser(argv[0]), argv, capsys) == full
+        assert parse_outcome(build_parser(*cli._named(argv)), argv, capsys) == full
         return full
 
     def test_catalog(self, capsys):
         requests = [argv for group in bench_cli_catalog().values() for argv in group]
         assert {argv[0] for argv in requests} == set(VERBS)
         full = build_parser()
-        one = {verb: build_parser(verb) for verb in VERBS}
+        named = {}
         for argv in requests:
             namespace = parse_outcome(full, argv, capsys)
             assert isinstance(namespace, dict), argv
-            assert parse_outcome(one[argv[0]], argv, capsys) == namespace, argv
+            path = tuple(cli._named(argv))
+            assert path == tuple(argv[: 2 if argv[0] == "verify" else 1])
+            one = named.setdefault(path, build_parser(*path))
+            assert parse_outcome(one, argv, capsys) == namespace, argv
 
     @pytest.mark.parametrize(
         "argv", [a for a in MALFORMED_INPUT if a[0] in VERBS], ids=argv_id
@@ -652,9 +711,20 @@ class TestVerbTable:
 
     @pytest.mark.parametrize("verb", VERBS)
     def test_verb_help(self, capsys, verb):
+        # `verify` takes its options after the target
+        usage = "[-h]" if verb == "verify" else "[-h] [--json] [--out FILE]"
         assert self.assert_same((verb, "--help"), capsys).startswith(
-            f"usage: hlkit {verb} [-h] [--json] [--out FILE]"
+            f"usage: hlkit {verb} {usage}"
         )
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_target_help(self, capsys, target):
+        text = self.assert_same(("verify", target, "--help"), capsys)
+        usage = f"usage: hlkit verify {target} [-h] [--json] [--out FILE]"
+        assert text.startswith(usage)
+        options = text.split("options:\n", 1)[1].split()
+        listed = {word.rstrip(",") for word in options if word.startswith("-")}
+        assert listed == {"-h", "--help", "--json", "--out", *VERIFY_READS[target]}
 
     def test_help_lists_every_verb(self, capsys):
         code, out = run(capsys, "--help")
@@ -669,14 +739,23 @@ class TestVerbTable:
     def test_named_verb_builds_one_subparser(self, capsys, monkeypatch):
         built = []
 
-        def spy(verb=None):
-            built.append(verb)
-            return build_parser(verb)
+        def spy(*path):
+            built.append(path)
+            return build_parser(*path)
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        for argv in (["charge", "21"], ["--help"], ["q"], [], ["-h", "charge"]):
+        for argv in (
+            ["charge", "21"], ["--help"], ["q"], [], ["-h", "charge"],
+            ["verify", "prodx", "--deg", "2"], ["verify", "--help"],
+        ):
             main(argv)
-        assert built == ["charge", None, None, None, None]
+        assert built == [
+            ("charge",), (), (), (), (), ("verify", "prodx"), ("verify",)
+        ]
+        prodx = build_parser("verify", "prodx")
+        assert parse_outcome(prodx, ["verify", "sigmaxy"], capsys).startswith(
+            "error: argument target: invalid choice: 'sigmaxy' (choose from 'prodx')"
+        )
 
 
 def readme_cli_lines():

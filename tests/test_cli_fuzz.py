@@ -6,8 +6,10 @@ Operands come from the integer-list grammar (commas and/or spaces,
 empty fields, stray brackets, bad repeats, non-integers.  Valid lists
 stay small (at most 4 entries, absolute sum at most 6 after `^`
 expansion), so no request hits a slow route.  An exit 1 would be an
-identity that fails; it is reported, not filtered.  `verify all` is
-left out (it is the whole acceptance gate) and so is `--out`.
+identity that fails; it is reported, not filtered.  A `verify` target
+draws from the options of every target, so most draws pass one that
+the target does not read.  `verify all` is left out (it is the whole
+acceptance gate) and so is `--out`.
 """
 
 import contextlib
@@ -76,13 +78,17 @@ def count(draw):
 WORD = st.one_of(operand(), st.permutations("112213").map("".join))
 COUNT = count()
 DEG = st.integers(-1, 4).map(str)
+TARGET = st.sampled_from(
+    ["warnaar", "sigmaxy", "prodx", "theta-scalar", "defq-note", "factor"]
+)
 ALPHABET = st.sampled_from(
     ["1-x1", "x1+x2", "t-x1", "x1*(1-t)", "(x1+x2)*(1-t)", "X", "1-X", "t^2-X",
      "X*(1-t)", "Y", "t^-1-x1", "t^-1*x1*y1-x1*y1", "x1+", "x1++x2", "x1-", "-",
      "+", "", "z", "X*", "-x1", "t^-", "t^+1"]
 )
 
-# verb -> (positional operands, {option: value strategy})
+# verb -> (positional operands, {option: value strategy}); a `verify`
+# target follows its verb
 VERBS = {
     "qprime": (
         [operand()],
@@ -97,9 +103,7 @@ VERBS = {
     "factor-check": ([operand(), COUNT, COUNT], {}),
     "scalar": ([operand(), operand()], {"-n": COUNT}),
     "verify": (
-        [st.sampled_from(
-            ["warnaar", "sigmaxy", "prodx", "theta-scalar", "defq-note", "factor"]
-        )],
+        [],
         {"--nx": COUNT, "--ny": COUNT, "--deg": DEG, "--l": operand(),
          "--m": operand(), "-n": COUNT, "--lambda": operand(), "-r": COUNT},
     ),
@@ -111,6 +115,8 @@ def argvs(draw):
     verb = draw(st.sampled_from(sorted(VERBS)))
     positionals, options = VERBS[verb]
     argv = [verb]
+    if verb == "verify":
+        argv.append(draw(TARGET))
     flags = draw(st.permutations(sorted(options)))
     for flag in flags[: draw(st.integers(0, len(flags)))]:
         argv += [flag, draw(options[flag])]

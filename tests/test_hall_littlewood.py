@@ -16,6 +16,7 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit import hall_littlewood as hl
 from hlkit.partitions import (
     b_poly,
+    conjugate,
     n_stat,
     normalize,
     partitions_of,
@@ -24,7 +25,7 @@ from hlkit.partitions import (
     t_binomial,
 )
 from hlkit.alphabets import Alphabet, letter, parse_alphabet
-from hlkit.xpoly import XPoly, _grouped, xvars, yvars
+from hlkit.xpoly import XPoly, _grouped, _linear_combination, xvars, yvars
 from hlkit.hall_littlewood import (
     BasisExpansion,
     DecompositionError,
@@ -44,6 +45,7 @@ from hlkit.hall_littlewood import (
     qprime_on_alphabet,
     qprime_schur,
     qprime_vector_schur,
+    schur_eval,
     schur_on_xvars,
     schur_to_qprime,
     skew_qprime,
@@ -617,3 +619,71 @@ class TestBasisExpansion:
             (2, 1),
             (3,),
         ]
+
+
+def one_minus_t_powers(exps):
+    """The product of (1 - t^e) over exps."""
+    out = L_ONE
+    for e in exps:
+        out = out * (L_ONE - LaurentPoly.t_power(e))
+    return out
+
+
+def principal_p(lam, n):
+    """P_lam(1, t, ..., t^{n-1}) = t^{n(lam)} v_n(t) / prod_i v_{m_i}(t),
+    m_0 = n - l(lam) (Macdonald, Symmetric Functions and Hall
+    Polynomials, III.2, Example 1); the (1 - t) of each v cancel."""
+    if len(lam) > n:
+        return LaurentPoly()
+    mults = [n - len(lam)] + [lam.count(p) for p in set(lam)]
+    denominator = L_ONE
+    for m in mults:
+        denominator = denominator * one_minus_t_powers(range(1, m + 1))
+    numerator = one_minus_t_powers(range(1, n + 1)).shift(n_stat(lam))
+    return numerator.exact_div(denominator)
+
+
+def principal_s(lam, n):
+    """s_lam(1, t, ..., t^{n-1}) by the hook-content formula (Stanley,
+    Enumerative Combinatorics 2, Theorem 7.21.2)."""
+    cols = conjugate(lam)
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    contents = one_minus_t_powers(n + j - i for i, j in cells)
+    hooks = one_minus_t_powers(lam[i] - j + cols[j] - i - 1 for i, j in cells)
+    return contents.shift(n_stat(lam)).exact_div(hooks)
+
+
+def powers_of_t(n):
+    """The alphabet 1 + t + ... + t^{n-1}, as a literal."""
+    return parse_alphabet("+".join(["1", "t"][:n] + [f"t^{i}" for i in range(2, n)]))
+
+
+class TestPrincipalSpecialization:
+    """Values at powers of t against their closed forms: each checks one
+    table of `_branch` against a product formula."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(PARTITIONS_TO_7, st.integers(1, 5))
+    def test_p_strips(self, lam, n):
+        assert p_on_alphabet(lam, powers_of_t(n)) == XPoly.const(principal_p(lam, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+           st.integers(1, 6))
+    def test_qprime_shifts(self, lam, n):
+        # Q'_lam[1 - t^n] = Q_lam(1, ..., t^{n-1}).  `_branch` takes the
+        # letter -t^n first; the shift X + 1 first reads every value of
+        # add_one(lam), not only those at the empty partition.
+        want = XPoly.const(b_poly(lam) * principal_p(lam, n))
+        assert qprime_on_alphabet(lam, parse_alphabet(f"1-t^{n}")) == want
+        minus = parse_alphabet(f"-t^{n}")
+        shifted = _linear_combination(
+            (qprime_on_alphabet(mu, minus), c) for mu, c in add_one(lam).coeffs.items()
+        )
+        assert shifted == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+           st.integers(1, 5))
+    def test_s_strips(self, lam, n):
+        assert schur_eval(lam, powers_of_t(n)) == XPoly.const(principal_s(lam, n))
