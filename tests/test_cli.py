@@ -493,6 +493,15 @@ class TestErrorsAndDefaults:
         out = assert_usage_error(capsys, "verify", what, "--deg", "-1")
         assert "holds" not in out
 
+    @pytest.mark.parametrize("what", ["warnaar", "sigmaxy", "prodx"])
+    def test_zero_deg_env_exits_2(self, capsys, monkeypatch, what):
+        # The cap once also came from HLKIT_DEG; now only --deg sets it,
+        # and a cap of 0 is refused even where there are variables.
+        monkeypatch.setenv("HLKIT_DEG", "6")
+        letters = () if what == "prodx" else ("--nx", "1", "--ny", "1")
+        out = assert_usage_error(capsys, "verify", what, *letters, "--deg", "0")
+        assert "holds" not in out
+
     @pytest.mark.parametrize(
         "argv",
         [
