@@ -7,8 +7,10 @@ The central objects:
     bialternant quotient (the reduced-word product is the test oracle
     `pi_omega_via_word` in tests/oracles.py).
   * straighten_schur: the Schur value of an arbitrary integer exponent
-    vector, via the shifted-sort rule (the exchange rule is the test
-    oracle `straighten_schur_by_exchange` in tests/oracles.py).
+    vector, as the right fold of the one-step rule that prepends one
+    entry to a partition (the rule `kernel_schur` reads; the exchange
+    rule is the test oracle `straighten_schur_by_exchange` in
+    tests/oracles.py).
   * truncate + straighten: keep only monomials whose exponent vector
     has every trailing sum >= 0, then read each kept monomial as a
     straightened Schur value.  On dropped monomials the straightened
@@ -30,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 
-from .laurent import ONE as L_ONE, _accumulate
+from .laurent import LaurentPoly
 from .xpoly import XPoly, _linear_combination, xvars
 
 
@@ -86,41 +88,56 @@ def pi_omega(f, n):
     return acc
 
 
+def _prepend(h, nu):
+    """Schur value of (h, nu) for a partition nu, trailing zeros allowed:
+    None for zero, else (sign, lam).  Only h moves; see `kernel_schur`."""
+    p = 0
+    for i, x in enumerate(nu, 1):
+        if x - i < h:
+            break
+        if x - i == h:
+            return None
+        p += 1
+    if h + p < 0:
+        return None
+    lam = (*[x - 1 for x in nu[:p]], h + p, *nu[p:])
+    return (-1 if p & 1 else 1, lam[: len(lam) - lam.count(0)])  # zeros trail
+
+
 def straighten_schur(v):
     """Schur value of an integer vector: None for zero, else (sign, lam).
 
-    Shift by the staircase, kill repeats and negatives, sort back.
+    The right fold of the one-step rule `_prepend`: straighten v[1:],
+    then prepend v[0].
     """
-    v = tuple(v)
-    n = len(v)
-    if n == 0:
-        return (1, ())
-    w = [v[i] + (n - 1 - i) for i in range(n)]
-    if len(set(w)) != n or min(w) < 0:
-        return None
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] < w[j])
-    ws = sorted(w, reverse=True)
-    lam = tuple(ws[i] - (n - 1 - i) for i in range(n))
-    lam = tuple(p for p in lam if p)
-    return (-1 if inv % 2 else 1, lam)
+    sign, lam = 1, ()
+    for h in reversed(tuple(v)):
+        st = _prepend(h, lam)
+        if st is None:
+            return None
+        sign, lam = sign * st[0], st[1]
+    return (sign, lam)
 
 
 @cache
 def _kernel_schur_cached(u):
-    # terms holds H_{u_k} ... H_{u_n} . 1 in the Schur basis, k falling.
-    terms = {(): L_ONE}
+    # terms holds H_{u_k} ... H_{u_n} . 1 in the Schur basis, k falling,
+    # each coefficient a flat {power of t: int}.
+    terms = {(): {0: 1}}
     for m in reversed(u):
         new = {}
         for lam, c in terms.items():
             size = sum(lam)
             for nu in product(*(range(b, p + 1) for p, b in zip(lam, lam[1:] + (0,)))):
                 j = size - sum(nu)
-                st = straighten_schur((m + j,) + nu)
+                st = _prepend(m + j, nu)
                 if st is not None:
                     sign, mu = st
-                    _accumulate(new, mu, c.shift(j) if sign > 0 else -c.shift(j))
-        terms = new
-    return tuple(sorted(terms.items()))
+                    acc = new.setdefault(mu, {})
+                    for s, v in c.items():
+                        acc[s + j] = acc.get(s + j, 0) + sign * v
+        terms = {mu: c for mu, acc in new.items() if (c := {s: v for s, v in acc.items() if v})}
+    return tuple(sorted((lam, LaurentPoly._trusted(c)) for lam, c in terms.items()))
 
 
 def kernel_schur(u):
@@ -133,11 +150,17 @@ def kernel_schur(u):
 
         H_m s_lam = sum_{j>=0} t^j sum_{lam/nu a horizontal j-strip} s_{(m+j, nu)},
 
-    where nu runs over lam_{i+1} <= nu_i <= lam_i and s_{(m+j, nu)} is
-    read by `straighten_schur`.  It is exact because H_m is the z^m
-    coefficient of F[X - (1-t)/z] Omega[zX]: removing the strips is
-    F[X + t/z], and prepending m+j with straightening is the Bernstein
-    operator, the z^(m+j) part of F[X - 1/z] Omega[zX].
+    where nu runs over lam_{i+1} <= nu_i <= lam_i.  It is exact because
+    H_m is the z^m coefficient of F[X - (1-t)/z] Omega[zX]: removing the
+    strips is F[X + t/z], and prepending m+j with straightening is the
+    Bernstein operator, the z^(m+j) part of F[X - 1/z] Omega[zX].
+
+    Since nu is a partition, s_{(h, nu)} straightens in one step, in
+    which only h moves: with p = #{i : nu_i - i > h} it is zero if some
+    nu_i - i = h or if h + p < 0, and otherwise
+    (-1)^p s_{(nu_1 - 1, ..., nu_p - 1, h + p, nu_{p+1}, ...)}.  Each
+    coefficient is a flat {power of t: int} during the steps, so t^j is
+    a shift of the keys; zeros are dropped once per step.
     """
     u = tuple(int(x) for x in u)
     return dict(_kernel_schur_cached(u))

@@ -7,9 +7,11 @@ empty fields, stray brackets, bad repeats, non-integers.  Valid lists
 stay small (at most 4 entries, absolute sum at most 6 after `^`
 expansion), so no request hits a slow route.  An exit 1 would be an
 identity that fails; it is reported, not filtered.  A `verify` target
-draws from the options of every target, so most draws pass one that
-the target does not read.  `verify all` is left out (it is the whole
-acceptance gate) and so is `--out`.
+draws its options from its own argument list in `cli.TARGETS` three
+times in four, every required one among them, so that its handler
+runs; otherwise it draws from the options of every target, so that an
+option it does not read, or a missing one, is refused.  `verify all`
+is left out (it is the whole acceptance gate) and so is `--out`.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from hlkit.cli import main
+from hlkit.cli import TARGETS, main
 
 # Each piece makes any operand it touches invalid.
 JUNK = [",", ",,", "[", "]", "(", "2^", "^2", "2^-1", "2^x", "x", "1.5", "[[1]]"]
@@ -78,9 +80,7 @@ def count(draw):
 WORD = st.one_of(operand(), st.permutations("112213").map("".join))
 COUNT = count()
 DEG = st.integers(-1, 4).map(str)
-TARGET = st.sampled_from(
-    ["warnaar", "sigmaxy", "prodx", "theta-scalar", "defq-note", "factor"]
-)
+TARGET = st.sampled_from(sorted(set(TARGETS) - {"all"}))
 ALPHABET = st.sampled_from(
     ["1-x1", "x1+x2", "t-x1", "x1*(1-t)", "(x1+x2)*(1-t)", "X", "1-X", "t^2-X",
      "X*(1-t)", "Y", "t^-1-x1", "t^-1*x1*y1-x1*y1", "x1+", "x1++x2", "x1-", "-",
@@ -114,15 +114,23 @@ VERBS = {
 def argvs(draw):
     verb = draw(st.sampled_from(sorted(VERBS)))
     positionals, options = VERBS[verb]
-    argv = [verb]
+    argv, required, optional, dashes = [verb], [], sorted(options), True
     if verb == "verify":
-        argv.append(draw(TARGET))
-    flags = draw(st.permutations(sorted(options)))
-    for flag in flags[: draw(st.integers(0, len(flags)))]:
+        target = draw(TARGET)
+        argv.append(target)
+        if draw(st.integers(0, 3)):
+            # The target's own options, each required one always drawn,
+            # and no `--`, since a target takes no operand.
+            own = TARGETS[target][2]
+            required = [f[0] for f, kw in own if kw.get("required")]
+            optional = [f[0] for f, kw in own if not kw.get("required")]
+            dashes = False
+    flags = draw(st.permutations(optional))
+    for flag in required + flags[: draw(st.integers(0, len(flags)))]:
         argv += [flag, draw(options[flag])]
     if draw(st.booleans()):
         argv.append("--json")
-    if draw(st.booleans()):
+    if dashes and draw(st.booleans()):
         argv.append("--")
     return argv + [draw(s) for s in positionals]
 

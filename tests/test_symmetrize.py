@@ -15,7 +15,7 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
 from hlkit.hall_littlewood import schur_on_xvars
 from hlkit.partitions import conjugate, n_stat, partitions_of, t_factorial
-from hlkit.symmetrize import kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
+from hlkit.symmetrize import _prepend, kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
 from oracles import (
     kernel_schur_by_columns,
     longest_word,
@@ -155,6 +155,20 @@ class TestStraighten:
 
     def test_empty_vector_both_rules(self):
         assert straighten_schur_by_exchange(()) == (1, ())
+
+    def test_one_step_rule_against_exchange(self):
+        # Every (h, nu) that the kernel step reads, and more: nu a
+        # partition of at most 9, with up to two trailing zeros.
+        checked = 0
+        for size in range(10):
+            for nu in partitions_of(size):
+                for pad in range(3):
+                    padded = nu + (0,) * pad
+                    for h in range(-12, 12):
+                        v = (h,) + padded
+                        assert _prepend(h, padded) == straighten_schur_by_exchange(v), v
+                        checked += 1
+        assert checked == 6984
 
 
 class TestToSchur:
