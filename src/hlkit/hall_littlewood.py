@@ -12,17 +12,20 @@ Q' lives here in two incarnations:
 The paper's charge route, Q'_mu = sum over tableaux T of weight mu of
 t^charge(T) S_shape(T), is `kostka_foulkes`, the kernel route's oracle.
 
-On top of that sit the one-letter skew values (closed form and column
-rule) and the argument shifts by +1 and -1, whose coefficients drive the
-alphabet route: Q'_mu[X +- a] = sum_nu a^{|mu/nu|} Q'_{mu/nu}[+-1] Q'_nu[X],
+On top of that sit the one-letter skew values (a product of Gaussian
+binomials, one per part value, equal to the paper's quotient, and the
+column rule) and the argument shifts by +1 and -1, whose coefficients
+drive the alphabet route:
+Q'_mu[X +- a] = sum_nu a^{|mu/nu|} Q'_{mu/nu}[+-1] Q'_nu[X],
 exact letter by letter because Q'_{mu/nu} is homogeneous of degree
 |mu/nu|.  Q' on an alphabet, the skew values on an alphabet and the
 plane-partition expansion (Macdonald III.5) are all this one iteration.
 On an alphabet whose variables are distinct single-variable letters of
 one sign and one power of t (x1 + ... + xn, X + Y, t^r - X), the value
 is symmetric in them, so the iteration walks only the weakly decreasing
-exponent paths and copies each coefficient over its orbit; skew values
-and every other alphabet walk every exponent vector.
+exponent paths and copies each coefficient over its orbit; each step
+asks its table only for the sizes of nu such a path can take.  Skew
+values and every other alphabet walk every exponent vector.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -196,19 +199,26 @@ def qprime_vector_schur(u):
 
 
 class _Table(NamedTuple):
-    """The (nu, c) pairs of F_mu[X + 1] = sum_nu c F_nu[X] and F_mu[X - 1]."""
+    """The (nu, |nu|, c) triples of F_mu[X + 1] = sum_nu c F_nu[X] and
+    F_mu[X - 1] with |nu| in a range `window`."""
 
-    plus: object  # (mu, end) -> pairs; end is set on the last letter only,
-    #               where its pair alone will do
-    minus: object  # mu -> pairs
+    plus: object  # (mu, window, end) -> triples; end is set on the last
+    #               letter only, where its triple alone will do
+    minus: object  # (mu, window, end) -> triples; end is not read
     strips: bool  # each pair of plus is a horizontal strip mu/nu
     t_zero: bool  # each c is read at t = 0
 
 
-def _add_one_terms(mu, end):
-    if end is None:
-        return add_one(mu).coeffs.items()
-    return ((end, skew_qprime_one(mu, end)),)
+def _add_one_terms(mu, window, end=None):
+    if end is not None:
+        return [(end, s, skew_qprime_one(mu, end))] if (s := sum(end)) in window else []
+    nus = subpartitions(mu)
+    return [(nu, s, skew_qprime_one(mu, nu)) for nu in nus if (s := sum(nu)) in window]
+
+
+def _in_window(terms):
+    """The table entry that reads the memoized triples terms(mu) in the window."""
+    return lambda mu, window, end=None: [p for p in terms(mu) if p[1] in window]
 
 
 def _symmetric(A):
@@ -261,19 +271,22 @@ def _branch(table, lam, A, end=()):
     keyed by the power of t and the exponents of A's variables as in
     XPoly.terms, so x and t*x in X(1-t) cancel at the step that meets
     them.  A letter a sends mu to nu with a^{|mu/nu|} times the c of nu
-    in F_mu[X - 1] (minus letters, which go first) or F_mu[X + 1].  A
-    nu not containing `end` is dropped; the last letter asks the table
-    for the pair of `end` alone.  A horizontal strip shortens mu by at
-    most one part, so over strips a nu with more parts than len(end)
+    in F_mu[X - 1] (minus letters, which go first) or F_mu[X + 1].  The
+    table is asked only for the nu in a window of sizes, so it computes
+    no pair the walk would drop; off the orbit path the window is
+    [0, |mu|].  A nu not containing `end` is dropped; the last letter
+    asks the table for `end` alone.  A horizontal strip shortens mu by
+    at most one part, so over strips a nu with more parts than len(end)
     plus the letters left is dropped.
 
     Orbit rule: when end is empty and A is `_symmetric`, F(A) is
     symmetric in A's variables, so only the coefficients whose variable
     letters' exponents weakly decrease in letter order are computed.
     A state is then keyed by mu and the exponent `cap` of the last
-    variable letter, a variable letter keeps nu only if d = |mu/nu| is
-    at most `cap`, and once no power-of-t letter is left a nu with
-    |nu| > d times the variable letters left is dropped.  Each of these
+    variable letter.  At a variable letter the window starts at
+    |mu| - cap, so d = |mu/nu| is at most `cap`, and once no power-of-t
+    letter is left it ends where |nu| exceeds the exponent of the
+    letter, d or `cap`, times the variable letters left.  Each of these
     dominant coefficients is copied to the permutations of its
     exponents at the end.  Any other alphabet or `end` walks every
     exponent vector, with `cap` fixed at |lam|.
@@ -293,18 +306,18 @@ def _branch(table, lam, A, end=()):
         capped = orbit and bool(l.mono)
         var_left -= bool(l.mono)
         bounded = orbit and k >= last_t
+        read = table.minus if minus else table.plus
         new = {}
         for (mu, cap), flat in state.items():
-            coeffs = table.minus(mu) if minus else table.plus(mu, end if last else None)
             flat, size = flat.items(), sum(mu)
-            for nu, c in coeffs:
+            hi = size
+            if bounded:
+                hi = size * var_left // (var_left + 1) if capped else cap * var_left
+            window = range(size - cap if capped else 0, hi + 1)
+            for nu, s, c in read(mu, window, end if last else None):
                 if c and len(nu) <= longest and (nu == end or not last):
-                    d = size - sum(nu)
-                    if capped and d > cap:
-                        continue
+                    d = size - s
                     nu_cap = d if capped else cap
-                    if bounded and size - d > nu_cap * var_left:
-                        continue
                     c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
                     a_d = [((s + d * l.t_exp, *(d * e for e in exps)), v)
                            for s, v in c.items()]
@@ -324,8 +337,8 @@ def _branch(table, lam, A, end=()):
 
 @cache
 def _strip_terms(mu):
-    """The (nu, psi_{mu/nu}(t)) pairs of P_mu[X + 1] = sum_nu psi_{mu/nu}(t)
-    P_nu[X].
+    """The (nu, |nu|, psi_{mu/nu}(t)) triples of
+    P_mu[X + 1] = sum_nu psi_{mu/nu}(t) P_nu[X].
 
     nu runs over the partitions with mu/nu a horizontal strip, and
     psi_{mu/nu}(t) = prod_{j in J} (1 - t^{m_j(nu)}), where J holds the
@@ -345,7 +358,7 @@ def _strip_terms(mu):
         for j, m in multiplicities(nu).items():
             if j + 1 in cols and j not in cols:
                 psi = psi - psi.shift(m)
-        out.append((nu, psi))
+        out.append((nu, sum(nu), psi))
     return tuple(out)
 
 
@@ -429,22 +442,23 @@ def schur_on_xvars(lam, n):
 def skew_qprime_one(lam, mu):
     """The one-letter skew value: Q'_{lam/mu} at the alphabet {1}.
 
-    Closed form: with r positive parts in mu and nu_i the mu_i-th part
-    of the conjugate of lam, the value is
-    t^{column statistic of lam/mu} * prod_i (1 - t^{nu_i - i + 1}) / b_mu.
-    The product vanishes exactly when mu does not fit inside lam.
+    With lam', mu' the conjugates and m_c the parts of mu equal to c, it
+    is 0 unless mu fits inside lam, and otherwise
+    t^{sum_c C(lam'_c - mu'_c, 2)} * prod_{c a part of mu} [lam'_c - mu'_{c+1}, m_c]_t.
+    This is the paper's closed form t^{column statistic of lam/mu} *
+    prod_i (1 - t^{lam'_{mu_i} - i + 1}) / b_mu: the rows i with mu_i = c
+    give m_c consecutive exponents down from lam'_c - mu'_{c+1}, and
+    their factors over (1 - t)...(1 - t^{m_c}), the factor of b_mu for
+    c, are that Gaussian binomial.
     """
     lam, mu = normalize(lam), normalize(mu)
-    lc, mc = conjugate(lam), conjugate(mu)
-    prod = L_ONE
-    for i, m in enumerate(mu, 1):
-        nu_i = lc[m - 1] if m <= len(lc) else 0
-        a = nu_i - i + 1
-        if a <= 0:
-            return L_ZERO
-        prod = prod - prod.shift(a)
-    n = sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0))
-    return prod.shift(n).exact_div(b_poly(mu))
+    if not contains(lam, mu):
+        return L_ZERO
+    lc, mc = conjugate(lam), conjugate(mu) + (0,)
+    acc = L_ONE
+    for c, m in multiplicities(mu).items():
+        acc = acc * t_binomial(lc[c - 1] - mc[c], m)
+    return acc.shift(sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0)))
 
 
 @cache
@@ -478,12 +492,8 @@ def aleph(lam, mu):
 def add_one(lam):
     """Expansion of Q'_lam at the shifted argument X+1 over the Q' basis."""
     lam = normalize(lam)
-    out = {}
-    for mu in subpartitions(lam):
-        v = skew_qprime_one(lam, mu)
-        if v:
-            out[mu] = v
-    return BasisExpansion("Qp", out)
+    terms = _add_one_terms(lam, range(sum(lam) + 1))
+    return BasisExpansion("Qp", {nu: c for nu, _, c in terms})
 
 
 def sub_one(lam):
@@ -492,12 +502,12 @@ def sub_one(lam):
     Independently for each part value i with multiplicity m_i, lower
     alpha_i of the parts to i-1, at cost (-1)^alpha_i [m_i, alpha_i].
     """
-    return BasisExpansion("Qp", dict(_sub_one_terms(normalize(lam))))
+    return BasisExpansion("Qp", {nu: c for nu, _, c in _sub_one_terms(normalize(lam))})
 
 
 @cache
 def _sub_one_terms(lam):
-    """The (nu, coefficient) pairs of sub_one(lam), for a partition lam."""
+    """The (nu, |nu|, coefficient) triples of sub_one(lam), lam a partition."""
     mults = multiplicities(lam)
     values = sorted(mults)
     out = {}
@@ -512,14 +522,14 @@ def _sub_one_terms(lam):
             parts.extend([v] * (mults[v] - a))
             parts.extend([v - 1] * a)
         _accumulate(out, normalize(parts), coeff if sign > 0 else -coeff)
-    return tuple(out.items())
+    return tuple((nu, sum(nu), c) for nu, c in out.items())
 
 
 # The tables of `_branch`.  s = Q' = P at t = 0 takes P's horizontal
 # strips for plus letters and Q''s signed vertical strips for minus ones.
-_SHIFTS = _Table(_add_one_terms, _sub_one_terms, strips=False, t_zero=False)
-_P_STRIPS = _Table(lambda mu, end: _strip_terms(mu), None, strips=True, t_zero=False)
-_S_STRIPS = _P_STRIPS._replace(minus=_sub_one_terms, t_zero=True)
+_SHIFTS = _Table(_add_one_terms, _in_window(_sub_one_terms), strips=False, t_zero=False)
+_P_STRIPS = _Table(_in_window(_strip_terms), None, strips=True, t_zero=False)
+_S_STRIPS = _P_STRIPS._replace(minus=_in_window(_sub_one_terms), t_zero=True)
 
 
 def compose_shift(expansion, shift_fn):

@@ -56,11 +56,17 @@ values must satisfy:
   * `skew_qprime_by_extraction`: Q'_{lam/mu}(A) by a unitriangular
     solve over skew Schur determinants, against the same one-letter
     iteration in `hall_littlewood.skew_qprime`;
+  * `skew_qprime_one_by_quotient`: the paper's closed form of the
+    one-letter skew value, t^n prod_i (1 - t^{a_i}) divided by b_mu,
+    against `hall_littlewood.skew_qprime_one`, which multiplies one
+    Gaussian binomial per part value of mu;
   * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
     that only the tests use.
 """
 
 from functools import cache
+from itertools import zip_longest
+from math import comb
 
 from hlkit.alphabets import Letter
 from hlkit.hall_littlewood import (
@@ -70,7 +76,7 @@ from hlkit.hall_littlewood import (
     schur_on_xvars,
     skew_qprime_one,
 )
-from hlkit.laurent import LaurentPoly, ONE as L_ONE, _accumulate
+from hlkit.laurent import LaurentPoly, ONE as L_ONE, ZERO as L_ZERO, _accumulate
 from hlkit.partitions import (
     b_poly,
     conjugate,
@@ -172,6 +178,24 @@ def chain_weight(chain):
     if not coeff:
         return X_ZERO
     return XPoly.monomial(xvars(n), tuple(exps), coeff)
+
+
+def skew_qprime_one_by_quotient(lam, mu):
+    """Q'_{lam/mu} at the alphabet {1} by the paper's closed form: with
+    nu_i the mu_i-th part of the conjugate of lam,
+    t^{column statistic of lam/mu} * prod_i (1 - t^{nu_i - i + 1}) / b_mu.
+    The product vanishes exactly when mu does not fit inside lam."""
+    lam, mu = normalize(lam), normalize(mu)
+    lc, mc = conjugate(lam), conjugate(mu)
+    prod = L_ONE
+    for i, m in enumerate(mu, 1):
+        nu_i = lc[m - 1] if m <= len(lc) else 0
+        a = nu_i - i + 1
+        if a <= 0:
+            return L_ZERO
+        prod = prod - prod.shift(a)
+    n = sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0))
+    return prod.shift(n).exact_div(b_poly(mu))
 
 
 def knuth_neighbors(word):

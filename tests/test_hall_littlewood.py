@@ -17,6 +17,7 @@ from hlkit import hall_littlewood as hl
 from hlkit.partitions import (
     b_poly,
     conjugate,
+    contains,
     n_stat,
     normalize,
     partitions_of,
@@ -67,6 +68,7 @@ from oracles import (
     qprime_schur_by_charge,
     schur_eval_by_jacobi_trudi,
     skew_qprime_by_extraction,
+    skew_qprime_one_by_quotient,
 )
 
 T = LaurentPoly.t_power
@@ -294,6 +296,15 @@ class TestOneLetterSkew:
                     lam, mu
                 ), (lam, mu)
 
+    def test_matches_quotient_oracle(self):
+        """The Gaussian-binomial product against the paper's quotient on
+        every pair, mu fitting inside lam or not."""
+        for lam in partitions_up_to(9):
+            for mu in partitions_up_to(sum(lam)):
+                got = skew_qprime_one(lam, mu)
+                assert got == skew_qprime_one_by_quotient(lam, mu), (lam, mu)
+                assert bool(got) == contains(lam, mu), (lam, mu)
+
     def test_diagonal_and_vanishing(self):
         for lam in partitions_up_to(5):
             assert aleph(lam, lam) == L_ONE
@@ -503,6 +514,46 @@ class TestOrbitPath:
                     assert skew_qprime(lam, mu, A) == skew_qprime_by_extraction(
                         lam, mu, A
                     ), (lam, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PARTITIONS_TO_7, SYMMETRIC_ALPHABETS)
+    def test_computes_only_kept_values(self, lam, A):
+        """Every triple the Q' table hands `_branch` is multiplied into a
+        state at once, and the one-letter skew values asked for are
+        exactly the plus triples."""
+        log, asked, mul_into = [], [], hl._mul_into
+
+        def offered(read, side):
+            def spy(mu, window, end=None):
+                for nu, size, c in read(mu, window, end):
+                    log.append((side, mu, nu))
+                    yield nu, size, c
+
+            return spy
+
+        def skew(mu, nu):
+            asked.append((mu, nu))
+            return skew_qprime_one(mu, nu)
+
+        table = hl._SHIFTS._replace(
+            plus=offered(hl._SHIFTS.plus, "plus"),
+            minus=offered(hl._SHIFTS.minus, "minus"),
+        )
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hl, "skew_qprime_one", skew)
+            m.setattr(hl, "_mul_into", lambda *a: log.append(None) or mul_into(*a))
+            got = hl._branch(table, lam, A)
+        assert got == qprime_on_alphabet(lam, A)
+        offers, muls = log[::2], log[1::2]
+        assert None not in offers and muls == [None] * len(offers)
+        plus = [(mu, nu) for side, mu, nu in offers if side == "plus"]
+        assert sorted(asked) == sorted(plus)
+
+    def test_skew_values_computed_from_cold_memos(self):
+        # all of add_one(mu) at every state would make it 339
+        skew_qprime_one.cache_clear()
+        plane_partition_qprime((4, 3, 2, 1), 4)
+        assert skew_qprime_one.cache_info().misses == 170
 
     def test_rearrangements(self):
         assert sorted(hl._rearrangements((2, 1, 1))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
