@@ -42,6 +42,7 @@ from .identities import (
     defq_note_holds,
     defq_note_parts,
     prodx_check,
+    prodx_example_families,
     sigmaxy_check,
     sigmaxy_coefficient,
     theta,
@@ -211,8 +212,6 @@ def criterion_8():
     """Capped series products: the one-variable-removal identity for
     three coefficient families, the X+XY(1-t) product, and the frozen
     P-basis display for the coefficient of P[4,2]."""
-    from .identities import prodx_example_families
-
     for name, fam in prodx_example_families(6).items():
         for n in (1, 2):
             if not prodx_check(fam, n, 6):

@@ -2,18 +2,20 @@
 
 A letter is t^a times a (possibly empty) product of named variables;
 an alphabet is a plus-multiset and a minus-multiset of letters with
-common letters cancelled.  This is enough to express every argument
-shape used here: X+Y, X-1, t^r-X, X(1-t), XY(1-t), after clearing any
-1/(1-t) by hand.  Power sums are additive over plus letters and
-subtractive over minus ones, which pins down every symmetric-function
-evaluation.  The evaluations themselves (Q', P, Q and Schur functions)
-live in `hall_littlewood`, which adds the letters of an alphabet one at
-a time.
+common letters cancelled: it stores the multiset differences
+plus - minus and minus - plus, each sorted.  This is enough to express
+every argument shape used here: X+Y, X-1, t^r-X, X(1-t), XY(1-t),
+after clearing any 1/(1-t) by hand.  Power sums are additive over plus
+letters and subtractive over minus ones, which pins down every
+symmetric-function evaluation.  The evaluations themselves (Q', P, Q
+and Schur functions) live in `hall_littlewood`, which adds the letters
+of an alphabet one at a time.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,9 +38,7 @@ class Letter(NamedTuple):
         )
 
     def value(self):
-        exps = {}
-        for v in self.mono:
-            exps[v] = exps.get(v, 0) + 1
+        exps = Counter(self.mono)
         names = tuple(sorted(exps, key=var_key))
         return XPoly.monomial(
             names, tuple(exps[v] for v in names), LaurentPoly.t_power(self.t_exp)
@@ -55,23 +55,12 @@ def letter(t_exp=0, *names):
 
 
 def _cancel(plus, minus):
-    plus = sorted(plus)
-    minus = sorted(minus)
-    out_p, out_m = [], []
-    i = j = 0
-    while i < len(plus) and j < len(minus):
-        if plus[i] == minus[j]:
-            i += 1
-            j += 1
-        elif plus[i] < minus[j]:
-            out_p.append(plus[i])
-            i += 1
-        else:
-            out_m.append(minus[j])
-            j += 1
-    out_p.extend(plus[i:])
-    out_m.extend(minus[j:])
-    return tuple(out_p), tuple(out_m)
+    plus, minus = list(plus), list(minus)
+    for a in tuple(plus):
+        if a in minus:
+            plus.remove(a)
+            minus.remove(a)
+    return tuple(sorted(plus)), tuple(sorted(minus))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .laurent import LaurentPoly
 from .partitions import parse_ints, parse_partition, parse_parts
@@ -172,11 +173,7 @@ def _cmd_tableaux(args):
     lines = [" / ".join(" ".join(str(x) for x in row) for row in tab) for tab in tabs]
     lines.append(f"count: {len(tabs)}")
     try:
-        counts = {}
-        for tab in tabs:
-            c = charge_tableau(tab)
-            counts[c] = counts.get(c, 0) + 1
-        gen = LaurentPoly(counts)
+        gen = LaurentPoly(Counter(map(charge_tableau, tabs)))
         lines.append(f"charge polynomial: {gen}")
     except NonDominantWeightError:
         gen = None

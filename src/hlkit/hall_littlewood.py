@@ -40,6 +40,7 @@ Last come the factorizations of Q' at arguments t^r minus variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct, zip_longest
@@ -111,13 +112,6 @@ class BasisExpansion:
             },
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisExpansion)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
 
 # ------------------------------------------------------------- charge statistic
 
@@ -130,11 +124,9 @@ def kostka_foulkes(rho, mu):
     rho, mu = normalize(rho), normalize(mu)
     if sum(rho) != sum(mu) or not dominance_leq(mu, rho):
         return L_ZERO
-    counts = {}
-    for tab in enumerate_ssyt(rho, mu):
-        c = _charge(reading_word(tab), mu)
-        counts[c] = counts.get(c, 0) + 1
-    return LaurentPoly(counts)
+    return LaurentPoly(
+        Counter(_charge(reading_word(tab), mu) for tab in enumerate_ssyt(rho, mu))
+    )
 
 
 # ---------------------------------------------------------------- kernel route
@@ -563,6 +555,16 @@ def t_minus_x_alphabet(r, n):
     return Alphabet((letter(r),), tuple(letter(0, v) for v in xvars(n)))
 
 
+def _t_power_minus_x_product(r, k, n):
+    """prod over r <= i < r + k and v = x1..xn of (t^i - v)."""
+    prod = X_ONE
+    for i in range(r, r + k):
+        ti = XPoly.const(LaurentPoly.t_power(i))
+        for v in xvars(n):
+            prod = prod * (ti - XPoly.var(v))
+    return prod
+
+
 def factorization_sides(lam, r, n):
     """Both sides of the width-split factorization of Q'_lam(t^r - X).
 
@@ -572,12 +574,8 @@ def factorization_sides(lam, r, n):
     lam = normalize(lam)
     k, nu, zeta = split_for_width(lam, n)
     lhs = qprime_on_alphabet(lam, t_minus_x_alphabet(r, n))
-    prod = X_ONE
-    for i in range(r, k + r):
-        ti = XPoly.const(LaurentPoly.t_power(i))
-        for v in xvars(n):
-            prod = prod * (ti - XPoly.var(v))
     rest = qprime_on_alphabet(zeta, t_minus_x_alphabet(k + r, n))
+    prod = _t_power_minus_x_product(r, k, n)
     rhs = (prod * rest).scale(LaurentPoly.t_power(n_stat(nu) + r * sum(nu)))
     return lhs, rhs
 
@@ -612,37 +610,29 @@ def two_letter_shape(k, nu, beta):
     return normalize(tuple(2 + p for p in nu) + (1,) * beta)
 
 
-def _t_multinomial(total, parts):
-    acc = t_factorial(total)
-    for p in parts:
-        acc = acc.exact_div(t_factorial(p))
-    return acc
-
-
 def two_letter_sides(k, nu, beta):
     """Both sides of the two-variable factorization.
 
     The elementary function of (t^k - x1 - x2)/(1-t), premultiplied by
     (1-t)...(1-t^beta), collapses to an exact t-multinomial sum: each
     letter family contributes its own Euler factor, and the shared
-    denominators cancel against the prefactor.
+    denominators cancel against the prefactor.  The multinomial
+    [beta; i, j, l] is read as the t-binomial product
+    [beta, i] [beta - i, j], and the product over i < k of
+    (t^i - x1)(t^i - x2) is the one of `factorization_sides` at r = 0.
     """
     nu = normalize(nu)
     lam = two_letter_shape(k, nu, beta)
     lhs = qprime_on_alphabet(lam, t_minus_x_alphabet(0, 2))
-    x1 = XPoly.var("x1")
-    x2 = XPoly.var("x2")
-    prod = X_ONE
-    for i in range(k):
-        ti = XPoly.const(LaurentPoly.t_power(i))
-        prod = prod * (ti - x1) * (ti - x2)
     cleared = {}  # each (j, l) comes from one i
     for i in range(beta + 1):
         for j in range(beta + 1 - i):
             l = beta - i - j
-            c = _t_multinomial(beta, (i, j, l)).shift(comb(i, 2) + k * i)
+            c = t_binomial(beta, i) * t_binomial(beta - i, j)
+            c = c.shift(comb(i, 2) + k * i)
             cleared[(j, l)] = -c if (j + l) % 2 else c
     cleared = XPoly(("x1", "x2"), cleared)
+    prod = _t_power_minus_x_product(0, k, 2)
     rhs = (prod * cleared).scale(LaurentPoly.t_power(n_stat(nu)))
     return lhs, rhs
 
@@ -674,8 +664,4 @@ def q_via_operator(lam, n):
     img = pi_omega(f, n)
     one_minus_t = L_ONE - LaurentPoly.t_power(1)
     num = img.scale(one_minus_t ** n)
-    m0 = n - len(lam)
-    denom = L_ONE
-    for j in range(1, m0 + 1):
-        denom = denom * (L_ONE - LaurentPoly.t_power(j))
-    return num.exact_div_scalar(denom)
+    return num.exact_div_scalar(t_factorial(n - len(lam)))

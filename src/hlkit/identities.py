@@ -20,8 +20,8 @@ from itertools import product as iproduct
 from operator import sub
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
-from .partitions import b_poly, conjugate, n_skew, n_stat, normalize, partitions_of
-from .partitions import subpartitions
+from .partitions import b_poly, conjugate, n_skew, n_stat, normalize
+from .partitions import partitions_up_to, subpartitions
 from .xpoly import XPoly, X_ONE, _grouped, _linear_combination, xvars, yvars
 from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import pi_omega
@@ -104,8 +104,7 @@ def removal_product(c, n, cap):
     xs = xvars(n)
     terms = (
         (v * p_on_xvars(mu, n), 1)
-        for m in range(cap + 1)
-        for mu in partitions_of(m, max_length=n)
+        for mu in partitions_up_to(cap, max_length=n)
         if (v := c(mu)) is not None
     )
     sig = sigma1_series(-Alphabet.of_vars(*xs), cap, xs)
@@ -119,8 +118,7 @@ def prodx_sides(c, n, cap):
     may carry other variables."""
     rhs = _linear_combination(
         (removal_sum(c.get, lam, n) * p_on_xvars(lam, n), 1)
-        for m in range(cap + 1)
-        for lam in partitions_of(m, max_length=n)
+        for lam in partitions_up_to(cap, max_length=n)
     )
     return removal_product(c.get, n, cap), rhs
 
@@ -175,8 +173,7 @@ def cauchy_sum(row, nx, ny, cap):
     of lam, each mu of length <= ny and |mu| <= cap - |lam|."""
     return _linear_combination(
         (p_on_xvars(lam, nx) * _p_on_yvars(mu, ny), c)
-        for m in range(cap + 1)
-        for lam in partitions_of(m, max_length=nx)
+        for lam in partitions_up_to(cap, max_length=nx)
         for mu, c in row(lam)
     )
 
@@ -239,9 +236,8 @@ def warnaar_sides(nx, ny, cap):
     A = AX + AY + AXY.times_letter(letter(-1)) - AXY
 
     def row(lam):
-        for m in range(cap + 1 - sum(lam)):
-            for mu in partitions_of(m, max_length=ny):
-                yield mu, theta(lam, mu)
+        for mu in partitions_up_to(cap - sum(lam), max_length=ny):
+            yield mu, theta(lam, mu)
 
     return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from math import comb
+from math import comb, prod
 from operator import ge
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
@@ -164,12 +164,7 @@ def b_poly(lam):
     The norm making the two standard Hall-Littlewood normalizations
     proportional: Q = b * P.
     """
-    lam = normalize(lam)
-    res = L_ONE
-    for mult in multiplicities(lam).values():
-        for j in range(1, mult + 1):
-            res = res * (L_ONE - LaurentPoly.t_power(j))
-    return res
+    return prod(map(t_factorial, multiplicities(lam).values()), start=L_ONE)
 
 
 @cache

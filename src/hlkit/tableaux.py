@@ -23,7 +23,9 @@ def word_weight(word, nletters=None):
     m = max(word, default=0) if nletters is None else nletters
     out = [0] * m
     for a in word:
-        if a < 1 or a > m:
+        if a < 1:
+            raise ValueError(f"letter {a}: letters are positive")
+        if a > m:
             raise ValueError(f"letter {a} out of range 1..{m}")
         out[a - 1] += 1
     return tuple(out)

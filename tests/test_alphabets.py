@@ -58,6 +58,12 @@ class TestAlphabetAlgebra:
         assert Alphabet((a,), (a,)) == Alphabet.empty()
         B = Alphabet.of_vars("x1", "x2")
         assert (B + A_X) - A_X == B
+        # repeated letters cancel with their multiplicities
+        b, c = letter(0, "x2"), letter(1, "x1")
+        D = Alphabet((a, a, b), (a, c))
+        assert (D.plus, D.minus) == ((a, b), (c,))
+        D = Alphabet((a, a), (a, a, a))
+        assert (D.plus, D.minus) == ((), (a,))
 
     def test_neg_and_sub(self):
         B = Alphabet.of_vars("y1")

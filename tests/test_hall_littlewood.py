@@ -618,8 +618,9 @@ class TestFactorizations:
             two_letter_shape(1, (1, 1), 2)
 
     def test_two_letter_cases(self):
-        for k in (1, 2):
-            for beta in (0, 1, 2):
+        # beta >= 3 reaches multinomials with three nonzero parts
+        for k in range(4):
+            for beta in range(5):
                 for nu in partitions_up_to(2):
                     if len(nu) > k:
                         continue

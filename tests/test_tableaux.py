@@ -84,7 +84,7 @@ class TestWordWeight:
         assert word_weight(()) == ()
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="letters are positive"):
             word_weight((0, 1))
         with pytest.raises(ValueError):
             word_weight((2,), nletters=1)
