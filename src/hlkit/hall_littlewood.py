@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct, zip_longest
 from math import comb
+from operator import index
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
@@ -140,7 +141,7 @@ def _qprime_schur_cached(mu):
 def qprime_schur(mu):
     """Schur expansion of Q'_mu by the creation operators; its coefficients
     are the charge polynomials `kostka_foulkes(rho, mu)`."""
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(map(index, mu))
     if not is_partition(mu):
         raise ValueError(f"{mu} is not a partition; qprime_vector_schur takes vectors")
     return BasisExpansion("S", dict(_qprime_schur_cached(normalize(mu))))
@@ -152,7 +153,7 @@ def schur_to_qprime(sdict):
     Q'_nu = S_nu + strictly lex-higher Schur terms of the same degree,
     so one ascending-lex sweep per degree back-substitutes exactly.
     """
-    rem = {normalize(k): v for k, v in sdict.items() if v}
+    rem = {k: v for k, v in sdict.items() if v}
     out = {}
     for m in sorted({sum(k) for k in rem}):
         for nu in sorted(partitions_of(m)):
@@ -175,7 +176,7 @@ def qprime_of_vector(u):
     and straighten the kernel image, then back-substitute.  A partition
     index, trailing zeros allowed, is its own expansion.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(index, u))
     if is_partition(u):
         return BasisExpansion("Qp", {normalize(u): L_ONE})
     return BasisExpansion("Qp", schur_to_qprime(kernel_schur(u)))
@@ -183,7 +184,7 @@ def qprime_of_vector(u):
 
 def qprime_vector_schur(u):
     """Schur expansion of Q'_u straight from the kernel."""
-    u = tuple(int(x) for x in u)
+    u = tuple(map(index, u))
     return BasisExpansion("S", kernel_schur(u))
 
 
@@ -380,7 +381,7 @@ def tableau_route_xpoly(lam, n):
     the Schur expansion of `qprime_schur` read on the variables."""
     return _linear_combination(
         (schur_on_xvars(rho, n), kf)
-        for rho, kf in _qprime_schur_cached(normalize(lam))
+        for rho, kf in _qprime_schur_cached(lam)
         if len(rho) <= n
     )
 
@@ -395,17 +396,17 @@ def p_on_alphabet(lam, A):
 
 def q_on_alphabet(lam, A):
     """Q_lam(A) = b_lam(t) P_lam(A), which is Q'_lam(A(1-t))."""
-    return p_on_alphabet(lam, A).scale(b_poly(normalize(lam)))
+    return p_on_alphabet(lam, A).scale(b_poly(lam))
 
 
 @cache
 def p_on_xvars(lam, n):
-    return p_on_alphabet(normalize(lam), Alphabet.of_vars(*xvars(n)))
+    return p_on_alphabet(lam, Alphabet.of_vars(*xvars(n)))
 
 
 @cache
 def q_on_xvars(lam, n):
-    return p_on_xvars(lam, n).scale(b_poly(normalize(lam)))
+    return p_on_xvars(lam, n).scale(b_poly(lam))
 
 
 @cache
@@ -443,7 +444,6 @@ def skew_qprime_one(lam, mu):
     their factors over (1 - t)...(1 - t^{m_c}), the factor of b_mu for
     c, are that Gaussian binomial.
     """
-    lam, mu = normalize(lam), normalize(mu)
     if not contains(lam, mu):
         return L_ZERO
     lc, mc = conjugate(lam), conjugate(mu) + (0,)
@@ -457,7 +457,6 @@ def skew_qprime_one(lam, mu):
 def skew_qprime_one_columns(lam, mu):
     """Column rule for the same value: per column, alpha ends of mu-rows
     and beta boxes of lam/mu give t^{C(beta,2)} * [alpha+beta, alpha]."""
-    lam, mu = normalize(lam), normalize(mu)
     lc, mc = conjugate(lam), conjugate(mu)
     width = max(len(lc), len(mc))
     acc = L_ONE
@@ -475,6 +474,7 @@ def skew_qprime_one_columns(lam, mu):
 
 
 def aleph(lam, mu):
+    """`skew_qprime_one` of two partitions in any spelling."""
     return skew_qprime_one(normalize(lam), normalize(mu))
 
 
@@ -506,14 +506,15 @@ def _sub_one_terms(lam):
     for alphas in iproduct(*(range(mults[v] + 1) for v in values)):
         coeff = L_ONE
         sign = 1
-        parts = []
+        parts = []  # ascending, as v - 1 is at least every smaller value
         for v, a in zip(values, alphas):
             coeff = coeff * t_binomial(mults[v], a)
             if a % 2:
                 sign = -sign
-            parts.extend([v] * (mults[v] - a))
             parts.extend([v - 1] * a)
-        _accumulate(out, normalize(parts), coeff if sign > 0 else -coeff)
+            parts.extend([v] * (mults[v] - a))
+        nu = tuple(p for p in reversed(parts) if p)
+        _accumulate(out, nu, coeff if sign > 0 else -coeff)
     return tuple((nu, sum(nu), c) for nu, c in out.items())
 
 
@@ -544,9 +545,8 @@ def split_for_width(lam, n):
     """Split lam as n^k + nu on top of zeta with zeta_1 < n, k maximal."""
     if n < 1:
         raise DecompositionError("need at least one variable")
-    lam = normalize(lam)
     k = sum(1 for p in lam if p >= n)
-    nu = normalize(p - n for p in lam[:k])
+    nu = tuple(p - n for p in lam[:k] if p > n)
     zeta = lam[k:]
     return k, nu, zeta
 
@@ -571,7 +571,6 @@ def factorization_sides(lam, r, n):
     LHS: direct alphabet evaluation.  RHS: t-power times the double
     resultant product times the residual Q'_zeta at t^{k+r} - X.
     """
-    lam = normalize(lam)
     k, nu, zeta = split_for_width(lam, n)
     lhs = qprime_on_alphabet(lam, t_minus_x_alphabet(r, n))
     rest = qprime_on_alphabet(zeta, t_minus_x_alphabet(k + r, n))
@@ -588,7 +587,6 @@ def one_minus_x_factorization_check(lam, r, n):
 def principal_specialization(lam, xname="x1"):
     """Closed form for Q'_lam(1 - {x}): a t-power times a falling
     product of (1 - x t^{-i})."""
-    lam = normalize(lam)
     acc = XPoly.const(LaurentPoly.t_power(n_stat(lam)))
     for i in range(len(lam)):
         acc = acc * (X_ONE - XPoly.monomial((xname,), (1,), LaurentPoly.t_power(-i)))
@@ -597,17 +595,13 @@ def principal_specialization(lam, xname="x1"):
 
 def principal_specialization_check(lam, xname="x1"):
     A = Alphabet((letter(0),), (letter(0, xname),))
-    return principal_specialization(lam, xname) == qprime_on_alphabet(
-        normalize(lam), A
-    )
+    return principal_specialization(lam, xname) == qprime_on_alphabet(lam, A)
 
 
 def two_letter_shape(k, nu, beta):
-    nu = normalize(nu)
     if len(nu) > k:
         raise ValueError("nu must fit in k rows")
-    nu = nu + (0,) * (k - len(nu))
-    return normalize(tuple(2 + p for p in nu) + (1,) * beta)
+    return tuple(2 + p for p in nu) + (2,) * (k - len(nu)) + (1,) * beta
 
 
 def two_letter_sides(k, nu, beta):
@@ -621,7 +615,6 @@ def two_letter_sides(k, nu, beta):
     [beta, i] [beta - i, j], and the product over i < k of
     (t^i - x1)(t^i - x2) is the one of `factorization_sides` at r = 0.
     """
-    nu = normalize(nu)
     lam = two_letter_shape(k, nu, beta)
     lhs = qprime_on_alphabet(lam, t_minus_x_alphabet(0, 2))
     cleared = {}  # each (j, l) comes from one i
@@ -649,7 +642,6 @@ def q_via_operator(lam, n):
     """Q_lam on n variables straight from the symmetrizer definition:
     normalize x^lam * prod_{i<j}(1 - t x_j/x_i) after the longest
     isobaric divided difference.  Only dominant weights extend this way."""
-    lam = normalize(lam)
     if len(lam) > n:
         raise ValueError("partition longer than the variable count")
     vars = xvars(n)

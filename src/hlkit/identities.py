@@ -27,13 +27,13 @@ from .alphabets import Alphabet, letter, NonTerminatingSeriesError
 from .symmetrize import pi_omega
 from .hall_littlewood import (
     BasisExpansion,
-    aleph,
     p_on_alphabet,
     p_on_xvars,
     q_on_alphabet,
     q_on_xvars,
     q_via_operator,
     qprime_of_vector,
+    skew_qprime_one,
 )
 
 
@@ -87,7 +87,6 @@ def removal_sum(c, lam, n):
     """The alternating cube sum over v in {0,1}^n of the family `c`
     (see `extend_family`) at lam - v: the coefficient of P_lam(X) in
     sigma_1(-X) times the c-weighted P sum, X = x1..xn."""
-    lam = normalize(lam)
     if len(lam) > n:
         raise ValueError("partition longer than n")
     lam_pad = lam + (0,) * (n - len(lam))
@@ -154,14 +153,13 @@ def sigmaxy_coefficient(lam, ny=None, cap=None):
     """For fixed lam, the P-over-Y expansion of the coefficient of
     P_lam X: mu -> b_mu times the one-letter skew value of lam/mu.
     The sum is finite; ny and cap only restrict the reported terms."""
-    lam = normalize(lam)
     out = {}
     for mu in subpartitions(lam):
         if ny is not None and len(mu) > ny:
             continue
         if cap is not None and sum(mu) > cap:
             continue
-        v = b_poly(mu) * aleph(lam, mu)
+        v = b_poly(mu) * skew_qprime_one(lam, mu)
         if v:
             out[mu] = v
     return BasisExpansion("P", out)
@@ -217,7 +215,6 @@ def theta(lam, mu):
 
 def theta_skew_form(lam, mu):
     """Equivalent exponent n(lam/mu) - |mu| when mu sits inside lam."""
-    lam, mu = normalize(lam), normalize(mu)
     return LaurentPoly.t_power(n_skew(lam, mu) - sum(mu))
 
 
@@ -253,7 +250,7 @@ def warnaar3_sides(lam, n, cap):
     sigma_1(-X) times the theta-weighted P sum."""
     lam = normalize(lam)
     lhs = _linear_combination(
-        (q_on_xvars(mu, n), aleph(lam, mu).shift(-sum(mu)))
+        (q_on_xvars(mu, n), skew_qprime_one(lam, mu).shift(-sum(mu)))
         for mu in subpartitions(lam)
         if len(mu) <= n
     )
@@ -289,7 +286,6 @@ def theta_product_form(lam, mu):
     """Closed product for the alternating theta sum: theta(lam, mu)
     times prod (1 - t^{nu_i - i + 1}) over the mu-indexed conjugate
     parts, the same exponents as in the one-letter skew value."""
-    lam, mu = normalize(lam), normalize(mu)
     lc = conjugate(lam)
     acc = theta(lam, mu)
     for i in range(1, len(mu) + 1):

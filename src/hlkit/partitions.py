@@ -1,10 +1,13 @@
 """Integer partitions and the standard t-statistics attached to them.
 
 Partitions are plain tuples of weakly decreasing positive ints; the
-empty partition is ().  Functions accept any iterable of nonnegative
-ints where a partition is expected and normalize first, but a vector
-argument that is genuinely out of order is rejected by is_partition
-checks at the call sites that need strictness.
+empty partition is ().  A partition is made once, where it enters the
+library: `normalize` sorts a list of nonnegative ints, drops its zeros
+and refuses a negative or non-int part, and the entry points
+(`parse_partition` here, the public functions of `hall_littlewood`,
+`identities` and `tableaux` that take a partition from a caller) call
+it.  Every helper here takes a partition as it is and does not sort it
+again.
 """
 
 from __future__ import annotations
@@ -12,14 +15,19 @@ from __future__ import annotations
 import re
 from functools import cache
 from math import comb, prod
-from operator import ge
+from operator import ge, index
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
 
 
 def normalize(parts):
-    """Sort descending and strip zeros; does not reorder-check."""
-    return tuple(sorted((int(p) for p in parts if int(p) != 0), reverse=True))
+    """The partition of a list of nonnegative ints: sorted descending,
+    zeros dropped.  A negative part raises ValueError and a part that is
+    not an int (a float) TypeError."""
+    parts = sorted(map(index, parts), reverse=True)
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part {parts[-1]}: partitions have nonnegative parts")
+    return tuple(p for p in parts if p)
 
 
 def is_partition(parts):
@@ -95,7 +103,6 @@ def parse_partition(text):
 
 
 def conjugate(lam):
-    lam = normalize(lam)
     out, k = [], len(lam)
     for j in range(1, lam[0] + 1 if lam else 1):
         while lam[k - 1] < j:
@@ -106,7 +113,6 @@ def conjugate(lam):
 
 def n_stat(lam):
     """Sum of (i-1) * lam_i, rows indexed from 1."""
-    lam = normalize(lam)
     return sum(i * p for i, p in enumerate(lam))
 
 
@@ -116,7 +122,6 @@ def n_skew(lam, mu):
     Defined for any pair with mu contained in lam; the column lengths of
     lam and mu are both measured with the conjugate.
     """
-    lam, mu = normalize(lam), normalize(mu)
     if not contains(lam, mu):
         raise ValueError("inner shape is not contained in the outer one")
     lc, mc = conjugate(lam), conjugate(mu)
@@ -124,25 +129,13 @@ def n_skew(lam, mu):
     return sum(comb(a - b, 2) for a, b in zip(lc, mc))
 
 
-def _is_normal(parts):
-    """True for a tuple that normalize would return unchanged."""
-    return (
-        type(parts) is tuple
-        and (not parts or parts[-1] > 0)
-        and all(map(ge, parts, parts[1:]))
-    )
-
-
 def contains(lam, mu):
-    """True when mu fits inside lam row by row."""
-    if not (_is_normal(lam) and _is_normal(mu)):
-        lam, mu = normalize(lam), normalize(mu)
+    """True when the partition mu fits inside the partition lam row by row."""
     return len(mu) <= len(lam) and all(map(ge, lam, mu))
 
 
 def is_horizontal_strip(lam, mu):
     """lam/mu has at most one box per column: lam_i >= mu_i >= lam_{i+1}."""
-    lam, mu = normalize(lam), normalize(mu)
     if not contains(lam, mu):
         return False
     mu = mu + (0,) * (len(lam) - len(mu))
@@ -152,7 +145,7 @@ def is_horizontal_strip(lam, mu):
 def multiplicities(lam):
     """Dict part value -> multiplicity, zero part excluded."""
     out = {}
-    for p in normalize(lam):
+    for p in lam:
         out[p] = out.get(p, 0) + 1
     return out
 
@@ -232,7 +225,6 @@ def partitions_up_to(m, max_length=None, max_part=None):
 
 def subpartitions(lam):
     """All mu contained in lam, sorted by size then lex."""
-    lam = normalize(lam)
     out = []
 
     def rec(i, prev, prefix):
@@ -251,7 +243,6 @@ def subpartitions(lam):
 
 def dominance_leq(mu, lam):
     """mu <= lam in dominance order (same size assumed)."""
-    mu, lam = normalize(mu), normalize(lam)
     k = max(len(mu), len(lam))
     mu = mu + (0,) * (k - len(mu))
     lam = lam + (0,) * (k - len(lam))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
+from operator import index
 
 from .laurent import LaurentPoly
 from .xpoly import XPoly, _linear_combination, xvars
@@ -162,5 +163,5 @@ def kernel_schur(u):
     coefficient is a flat {power of t: int} during the steps, so t^j is
     a shift of the keys; zeros are dropped once per step.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(index, u))
     return dict(_kernel_schur_cached(u))

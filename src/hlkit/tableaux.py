@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
+from operator import index
 
 from .partitions import is_partition, normalize, subpartitions
 
@@ -48,7 +49,7 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
     if weight is not None:
         if nletters is not None:
             raise ValueError("give a weight or a letter bound, not both")
-        weight = tuple(int(w) for w in weight)
+        weight = tuple(map(index, weight))
         if sum(shape) != sum(weight):
             return []
         nletters = len(weight)
@@ -156,7 +157,6 @@ def layer_chains(shape, n):
     (n+1)-tuples of partitions including both endpoints.  Listing them
     checks the branching rule of `hall_littlewood.plane_partition_qprime`.
     """
-    shape = normalize(shape)
     if n == 0:
         return ((shape,),) if not shape else ()
     out = []

@@ -782,7 +782,47 @@ def readme_cli_lines():
     return lines
 
 
+def readme_tour():
+    """README's "Library tour" block, as its import statement and the
+    (expression, comment) pairs of the lines after it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imports, _, calls = block.strip().partition("\n\n")
+    return imports, [tuple(s.strip() for s in line.split("#", 1)) for line in calls.splitlines()]
+
+
 class TestReadme:
+    def test_tour_comments(self):
+        # guards the parsing of the tour's comments
+        assert [comment for _, comment in readme_tour()[1]] == [
+            "'S[2,1] + t*S[3]'",
+            "'(-1 + t)*Qp[1,1] + t*Qp[2]'",
+            "t^2 + t^3 + t^4",
+            "the same value, directly",
+            "t*x1^3 + (1 + t)*x1^2*x2 + ...",
+            "4",
+        ]
+
+    def test_tour_block_runs(self):
+        # A quoted comment is the repr of the value, "the same value" is
+        # the line before's value, a trailing "..." elides the rest of
+        # the str and any other comment is the whole str.
+        imports, lines = readme_tour()
+        names = {}
+        exec(imports, names)
+        previous = None
+        for expr, comment in lines:
+            value = eval(expr, names)
+            if comment.startswith("'"):
+                assert repr(value) == comment, expr
+            elif comment == "the same value, directly":
+                assert value == previous, expr
+            elif comment.endswith("..."):
+                assert str(value).startswith(comment[:-3]), expr
+            else:
+                assert str(value) == comment, expr
+            previous = value
+
     def test_examples_have_outputs(self):
         # The five outputs the README states; guards the `-> ` parsing.
         assert [out for _, out in readme_cli_lines() if out] == [

@@ -1,9 +1,27 @@
 import re
+import sys
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hlkit.alphabets import Alphabet, parse_alphabet
+from hlkit.hall_littlewood import (
+    add_one,
+    aleph,
+    kostka_foulkes,
+    p_on_alphabet,
+    plane_partition_qprime,
+    qprime_of_vector,
+    qprime_on_alphabet,
+    qprime_schur,
+    qprime_vector_schur,
+    schur_eval,
+    skew_qprime,
+    skew_schur_eval,
+    sub_one,
+)
+from hlkit.identities import theta, theta_scalar_parts, warnaar3_sides
 from hlkit.laurent import ONE, T
 from hlkit.partitions import (
     MAX_DIGITS,
@@ -28,6 +46,8 @@ from hlkit.partitions import (
     t_binomial,
     t_factorial,
 )
+from hlkit.symmetrize import kernel_schur
+from hlkit.tableaux import enumerate_ssyt
 from oracles import format_partition, is_vertical_strip
 
 parts = st.lists(st.integers(1, 6), max_size=5).map(normalize)
@@ -37,6 +57,10 @@ class TestBasics:
     def test_normalize(self):
         assert normalize([0, 3, 1, 0, 2]) == (3, 2, 1)
         assert normalize(()) == ()
+        with pytest.raises(ValueError, match="negative part -1"):
+            normalize((2, -1))
+        with pytest.raises(TypeError):
+            normalize((2.5, 1))
 
     def test_is_partition(self):
         assert is_partition((3, 2, 2))
@@ -217,3 +241,115 @@ class TestOrders:
 class TestMultiplicities:
     def test_example(self):
         assert multiplicities((4, 4, 3, 1, 1, 1)) == {4: 2, 3: 1, 1: 3}
+
+
+# A partition is made once, where it enters the library.  Each entry
+# point that reads a partition from a caller, as a function of that
+# partition (the other arguments fixed): these read any spelling of it,
+# in any order and with zeros anywhere.
+_A2 = Alphabet.of_vars("x1", "x2")
+_ONE_MINUS_X1 = parse_alphabet("1-x1")
+SPELLED_ENTRY_POINTS = {
+    "parse_partition": lambda lam: parse_partition(" ".join(map(str, lam))),
+    "qprime_on_alphabet x1+x2": lambda lam: qprime_on_alphabet(lam, _A2),
+    "qprime_on_alphabet 1-x1": lambda lam: qprime_on_alphabet(lam, _ONE_MINUS_X1),
+    "skew_qprime outer": lambda lam: skew_qprime(lam, (1,), _A2),
+    "skew_qprime inner": lambda lam: skew_qprime((3, 2, 1), lam, _A2),
+    "plane_partition_qprime": lambda lam: plane_partition_qprime(lam, 2),
+    "p_on_alphabet": lambda lam: p_on_alphabet(lam, _A2),
+    "schur_eval": lambda lam: schur_eval(lam, _ONE_MINUS_X1),
+    "skew_schur_eval": lambda lam: skew_schur_eval((3, 2, 1), lam, _A2),
+    "aleph outer": lambda lam: aleph(lam, (1,)),
+    "aleph inner": lambda lam: aleph((3, 2, 1), lam),
+    "add_one": add_one,
+    "sub_one": sub_one,
+    "theta outer": lambda lam: theta(lam, (2, 1)),
+    "theta inner": lambda lam: theta((2, 1), lam),
+    "warnaar3_sides": lambda lam: warnaar3_sides(lam, 2, 3),
+    "theta_scalar_parts outer": lambda lam: theta_scalar_parts(lam, (1,), 3),
+    "theta_scalar_parts inner": lambda lam: theta_scalar_parts((2, 1), lam, 3),
+    "enumerate_ssyt": lambda lam: enumerate_ssyt(lam, nletters=3),
+}
+# These read a partition with trailing zeros only: a reordered index is
+# a vector to them, or is refused.
+PADDED_ENTRY_POINTS = {
+    "qprime_schur": qprime_schur,
+    "qprime_of_vector": qprime_of_vector,
+    "kostka_foulkes shape": lambda lam: {
+        mu: kostka_foulkes(lam, mu) for mu in partitions_up_to(5)
+    },
+    "kostka_foulkes weight": lambda lam: {
+        rho: kostka_foulkes(rho, lam) for rho in partitions_up_to(5)
+    },
+}
+# At most three parts, so that theta_scalar_parts at rank 3 takes them.
+_small = st.integers(0, 5).flatmap(lambda m: st.sampled_from(partitions_of(m, max_length=3)))
+_zeros = st.integers(0, 2)
+
+
+def _refusals():
+    """(entry point, input, exception): a negative part is a ValueError
+    and a float part a TypeError; parse_partition reads text, whose
+    grammar refuses both.  qprime_of_vector reads any integer vector."""
+    for name in [*SPELLED_ENTRY_POINTS, *PADDED_ENTRY_POINTS]:
+        text = name == "parse_partition"
+        if name != "qprime_of_vector":
+            yield pytest.param(name, (2, -1), ValueError, id=f"{name} (2, -1)")
+        yield pytest.param(name, (2.5, 1), ValueError if text else TypeError, id=f"{name} (2.5, 1)")
+
+
+class TestEntryPoints:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.tuples(_small, _zeros).flatmap(
+            lambda p: st.tuples(st.just(p[0]), st.permutations(p[0] + (0,) * p[1]))
+        )
+    )
+    def test_any_spelling_gives_the_same_value(self, pair):
+        lam, spelling = pair
+        for name, entry in SPELLED_ENTRY_POINTS.items():
+            assert entry(tuple(spelling)) == entry(lam), (name, spelling)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small, _zeros)
+    def test_trailing_zeros_give_the_same_value(self, lam, zeros):
+        for name, entry in PADDED_ENTRY_POINTS.items():
+            assert entry(lam + (0,) * zeros) == entry(lam), (name, zeros)
+
+    @pytest.mark.parametrize("name, bad, error", list(_refusals()))
+    def test_refuses_negative_and_float_parts(self, name, bad, error):
+        entry = {**SPELLED_ENTRY_POINTS, **PADDED_ENTRY_POINTS}[name]
+        with pytest.raises(error):
+            entry(bad)
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            qprime_of_vector,
+            qprime_vector_schur,
+            kernel_schur,
+            lambda weight: enumerate_ssyt((2,), weight=weight),
+        ],
+    )
+    def test_vector_readers_refuse_floats(self, reader):
+        with pytest.raises(TypeError):
+            reader((1.9, 0))
+
+    def test_plane_partitions_normalize_at_the_entry_only(self, monkeypatch):
+        # _branch normalizes lam and the skew end; every helper it
+        # reaches takes them as they are.
+        calls = []
+
+        def spy(parts):
+            calls.append(parts)
+            return normalize(parts)
+
+        hlkit_modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "hlkit"]
+        for module in hlkit_modules:
+            if hasattr(module, "normalize"):
+                monkeypatch.setattr(module, "normalize", spy)
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+        plane_partition_qprime((4, 3, 2, 1), 4)
+        assert 1 <= len(calls) <= 2
