@@ -325,7 +325,6 @@ class TestEntryPoints:
     @pytest.mark.parametrize(
         "reader",
         [
-            qprime_of_vector,
             qprime_vector_schur,
             kernel_schur,
             lambda weight: enumerate_ssyt((2,), weight=weight),
