@@ -25,7 +25,12 @@ one sign and one power of t (x1 + ... + xn, X + Y, t^r - X), the value
 is symmetric in them, so the iteration walks only the weakly decreasing
 exponent paths and copies each coefficient over its orbit; each step
 asks its table only for the sizes of nu such a path can take.  Skew
-values and every other alphabet walk every exponent vector.
+values and every other alphabet walk every exponent vector.  The walk
+keeps one int per exponent vector, its t-polynomial at t = 2^w
+(Kronecker substitution), read back as balanced digits; each state
+carries a bound on the 1-norm of its polynomials, and w doubles before
+a bound could reach 2^(w-1).  Powers of t are counted from the lowest
+one among the letters and the offset is put back at the end.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct, zip_longest
 from math import comb
-from operator import index
+from operator import add, index
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
@@ -67,7 +72,7 @@ from .partitions import (
 from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import _kernel_schur_cached, kernel_schur, pi_omega
 from .alphabets import Alphabet, letter
-from .xpoly import XPoly, X_ONE, _linear_combination, _mul_into, xvars
+from .xpoly import XPoly, X_ONE, _linear_combination, xvars
 
 
 @dataclass
@@ -231,43 +236,115 @@ def _symmetric(A):
     )
 
 
-def _orbits(terms):
-    """Each (t, e) coefficient copied to every distinct rearrangement of
-    e, the rearrangements of each e computed once."""
-    perms = {}
-    out = {}
-    for k, v in terms.items():
-        e = k[1:]
-        if e not in perms:
-            perms[e] = list(_rearrangements(e))
-        for p in perms[e]:
-            out[(k[0], *p)] = v
-    return out
+def _orbits(polys):
+    """The (t, e) coefficients of {e: [(t, c), ...]} copied to every
+    distinct rearrangement of e."""
+    return {
+        (s, *p): c
+        for e, pairs in polys.items()
+        for p in _rearrangements(e)
+        for s, c in pairs
+    }
 
 
 def _rearrangements(e):
-    """The distinct permutations of the tuple e."""
-    if not e:
-        yield ()
+    """The distinct permutations of the tuple e, each once, in
+    lexicographic order: the next permutation of sorted(e) until the
+    last one."""
+    p = sorted(e)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
+
+
+_WIDTH = 64  # the starting digit width w, in bits, of a packed t-polynomial
+
+
+def _pack(coeffs, w, shift=0):
+    """The t-polynomial {power: int} times t^shift as one int, at t = 2^w."""
+    m = 0
+    for s, v in coeffs.items():
+        m += v << w * (s + shift)
+    return m
+
+
+def _unpack(v, w):
+    """The (power, coefficient) pairs of the t-polynomial packed in v at
+    t = 2^w, read as balanced digits in (-2^(w-1), 2^(w-1)); exact when
+    every coefficient lies in that range, and then v has at most
+    bit_length(|v|) // w + 1 digits."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    for s in range(v.bit_length() // w + 1):
+        c = v & mask
+        if c >= half:
+            c -= 1 << w
+        if c:
+            yield s, c
+        v = (v - c) >> w
+
+
+def _mul_packed(acc, vecs, shift, m):
+    """acc[e + shift] += v * m over the (exponent vector e, packed v) of
+    vecs: one product of ints per vector."""
+    get = acc.get
+    if not any(shift):
+        for e, v in vecs.items():
+            acc[e] = get(e, 0) + v * m
         return
-    for x in set(e):
-        i = e.index(x)
-        for rest in _rearrangements(e[:i] + e[i + 1 :]):
-            yield (x, *rest)
+    for e, v in vecs.items():
+        k = tuple(map(add, e, shift))
+        acc[k] = get(k, 0) + v * m
+
+
+def _widen(w, bound, *states):
+    """The least doubling of the width w with bound < 2^(w-1), each
+    packed value of the {key: (vecs, bound)} `states` repacked to it."""
+    old = w
+    while bound >> (w - 1):
+        w *= 2
+    for state in states:
+        for vecs, _ in state.values():
+            for e, v in vecs.items():
+                vecs[e] = _pack(dict(_unpack(v, old)), w)
+    return w
 
 
 def _branch(table, lam, A, end=()):
     """F_{lam/end}(A) for F = Q', P or s by its `table`, adding the
     letters of A one at a time.
 
-    The state maps each mu reached to its coefficient, int coefficients
-    keyed by the power of t and the exponents of A's variables as in
-    XPoly.terms, so x and t*x in X(1-t) cancel at the step that meets
-    them.  A letter a sends mu to nu with a^{|mu/nu|} times the c of nu
-    in F_mu[X - 1] (minus letters, which go first) or F_mu[X + 1].  The
-    table is asked only for the nu in a window of sizes, so it computes
-    no pair the walk would drop; off the orbit path the window is
-    [0, |mu|].  A nu not containing `end` is dropped; the last letter
+    The state maps each mu reached to its coefficient: one int per
+    exponent vector of A's variables, the t-polynomial at t = 2^w
+    (Kronecker substitution), so x and t*x in X(1-t) cancel at the step
+    that meets them.  A letter a sends mu to nu with a^{|mu/nu|} times
+    the c of nu in F_mu[X - 1] (minus letters, which go first) or
+    F_mu[X + 1]; that is one product of ints per exponent vector, the
+    letter's power of t a left shift.  Each letter's power of t is
+    counted from the lowest power t^low among the letters, so every
+    packed polynomial has nonnegative powers (the tables' c are
+    polynomials in t), and t^{low (|lam| - |end|)} is put back once,
+    when the last state is unpacked.  The signed coefficients are read
+    as balanced digits, exact while each lies in (-2^(w-1), 2^(w-1));
+    so is the test of a packed value for zero.  Each state carries a
+    bound on the 1-norm of its t-polynomials, which bounds every
+    coefficient: the sum over the triples that reach it of the
+    source's bound times the 1-norm of c, as the 1-norm of a product is
+    at most the product of the 1-norms.  Before a product would let a
+    bound reach 2^(w-1), w doubles and the states are repacked
+    (`_widen`).
+
+    The table is asked only for the nu in a window of sizes, so it
+    computes no pair the walk would drop; off the orbit path the window
+    is [0, |mu|].  A nu not containing `end` is dropped; the last letter
     asks the table for `end` alone.  A horizontal strip shortens mu by
     at most one part, so over strips a nu with more parts than len(end)
     plus the letters left is dropped.
@@ -290,9 +367,13 @@ def _branch(table, lam, A, end=()):
     orbit = not end and _symmetric(A)
     last_t = max((k for k, (l, _) in enumerate(letters, 1) if not l.mono), default=0)
     var_left = sum(1 for l, _ in letters if l.mono)
-    state = {(lam, sum(lam)): {(0,) * (len(vars) + 1): 1}}
+    low = min((l.t_exp for l, _ in letters), default=0)
+    w = _WIDTH
+    state = {(lam, sum(lam)): ({(0,) * len(vars): 1}, 1)}
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
+        shifts = [tuple([d * e for e in exps]) for d in range(sum(lam) + 1)]
+        t_rel = l.t_exp - low
         last = k == len(letters)
         strips = table.strips and not minus
         longest = len(end) + len(letters) - k if strips else len(lam)
@@ -301,31 +382,45 @@ def _branch(table, lam, A, end=()):
         bounded = orbit and k >= last_t
         read = table.minus if minus else table.plus
         new = {}
-        for (mu, cap), flat in state.items():
-            flat, size = flat.items(), sum(mu)
+        for (mu, cap), (vecs, bound) in state.items():
+            size = sum(mu)
             hi = size
             if bounded:
                 hi = size * var_left // (var_left + 1) if capped else cap * var_left
             window = range(size - cap if capped else 0, hi + 1)
             for nu, s, c in read(mu, window, end if last else None):
-                if c and len(nu) <= longest and (nu == end or not last):
-                    d = size - s
-                    nu_cap = d if capped else cap
+                if len(nu) <= longest and (nu == end or not last):
                     c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
-                    a_d = [((s + d * l.t_exp, *(d * e for e in exps)), v)
-                           for s, v in c.items()]
-                    _mul_into(new.setdefault((nu, nu_cap), {}), flat, a_d)
+                    norm = sum(map(abs, c.values()))
+                    if not norm:
+                        continue
+                    d = size - s
+                    key = nu, d if capped else cap
+                    to = new.get(key)
+                    if to is None:
+                        to = new[key] = [{}, 0]
+                    to[1] += bound * norm
+                    if to[1] >> (w - 1):
+                        w = _widen(w, to[1], state, new)
+                    _mul_packed(to[0], vecs, shifts[d], _pack(c, w, d * t_rel))
         state = {}
-        for mu_cap, acc in new.items():
-            if contains(mu_cap[0], end):
+        for mu_cap, (acc, bound) in new.items():
+            if not end or contains(mu_cap[0], end):
                 if not all(acc.values()):
-                    acc = {key: v for key, v in acc.items() if v}
+                    acc = {e: v for e, v in acc.items() if v}
                 if acc:
-                    state[mu_cap] = acc
-    terms = {
-        k: v for (mu, _), acc in state.items() if mu == end for k, v in acc.items()
+                    state[mu_cap] = acc, bound
+    offset = low * (sum(lam) - sum(end))
+    polys = {
+        e: [(s + offset, c) for s, c in _unpack(v, w)]
+        for (mu, _), (vecs, _) in state.items() if mu == end
+        for e, v in vecs.items()
     }
-    return XPoly._trusted(vars, _orbits(terms) if orbit else terms)
+    if orbit:
+        terms = _orbits(polys)
+    else:
+        terms = {(s, *e): c for e, pairs in polys.items() for s, c in pairs}
+    return XPoly._trusted(vars, terms)
 
 
 @cache

@@ -6,7 +6,10 @@ library: `normalize` sorts a list of nonnegative ints, drops its zeros
 and refuses a negative or non-int part, and the entry points
 (`parse_partition` here, the public functions of `hall_littlewood`,
 `identities` and `tableaux` that take a partition from a caller) call
-it.  Every helper here takes a partition as it is and does not sort it
+it.  The four helpers that the package exports, `conjugate`, `n_stat`,
+`n_skew` and `b_poly`, read the parts in any order, zeros included, give
+the value of the sorted partition and refuse a negative part; every
+other helper here takes a partition as it is and does not sort it
 again.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import zip_longest
 from math import comb, prod
 from operator import ge, index
 
@@ -24,10 +28,16 @@ def normalize(parts):
     """The partition of a list of nonnegative ints: sorted descending,
     zeros dropped.  A negative part raises ValueError and a part that is
     not an int (a float) TypeError."""
-    parts = sorted(map(index, parts), reverse=True)
+    return tuple(p for p in _descending(map(index, parts)) if p)
+
+
+def _descending(parts):
+    """The parts sorted descending, zeros kept; a negative part raises
+    ValueError."""
+    parts = sorted(parts, reverse=True)
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part {parts[-1]}: partitions have nonnegative parts")
-    return tuple(p for p in parts if p)
+    return parts
 
 
 def is_partition(parts):
@@ -103,6 +113,9 @@ def parse_partition(text):
 
 
 def conjugate(lam):
+    """The conjugate partition; the parts may come in any order, zeros
+    included; a negative part raises ValueError."""
+    lam = _descending(lam)
     out, k = [], len(lam)
     for j in range(1, lam[0] + 1 if lam else 1):
         while lam[k - 1] < j:
@@ -112,21 +125,22 @@ def conjugate(lam):
 
 
 def n_stat(lam):
-    """Sum of (i-1) * lam_i, rows indexed from 1."""
-    return sum(i * p for i, p in enumerate(lam))
+    """Sum of (i-1) * lam_i, rows indexed from 1; the parts may come in
+    any order, zeros included, and a negative part raises ValueError."""
+    return sum(i * p for i, p in enumerate(_descending(lam)))
 
 
 def n_skew(lam, mu):
     """Column statistic of a skew shape: sum over columns of C(diff, 2).
 
-    Defined for any pair with mu contained in lam; the column lengths of
-    lam and mu are both measured with the conjugate.
+    Defined for any pair with mu contained in lam, the parts of each in
+    any order, zeros included; the column lengths of lam and mu are
+    both measured with the conjugate, which refuses a negative part.
     """
-    if not contains(lam, mu):
+    cols = list(zip_longest(conjugate(lam), conjugate(mu), fillvalue=0))
+    if any(a < b for a, b in cols):
         raise ValueError("inner shape is not contained in the outer one")
-    lc, mc = conjugate(lam), conjugate(mu)
-    mc = mc + (0,) * (len(lc) - len(mc))
-    return sum(comb(a - b, 2) for a, b in zip(lc, mc))
+    return sum(comb(a - b, 2) for a, b in cols)
 
 
 def contains(lam, mu):
@@ -146,7 +160,8 @@ def multiplicities(lam):
     """Dict part value -> multiplicity, zero part excluded."""
     out = {}
     for p in lam:
-        out[p] = out.get(p, 0) + 1
+        if p:
+            out[p] = out.get(p, 0) + 1
     return out
 
 
@@ -155,9 +170,10 @@ def b_poly(lam):
     """prod over part values of (1-t)(1-t^2)...(1-t^{mult}).
 
     The norm making the two standard Hall-Littlewood normalizations
-    proportional: Q = b * P.
+    proportional: Q = b * P.  The parts may come in any order, zeros
+    included, and a negative part raises ValueError.
     """
-    return prod(map(t_factorial, multiplicities(lam).values()), start=L_ONE)
+    return prod(map(t_factorial, multiplicities(_descending(lam)).values()), start=L_ONE)
 
 
 @cache

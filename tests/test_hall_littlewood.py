@@ -519,9 +519,9 @@ class TestOrbitPath:
     @given(PARTITIONS_TO_7, SYMMETRIC_ALPHABETS)
     def test_computes_only_kept_values(self, lam, A):
         """Every triple the Q' table hands `_branch` is multiplied into a
-        state at once, and the one-letter skew values asked for are
-        exactly the plus triples."""
-        log, asked, mul_into = [], [], hl._mul_into
+        state at once, by one packed product, and the one-letter skew
+        values asked for are exactly the plus triples."""
+        log, asked, mul_packed = [], [], hl._mul_packed
 
         def offered(read, side):
             def spy(mu, window, end=None):
@@ -541,7 +541,7 @@ class TestOrbitPath:
         )
         with pytest.MonkeyPatch.context() as m:
             m.setattr(hl, "skew_qprime_one", skew)
-            m.setattr(hl, "_mul_into", lambda *a: log.append(None) or mul_into(*a))
+            m.setattr(hl, "_mul_packed", lambda *a: log.append(None) or mul_packed(*a))
             got = hl._branch(table, lam, A)
         assert got == qprime_on_alphabet(lam, A)
         offers, muls = log[::2], log[1::2]
@@ -559,6 +559,33 @@ class TestOrbitPath:
         assert sorted(hl._rearrangements((2, 1, 1))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
         assert list(hl._rearrangements(())) == [()]
         assert len(list(hl._rearrangements((3, 2, 2, 0, 0, 0)))) == 60
+
+    def test_rearrangements_are_the_distinct_permutations(self):
+        for n in range(6):
+            for e in itertools.product(range(4), repeat=n):
+                got = list(hl._rearrangements(e))
+                assert len(got) == len(set(got)), e
+                assert set(got) == set(itertools.permutations(e)), e
+
+
+class TestPackedWalk:
+    """`_branch` packs each t-polynomial into one int at t = 2^w and
+    reads it back as balanced digits, widening w as the coefficients'
+    bound grows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_PARTITIONS, ALPHABETS)
+    def test_widening_from_two_bits(self, lam, A):
+        # At w = 2 a digit holds -1, 0 or 1, so any bound of 2 or more
+        # widens and repacks the states first.
+        widened, widen = [], hl._widen
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hl, "_WIDTH", 2)
+            m.setattr(hl, "_widen", lambda *a: widened.append(1) or widen(*a))
+            got = branch_all(A, lam)
+        assert got == oracles_all(A, lam)
+        big = any(abs(v) > 1 for f in got for v in f.terms.values())
+        assert widened or not big
 
 
 class TestPlanePartitionRoute:

@@ -1,10 +1,12 @@
 import re
 import sys
+from itertools import permutations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hlkit
 from hlkit.alphabets import Alphabet, parse_alphabet
 from hlkit.hall_littlewood import (
     add_one,
@@ -315,6 +317,28 @@ class TestEntryPoints:
     def test_trailing_zeros_give_the_same_value(self, lam, zeros):
         for name, entry in PADDED_ENTRY_POINTS.items():
             assert entry(lam + (0,) * zeros) == entry(lam), (name, zeros)
+
+    def test_exported_helpers_give_the_sorted_value(self):
+        # each of these four calls gave another partition's value when
+        # the helpers took their partition as it was
+        assert hlkit.conjugate((1, 2)) == (2, 1)
+        assert hlkit.b_poly((1, 0)) == ONE - T
+        assert hlkit.n_stat((0, 2)) == 0
+        assert hlkit.n_skew((1, 2, 2), (1,)) == 2
+        for lam in partitions_up_to(5)[1:]:
+            for spelling in set(permutations(lam + (0,))):
+                assert hlkit.conjugate(spelling) == hlkit.conjugate(lam)
+                assert hlkit.b_poly(spelling) == hlkit.b_poly(lam)
+                assert hlkit.n_stat(spelling) == hlkit.n_stat(lam)
+                assert hlkit.n_skew(spelling, (0, 1)) == hlkit.n_skew(lam, (1,))
+        for call in (
+            lambda: hlkit.conjugate((2, -1)),
+            lambda: hlkit.b_poly((2, -1)),
+            lambda: hlkit.n_stat((2, -1)),
+            lambda: hlkit.n_skew((2, 1), (1, -1)),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     @pytest.mark.parametrize("name, bad, error", list(_refusals()))
     def test_refuses_negative_and_float_parts(self, name, bad, error):
