@@ -115,9 +115,7 @@ def criterion_3():
 def criterion_4():
     """Charge route against kernel route, all |lam| <= 7, lengths <= n <= 4."""
     checked = 0
-    for lam in partitions_up_to(7):
-        if len(lam) > 4:
-            continue
+    for lam in partitions_up_to(7, max_length=4):
         kfs = {rho: kostka_foulkes(rho, lam) for rho in partitions_of(sum(lam))}
         charge_route = {rho: kf for rho, kf in kfs.items() if kf}
         for n in range(max(1, len(lam)), 5):
@@ -193,9 +191,7 @@ def criterion_7():
     for k in (0, 1, 2):
         for beta in (0, 1, 2):
             for m in (0, 1, 2):
-                for nu in partitions_of(m):
-                    if len(nu) > k:
-                        continue
+                for nu in partitions_of(m, max_length=k):
                     if not two_letter_factorization_check(k, nu, beta):
                         return False, (
                             f"two-variable form fails at k={k}, nu={nu}, "
@@ -282,7 +278,7 @@ def criterion_10():
 def criterion_11():
     """Scalar products: the dominant-expansion pairing chain at rank 3,
     and constant-term orthogonality of Q against dominant monomials."""
-    small = [lam for lam in partitions_up_to(4) if len(lam) <= 3]
+    small = partitions_up_to(4, max_length=3)
     n_chain = 0
     for lam in small:
         for mu in small:
@@ -291,7 +287,7 @@ def criterion_11():
             n_chain += 1
     n_ct = 0
     for n in (1, 2, 3):
-        vs = [lam for lam in partitions_up_to(4) if len(lam) <= n]
+        vs = partitions_up_to(4, max_length=n)
         for lam in vs:
             for mu in vs:
                 f = q_on_xvars(lam, n)

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .laurent import LaurentPoly
-from .xpoly import XPoly, var_key, xvars, yvars
+from .laurent import LaurentPoly, _joined
+from .xpoly import XPoly, merge_vars, var_key, xvars, yvars
 
 
 class NonTerminatingSeriesError(ValueError):
@@ -101,28 +101,16 @@ class Alphabet:
         )
 
     def times(self, other):
-        acc_p, acc_m = [], []
-        for a in self.plus:
-            for b in other.plus:
-                acc_p.append(a.times(b))
-            for b in other.minus:
-                acc_m.append(a.times(b))
-        for a in self.minus:
-            for b in other.plus:
-                acc_m.append(a.times(b))
-            for b in other.minus:
-                acc_p.append(a.times(b))
-        return Alphabet(tuple(acc_p), tuple(acc_m))
+        parts = [self.times_letter(b) for b in other.plus]
+        parts += [-self.times_letter(b) for b in other.minus]
+        return sum(parts, Alphabet())
 
     def one_minus_t(self):
         """The alphabet of the argument scaled by (1 - t)."""
         return self - self.times_letter(letter(1))
 
     def var_names(self):
-        out = set()
-        for l in self.plus + self.minus:
-            out.update(l.mono)
-        return tuple(sorted(out, key=var_key))
+        return merge_vars(*(l.mono for l in self.plus + self.minus))
 
     def __str__(self):
         def fmt(l):
@@ -134,10 +122,7 @@ class Alphabet:
             bits.extend(l.mono)
             return "*".join(bits) if bits else "1"
 
-        parts = [fmt(l) for l in self.plus] + [f"-{fmt(l)}" for l in self.minus]
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
+        return _joined([fmt(l) for l in self.plus] + [f"-{fmt(l)}" for l in self.minus])
 
 
 _ATOM_T = re.compile(r"^t(?:\^(-?\d+))?$")

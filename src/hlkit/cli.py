@@ -230,6 +230,8 @@ def _cmd_scalar(args):
 def _verify_sides(args):
     if args.nx == 0 and args.ny == 0:
         raise ValueError("--nx and --ny cannot both be 0 (both sides are 1)")
+    if args.nx == 0 and args.target == "sigmaxy":
+        raise ValueError("sigmaxy needs --nx >= 1 (X + XY(1-t) is empty when nx = 0)")
     sides = warnaar_sides if args.target == "warnaar" else sigmaxy_sides
     lhs, rhs = sides(args.nx, args.ny, args.deg)
     name = f"{args.target} nx={args.nx} ny={args.ny} deg={args.deg}"

@@ -54,7 +54,7 @@ from operator import add, index
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
-from .laurent import _accumulate, _fmt_coeff
+from .laurent import _accumulate, _fmt_coeff, _joined
 from .partitions import (
     b_poly,
     conjugate,
@@ -91,13 +91,11 @@ class BasisExpansion:
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def render(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for lam, c in self.items_sorted():
             body = f"{self.basis}[{','.join(str(p) for p in lam)}]"
             parts.append(_fmt_coeff(c, body))
-        return " + ".join(parts).replace("+ -", "- ")
+        return _joined(parts)
 
     def to_json(self):
         return {
@@ -552,19 +550,14 @@ def skew_qprime_one(lam, mu):
 def skew_qprime_one_columns(lam, mu):
     """Column rule for the same value: per column, alpha ends of mu-rows
     and beta boxes of lam/mu give t^{C(beta,2)} * [alpha+beta, alpha]."""
-    lc, mc = conjugate(lam), conjugate(mu)
-    width = max(len(lc), len(mc))
+    ends = multiplicities(mu)
+    cols = zip_longest(conjugate(lam), conjugate(mu), fillvalue=0)
     acc = L_ONE
-    for c in range(1, width + 1):
-        alpha = sum(1 for p in mu if p == c)
-        lam_col = lc[c - 1] if c <= len(lc) else 0
-        mu_col = mc[c - 1] if c <= len(mc) else 0
-        beta = lam_col - mu_col
+    for c, (lam_col, mu_col) in enumerate(cols, 1):
+        alpha, beta = ends.get(c, 0), lam_col - mu_col
         if beta < 0:
             return L_ZERO
-        acc = acc * LaurentPoly.t_power(comb(beta, 2)) * t_binomial(
-            alpha + beta, alpha
-        )
+        acc = (acc * t_binomial(alpha + beta, alpha)).shift(comb(beta, 2))
     return acc
 
 
@@ -679,18 +672,18 @@ def one_minus_x_factorization_check(lam, r, n):
     return lhs == rhs
 
 
-def principal_specialization(lam, xname="x1"):
-    """Closed form for Q'_lam(1 - {x}): a t-power times a falling
-    product of (1 - x t^{-i})."""
+def principal_specialization(lam):
+    """Closed form for Q'_lam(1 - x1): a t-power times a falling
+    product of (1 - x1 t^{-i})."""
     acc = XPoly.const(LaurentPoly.t_power(n_stat(lam)))
     for i in range(len(lam)):
-        acc = acc * (X_ONE - XPoly.monomial((xname,), (1,), LaurentPoly.t_power(-i)))
+        acc = acc * (X_ONE - XPoly.monomial(("x1",), (1,), LaurentPoly.t_power(-i)))
     return acc
 
 
-def principal_specialization_check(lam, xname="x1"):
-    A = Alphabet((letter(0),), (letter(0, xname),))
-    return principal_specialization(lam, xname) == qprime_on_alphabet(lam, A)
+def principal_specialization_check(lam):
+    A = Alphabet((letter(0),), (letter(0, "x1"),))
+    return principal_specialization(lam) == qprime_on_alphabet(lam, A)
 
 
 def two_letter_shape(k, nu, beta):

@@ -49,8 +49,8 @@ class LaurentPoly:
         return res
 
     @classmethod
-    def t_power(cls, k, c=1):
-        return cls({k: c})
+    def t_power(cls, k):
+        return cls({k: 1})
 
     @staticmethod
     def _coerce(other):
@@ -162,8 +162,6 @@ class LaurentPoly:
         return self.coeffs.get(0, 0)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for k in sorted(self.coeffs):
             c = self.coeffs[k]
@@ -172,11 +170,8 @@ class LaurentPoly:
             else:
                 tp = "t" if k == 1 else f"t^{k}"
                 body = tp if abs(c) == 1 else f"{abs(c)}*{tp}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+            parts.append(body if c > 0 else "-" + body)
+        return _joined(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -187,6 +182,12 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls({int(k): int(c) for k, c in data.items()})
+
+
+def _joined(parts):
+    """The signed sum of rendered terms, each written with its own sign:
+    a - b for the parts a and -b, and 0 for no parts."""
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _fmt_coeff(c, body):
@@ -204,5 +205,5 @@ ONE = LaurentPoly({0: 1})
 T = LaurentPoly({1: 1})
 
 
-def t_power(k, c=1):
-    return LaurentPoly.t_power(k, c)
+def t_power(k):
+    return LaurentPoly.t_power(k)

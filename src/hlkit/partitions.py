@@ -8,9 +8,9 @@ and refuses a negative or non-int part, and the entry points
 `identities` and `tableaux` that take a partition from a caller) call
 it.  The four helpers that the package exports, `conjugate`, `n_stat`,
 `n_skew` and `b_poly`, read the parts in any order, zeros included, give
-the value of the sorted partition and refuse a negative part; every
-other helper here takes a partition as it is and does not sort it
-again.
+the value of the sorted partition and refuse a negative or non-int
+part as `normalize` does; every other helper here takes a partition as
+it is and does not sort it again.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ def normalize(parts):
     """The partition of a list of nonnegative ints: sorted descending,
     zeros dropped.  A negative part raises ValueError and a part that is
     not an int (a float) TypeError."""
-    return tuple(p for p in _descending(map(index, parts)) if p)
+    return tuple(p for p in _descending(parts) if p)
 
 
 def _descending(parts):
     """The parts sorted descending, zeros kept; a negative part raises
-    ValueError."""
-    parts = sorted(parts, reverse=True)
+    ValueError and a part that is not an int (a float) TypeError."""
+    parts = sorted(map(index, parts), reverse=True)
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part {parts[-1]}: partitions have nonnegative parts")
     return parts
@@ -114,7 +114,7 @@ def parse_partition(text):
 
 def conjugate(lam):
     """The conjugate partition; the parts may come in any order, zeros
-    included; a negative part raises ValueError."""
+    included; a negative part raises ValueError and a float TypeError."""
     lam = _descending(lam)
     out, k = [], len(lam)
     for j in range(1, lam[0] + 1 if lam else 1):
@@ -126,7 +126,8 @@ def conjugate(lam):
 
 def n_stat(lam):
     """Sum of (i-1) * lam_i, rows indexed from 1; the parts may come in
-    any order, zeros included, and a negative part raises ValueError."""
+    any order, zeros included; a negative part raises ValueError and a
+    float TypeError."""
     return sum(i * p for i, p in enumerate(_descending(lam)))
 
 
@@ -135,7 +136,8 @@ def n_skew(lam, mu):
 
     Defined for any pair with mu contained in lam, the parts of each in
     any order, zeros included; the column lengths of lam and mu are
-    both measured with the conjugate, which refuses a negative part.
+    both measured with the conjugate, which refuses a negative or float
+    part.
     """
     cols = list(zip_longest(conjugate(lam), conjugate(mu), fillvalue=0))
     if any(a < b for a, b in cols):
@@ -171,7 +173,7 @@ def b_poly(lam):
 
     The norm making the two standard Hall-Littlewood normalizations
     proportional: Q = b * P.  The parts may come in any order, zeros
-    included, and a negative part raises ValueError.
+    included; a negative part raises ValueError and a float TypeError.
     """
     return prod(map(t_factorial, multiplicities(_descending(lam)).values()), start=L_ONE)
 

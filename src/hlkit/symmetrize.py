@@ -56,7 +56,9 @@ def _parity_sign(perm):
 
 def swap_si(f, i, n):
     """Exchange x_i and x_{i+1} (1-based) over the first n x-variables."""
-    return f.swap_positions(i - 1, i, vars=xvars(n))
+    perm = list(range(n))
+    perm[i - 1], perm[i] = i, i - 1
+    return f.permute_exponents(perm, vars=xvars(n))
 
 
 def pi_i(f, i, n):

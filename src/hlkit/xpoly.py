@@ -10,8 +10,8 @@ coefficients.  Values are canonical:
   * a variable appearing with exponent 0 in every term is dropped,
   * zero coefficients are never stored.
 
-Binary operations align variable lists automatically, so polynomials
-built over different alphabets compare and combine correctly.
+Binary operations align variable lists on their union (merge_vars), so
+polynomials built over different alphabets compare and combine correctly.
 
 The public constructor takes {exponents: LaurentPoly or int}, validates
 it and canonicalizes it.  Results of arithmetic go through the private
@@ -27,7 +27,7 @@ import re
 from bisect import bisect_right
 from operator import add, index
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, NotDivisibleError, _fmt_coeff
+from .laurent import LaurentPoly, ZERO as L_ZERO, NotDivisibleError, _fmt_coeff, _joined
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
@@ -55,18 +55,19 @@ def yvars(n):
     return _numbered("y", n)
 
 
-def merge_vars(a, b):
-    return tuple(sorted(set(a) | set(b), key=var_key))
+def merge_vars(*groups):
+    """The union of the variable names in `groups`, sorted by var_key."""
+    return tuple(sorted(set().union(*groups), key=var_key))
 
 
-def _mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b over (t, exponents) keys.
+def _mul_into(acc, a, b):
+    """acc += a * b over (t, exponents) keys.
 
     `a` and `b` iterate over (key, int) pairs over the same variables;
     `acc` maps keys to ints and may keep zero entries, which
     XPoly._trusted drops.
     """
-    b = [(k, sign * v) for k, v in b]
+    b = list(b)
     get = acc.get
     for k1, v1 in a:
         for k2, v2 in b:
@@ -92,16 +93,11 @@ def _degree(vars, count_vars):
     return lambda k: sum(x for x, m in zip(k[1:], mask) if m)
 
 
-def _sorted_vars(polys):
-    """The union of the variables of `polys`, sorted by var_key."""
-    return tuple(sorted({v for f in polys for v in f.vars}, key=var_key))
-
-
 def _linear_combination(pairs):
     """The sum of c * f over (XPoly f, int or LaurentPoly c) pairs,
     built once."""
     pairs = [(f, _coerce_coeff(c)) for f, c in pairs]
-    vars = _sorted_vars(f for f, _ in pairs)
+    vars = merge_vars(*(f.vars for f, _ in pairs))
     zero = (0,) * len(vars)
     acc = {}
     for f, c in pairs:
@@ -348,20 +344,6 @@ class XPoly:
             raise ValueError("not a permutation of the variable slots")
         return self._rekeyed(vars, lambda e: tuple(e[p] for p in perm))
 
-    def swap_positions(self, i, j, vars=None):
-        """Exchange the exponents of the i-th and j-th variables (0-based).
-
-        Positions refer to `vars` when given; variables absent from self
-        are treated as exponent 0 everywhere.
-        """
-
-        def swapped(e):
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            return tuple(le)
-
-        return self._rekeyed(vars, swapped)
-
     def reverse_invert(self, vars=None):
         """Substitute x_i -> 1/x_{n+1-i} over `vars` (default self.vars)."""
         return self._rekeyed(vars, lambda e: tuple(-x for x in reversed(e)))
@@ -400,8 +382,6 @@ class XPoly:
     # -- rendering / io --------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for e, c in sorted(_grouped(self.terms).items(), reverse=True):
             mono = "*".join(
@@ -413,7 +393,7 @@ class XPoly:
                 parts.append(_fmt_coeff(c, mono))
             else:
                 parts.append(str(c) if len(c.coeffs) == 1 else f"({c})")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _joined(parts)
 
     def __repr__(self):
         return f"XPoly({self})"

@@ -90,7 +90,7 @@ from hlkit.partitions import (
 from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
 from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
-from hlkit.xpoly import _grouped, _mul_into, _sorted_vars
+from hlkit.xpoly import _grouped, _mul_into, merge_vars
 
 
 def enumerate_ssyt_by_cells(shape, weight=None, nletters=None):
@@ -463,15 +463,15 @@ def complete_series(A, D):
         (1, A.plus, range(1, D + 1)),
     ):
         for l in letters:
-            factor = (((l.t_exp, *(l.mono.count(v) for v in vars)), 1),)
+            factor = (((l.t_exp, *(l.mono.count(v) for v in vars)), sign),)
             for k in ks:
-                _mul_into(h[k], h[k - 1].items(), factor, sign)
+                _mul_into(h[k], h[k - 1].items(), factor)
     return tuple(XPoly._trusted(vars, hk) for hk in h)
 
 
 def _det(mat):
     """Determinant by expansion along the first remaining row."""
-    vars = _sorted_vars(f for row in mat for f in row)
+    vars = merge_vars(*(f.vars for row in mat for f in row))
     ent = [[list(f._expand_to(vars).items()) for f in row] for row in mat]
     memo = {0: {(0,) * (len(vars) + 1): 1}}
     return XPoly._trusted(vars, _minor(ent, memo, (1 << len(mat)) - 1))
@@ -492,7 +492,8 @@ def _minor(ent, memo, mask):
             if mask & (1 << c):
                 if ent[r][c]:
                     sub = _minor(ent, memo, mask ^ (1 << c))
-                    _mul_into(acc, ent[r][c], sub.items(), sign)
+                    entry = [(k, sign * v) for k, v in ent[r][c]]
+                    _mul_into(acc, entry, sub.items())
                 sign = -sign
         memo[mask] = got = {k: v for k, v in acc.items() if v}
     return got

@@ -8,8 +8,10 @@ generating series by hand.
 """
 
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly
 from hlkit.partitions import conjugate, partitions_up_to, subpartitions
@@ -44,6 +46,28 @@ A_X = Alphabet.of_vars("x1")
 A_AB = Alphabet((letter(0, "a1"),), (letter(0, "b1"),))
 
 
+SMALL_LETTERS = st.builds(
+    lambda k, names: letter(k, *names),
+    st.integers(-1, 2),
+    st.sampled_from([(), ("x1",), ("x2",), ("x1", "y1")]),
+)
+SMALL_ALPHABETS = st.builds(
+    lambda plus, minus: Alphabet(tuple(plus), tuple(minus)),
+    st.lists(SMALL_LETTERS, max_size=3),
+    st.lists(SMALL_LETTERS, max_size=3),
+)
+
+
+def power_sum(A, k):
+    """p_k(A): a^k summed over the plus letters a, minus b^k summed over
+    the minus letters b."""
+
+    def total(letters):
+        return sum((prod([l.value()] * k, start=XPoly.const(1)) for l in letters), XPoly.zero())
+
+    return total(A.plus) - total(A.minus)
+
+
 def schur_by_tableaux(lam, n):
     acc = XPoly.zero()
     for tab in enumerate_ssyt(lam, nletters=n):
@@ -73,6 +97,13 @@ class TestAlphabetAlgebra:
         D = A_AB.times(A_AB)
         # (a - b)^2 = aa + bb - ab - ab
         assert len(D.plus) == 2 and len(D.minus) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_ALPHABETS, SMALL_ALPHABETS)
+    def test_times_multiplies_power_sums(self, A, B):
+        AB = A.times(B)
+        for k in (1, 2, 3):
+            assert power_sum(AB, k) == power_sum(A, k) * power_sum(B, k)
 
     def test_one_minus_t(self):
         A = A_X.one_minus_t()

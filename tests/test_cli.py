@@ -396,6 +396,7 @@ MALFORMED_INPUT = [
     ("verify", "prodx", "--deg", "0"),
     ("verify", "warnaar", "--nx", "0", "--ny", "0"),
     ("verify", "sigmaxy", "--nx", "0", "--ny", "0", "--deg", "2"),
+    ("verify", "sigmaxy", "--nx", "0", "--ny", "1"),
     ("factor-check", "empty", "2", "0"),
     ("verify", "factor", "--lambda", "empty"),
     ("verify", "theta-scalar", "--l", "empty", "--m", "empty"),

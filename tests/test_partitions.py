@@ -23,7 +23,13 @@ from hlkit.hall_littlewood import (
     skew_schur_eval,
     sub_one,
 )
-from hlkit.identities import theta, theta_scalar_parts, warnaar3_sides
+from hlkit.identities import (
+    theta,
+    theta_scalar_check,
+    theta_scalar_parts,
+    warnaar3_check,
+    warnaar3_sides,
+)
 from hlkit.laurent import ONE, T
 from hlkit.partitions import (
     MAX_DIGITS,
@@ -270,6 +276,9 @@ SPELLED_ENTRY_POINTS = {
     "warnaar3_sides": lambda lam: warnaar3_sides(lam, 2, 3),
     "theta_scalar_parts outer": lambda lam: theta_scalar_parts(lam, (1,), 3),
     "theta_scalar_parts inner": lambda lam: theta_scalar_parts((2, 1), lam, 3),
+    "theta_scalar_check outer": lambda lam: theta_scalar_check(lam, (1,), 3),
+    "theta_scalar_check inner": lambda lam: theta_scalar_check((2, 1), lam, 3),
+    "warnaar3_check": lambda lam: warnaar3_check(lam, 2, 3),
     "enumerate_ssyt": lambda lam: enumerate_ssyt(lam, nletters=3),
 }
 # These read a partition with trailing zeros only: a reordered index is
@@ -331,14 +340,34 @@ class TestEntryPoints:
                 assert hlkit.b_poly(spelling) == hlkit.b_poly(lam)
                 assert hlkit.n_stat(spelling) == hlkit.n_stat(lam)
                 assert hlkit.n_skew(spelling, (0, 1)) == hlkit.n_skew(lam, (1,))
-        for call in (
-            lambda: hlkit.conjugate((2, -1)),
-            lambda: hlkit.b_poly((2, -1)),
-            lambda: hlkit.n_stat((2, -1)),
-            lambda: hlkit.n_skew((2, 1), (1, -1)),
-        ):
-            with pytest.raises(ValueError):
-                call()
+        for bad, error in (((2, -1), ValueError), ((2.5, 1), TypeError)):
+            for call in (
+                lambda: hlkit.conjugate(bad),
+                lambda: hlkit.b_poly(bad),
+                lambda: hlkit.n_stat(bad),
+                lambda: hlkit.n_skew((3, 1), bad),
+                lambda: hlkit.n_skew(bad, ()),
+            ):
+                with pytest.raises(error):
+                    call()
+
+    def test_every_export_that_takes_a_partition_is_checked(self):
+        # a new export lands in one of the entry-point tables, among the
+        # four helpers above, or here with the reason it takes none
+        covered = {name.split()[0] for name in [*SPELLED_ENTRY_POINTS, *PADDED_ENTRY_POINTS]}
+        helpers = {"conjugate", "b_poly", "n_stat", "n_skew"}
+        no_partition = {
+            # classes and constructors
+            "Alphabet", "BasisExpansion", "LaurentPoly", "NotDivisibleError", "XPoly",
+            "letter", "parse_alphabet",
+            # integers, words, vectors or polynomials
+            "charge", "ct_scalar", "kernel_schur", "partitions_of", "pi_i", "pi_omega",
+            "prodx_check", "sigmaxy_check", "straighten_schur", "t_binomial",
+            "warnaar_check",
+        }
+        exported = set(hlkit.__all__)
+        assert no_partition <= exported and not no_partition & (covered | helpers)
+        assert exported - no_partition <= covered | helpers
 
     @pytest.mark.parametrize("name, bad, error", list(_refusals()))
     def test_refuses_negative_and_float_parts(self, name, bad, error):

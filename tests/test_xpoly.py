@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, NotDivisibleError, ONE as L_ONE, T
-from hlkit.xpoly import XPoly, X_ONE, X_ZERO, var_key, xvars, yvars
+from hlkit.xpoly import XPoly, X_ONE, X_ZERO, merge_vars, var_key, xvars, yvars
 from oracles import exact_div_linear
 
 try:
@@ -35,6 +35,11 @@ class TestConstruction:
     def test_var_key_natural_order(self):
         assert var_key("x2") < var_key("x10")
         assert var_key("x9") < var_key("y1")
+
+    def test_merge_vars(self):
+        assert merge_vars() == ()
+        assert merge_vars(("x10", "x2", "x10")) == ("x2", "x10")
+        assert merge_vars(("y1", "x10"), (), ("x2", "y1", "x1")) == ("x1", "x2", "x10", "y1")
 
     def test_variable_counts(self):
         assert xvars(2) == ("x1", "x2") and yvars(1) == ("y1",)
@@ -129,7 +134,7 @@ class TestStructure:
     def test_swap_positions_on_pruned_poly(self):
         # x1^2 stored without x2; the swap must still see both slots
         f = XPoly(("x1", "x2"), {(2, 0): L_ONE})
-        g = f.swap_positions(0, 1, vars=("x1", "x2"))
+        g = f.permute_exponents((1, 0), vars=("x1", "x2"))
         assert g == mono(("x1", "x2"), (0, 2))
 
     def test_reverse_invert_involution(self):
