@@ -23,10 +23,6 @@ from .laurent import LaurentPoly, _joined
 from .xpoly import XPoly, merge_vars, var_key, xvars, yvars
 
 
-class NonTerminatingSeriesError(ValueError):
-    """A series was requested whose truncation is not finite."""
-
-
 class Letter(NamedTuple):
     t_exp: int
     mono: tuple  # sorted tuple of variable names, repeats allowed
@@ -76,14 +72,6 @@ class Alphabet:
     @classmethod
     def of_vars(cls, *names):
         return cls(tuple(letter(0, v) for v in names))
-
-    @classmethod
-    def unit(cls, t_exp=0):
-        return cls((letter(t_exp),))
-
-    @classmethod
-    def empty(cls):
-        return cls()
 
     def __add__(self, other):
         return Alphabet(self.plus + other.plus, self.minus + other.minus)

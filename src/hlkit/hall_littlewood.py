@@ -198,23 +198,20 @@ class _Table(NamedTuple):
     """The (nu, |nu|, c) triples of F_mu[X + 1] = sum_nu c F_nu[X] and
     F_mu[X - 1] with |nu| in a range `window`."""
 
-    plus: object  # (mu, window, end) -> triples; end is set on the last
-    #               letter only, where its triple alone will do
-    minus: object  # (mu, window, end) -> triples; end is not read
+    plus: object  # (mu, window) -> triples
+    minus: object  # (mu, window) -> triples
     strips: bool  # each pair of plus is a horizontal strip mu/nu
     t_zero: bool  # each c is read at t = 0
 
 
-def _add_one_terms(mu, window, end=None):
-    if end is not None:
-        return [(end, s, skew_qprime_one(mu, end))] if (s := sum(end)) in window else []
-    nus = subpartitions(mu)
+def _add_one_terms(mu, window):
+    nus = subpartitions(mu) if window.stop > 1 else [()]  # () alone has size 0
     return [(nu, s, skew_qprime_one(mu, nu)) for nu in nus if (s := sum(nu)) in window]
 
 
 def _in_window(terms):
     """The table entry that reads the memoized triples terms(mu) in the window."""
-    return lambda mu, window, end=None: [p for p in terms(mu) if p[1] in window]
+    return lambda mu, window: [p for p in terms(mu) if p[1] in window]
 
 
 def _symmetric(A):
@@ -265,6 +262,7 @@ def _rearrangements(e):
 
 
 _WIDTH = 64  # the starting digit width w, in bits, of a packed t-polynomial
+_MAX_SPAN = 300_000  # the widest span of powers of t that `_branch` packs
 
 
 def _pack(coeffs, w, shift=0):
@@ -275,13 +273,23 @@ def _pack(coeffs, w, shift=0):
     return m
 
 
-def _unpack(v, w):
-    """The (power, coefficient) pairs of the t-polynomial packed in v at
-    t = 2^w, read as balanced digits in (-2^(w-1), 2^(w-1)); exact when
-    every coefficient lies in that range, and then v has at most
-    bit_length(|v|) // w + 1 digits."""
+def _unpack(v, w, s=0):
+    """The (power, coefficient) pairs of t^s times the t-polynomial packed
+    in v at t = 2^w, read as balanced digits in (-2^(w-1), 2^(w-1)); exact
+    when every coefficient lies in that range, and then v has at most
+    n = bit_length(|v|) // w + 1 digits.  A long v splits into its low half,
+    a balanced residue, and the rest: O(n log n), not n one-digit shifts."""
+    n = v.bit_length() // w + 1
+    if n > 32:
+        k = n // 2 * w
+        low = v & ((1 << k) - 1)
+        if low >> (k - 1):
+            low -= 1 << k
+        yield from _unpack(low, w, s)
+        yield from _unpack((v - low) >> k, w, s + n // 2)
+        return
     mask, half = (1 << w) - 1, 1 << (w - 1)
-    for s in range(v.bit_length() // w + 1):
+    for s in range(s, s + n):
         c = v & mask
         if c >= half:
             c -= 1 << w
@@ -338,12 +346,13 @@ def _branch(table, lam, A, end=()):
     source's bound times the 1-norm of c, as the 1-norm of a product is
     at most the product of the 1-norms.  Before a product would let a
     bound reach 2^(w-1), w doubles and the states are repacked
-    (`_widen`).
+    (`_widen`).  A span of powers of t, (|lam| - |end|) times the highest
+    letter power of t less the lowest, over _MAX_SPAN raises ValueError.
 
     The table is asked only for the nu in a window of sizes, so it
     computes no pair the walk would drop; off the orbit path the window
-    is [0, |mu|].  A nu not containing `end` is dropped; the last letter
-    asks the table for `end` alone.  A horizontal strip shortens mu by
+    is [0, |mu|].  A nu not containing `end` is dropped, and the last
+    letter's window holds |end| alone.  A horizontal strip shortens mu by
     at most one part, so over strips a nu with more parts than len(end)
     plus the letters left is dropped.
 
@@ -365,7 +374,10 @@ def _branch(table, lam, A, end=()):
     orbit = not end and _symmetric(A)
     last_t = max((k for k, (l, _) in enumerate(letters, 1) if not l.mono), default=0)
     var_left = sum(1 for l, _ in letters if l.mono)
-    low = min((l.t_exp for l, _ in letters), default=0)
+    t_exps = [l.t_exp for l, _ in letters] or [0]
+    low, end_size = min(t_exps), sum(end)
+    if (span := (sum(lam) - end_size) * (max(t_exps) - low)) > _MAX_SPAN:
+        raise ValueError(f"{lam} on {A}: the powers of t span {span}, over {_MAX_SPAN}")
     w = _WIDTH
     state = {(lam, sum(lam)): ({(0,) * len(vars): 1}, 1)}
     for k, (l, minus) in enumerate(letters, 1):
@@ -382,11 +394,12 @@ def _branch(table, lam, A, end=()):
         new = {}
         for (mu, cap), (vecs, bound) in state.items():
             size = sum(mu)
-            hi = size
+            lo, hi = size - cap if capped else 0, size
             if bounded:
                 hi = size * var_left // (var_left + 1) if capped else cap * var_left
-            window = range(size - cap if capped else 0, hi + 1)
-            for nu, s, c in read(mu, window, end if last else None):
+            if last:
+                lo, hi = max(lo, end_size), min(hi, end_size)
+            for nu, s, c in read(mu, range(lo, hi + 1)):
                 if len(nu) <= longest and (nu == end or not last):
                     c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
                     norm = sum(map(abs, c.values()))
@@ -408,7 +421,7 @@ def _branch(table, lam, A, end=()):
                     acc = {e: v for e, v in acc.items() if v}
                 if acc:
                     state[mu_cap] = acc, bound
-    offset = low * (sum(lam) - sum(end))
+    offset = low * (sum(lam) - end_size)
     polys = {
         e: [(s + offset, c) for s, c in _unpack(v, w)]
         for (mu, _), (vecs, _) in state.items() if mu == end
@@ -625,14 +638,10 @@ def compose_shift(expansion, shift_fn):
 # ------------------------------------------------------------- factorizations
 
 
-class DecompositionError(ValueError):
-    """No valid width split exists for the requested variable count."""
-
-
 def split_for_width(lam, n):
     """Split lam as n^k + nu on top of zeta with zeta_1 < n, k maximal."""
     if n < 1:
-        raise DecompositionError("need at least one variable")
+        raise ValueError("need at least one variable")
     k = sum(1 for p in lam if p >= n)
     nu = tuple(p - n for p in lam[:k] if p > n)
     zeta = lam[k:]

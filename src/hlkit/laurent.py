@@ -203,7 +203,3 @@ def _fmt_coeff(c, body):
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 T = LaurentPoly({1: 1})
-
-
-def t_power(k):
-    return LaurentPoly.t_power(k)

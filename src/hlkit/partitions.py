@@ -206,15 +206,15 @@ def suffix_nonneg(v):
     return True
 
 
-def partitions_of(m, max_length=None, max_part=None):
-    """All partitions of m, as tuples, length/part bounded when asked."""
+def partitions_of(m, max_length=None):
+    """All partitions of m, as tuples, of at most `max_length` parts if given."""
     if m < 0:
         return []
     if m == 0:
         return [()]
     out = []
     rows = m if max_length is None else max_length
-    _partitions_into(out, m, m if max_part is None else max_part, (), rows)
+    _partitions_into(out, m, m, (), rows)
     return out
 
 
@@ -234,10 +234,10 @@ def _partitions_into(out, remaining, largest, prefix, rows):
         out.append(prefix + (1,) * remaining)
 
 
-def partitions_up_to(m, max_length=None, max_part=None):
+def partitions_up_to(m, max_length=None):
     out = []
     for d in range(m + 1):
-        out.extend(partitions_of(d, max_length=max_length, max_part=max_part))
+        out.extend(partitions_of(d, max_length=max_length))
     return out
 
 

@@ -19,15 +19,12 @@ class NonDominantWeightError(ValueError):
     """Charge asked for a word whose letter counts are not a partition."""
 
 
-def word_weight(word, nletters=None):
-    """Letter multiplicities of a word over {1, 2, ...}."""
-    m = max(word, default=0) if nletters is None else nletters
-    out = [0] * m
+def word_weight(word):
+    """Letter multiplicities of a word over {1, 2, ...}, up to its largest."""
+    out = [0] * max(word, default=0)
     for a in word:
         if a < 1:
             raise ValueError(f"letter {a}: letters are positive")
-        if a > m:
-            raise ValueError(f"letter {a} out of range 1..{m}")
         out[a - 1] += 1
     return tuple(out)
 

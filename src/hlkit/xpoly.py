@@ -153,16 +153,12 @@ class XPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls._trusted((), {})
-
-    @classmethod
     def const(cls, c):
         return cls._trusted((), {(s,): v for s, v in _coerce_coeff(c).coeffs.items()})
 
     @classmethod
-    def var(cls, name, exp=1):
-        return cls((name,), {(exp,): 1})
+    def var(cls, name):
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def monomial(cls, vars, exps, coeff=1):
@@ -292,26 +288,17 @@ class XPoly:
 
     # -- structure queries --------------------------------------------
 
-    def coeff_of(self, exps, vars=None):
+    def coeff_of(self, exps, vars):
         """Coefficient of the monomial with the given exponents.
 
-        `exps` is matched against `vars` (default self.vars); variables of
-        self outside `vars` must have exponent 0 for a hit.
+        `exps` is matched against `vars`; variables of self outside
+        `vars` must have exponent 0 for a hit.
         """
-        if vars is None:
-            key = tuple(exps)
-        else:
-            given = dict(zip(vars, exps))
-            if any(given[v] for v in given if v not in self.vars):
-                return L_ZERO
-            key = tuple(given.get(v, 0) for v in self.vars)
+        given = dict(zip(vars, exps))
+        if any(given[v] for v in given if v not in self.vars):
+            return L_ZERO
+        key = tuple(given.get(v, 0) for v in self.vars)
         return _grouped(self.terms).get(key, L_ZERO)
-
-    def degree_in(self, names=None):
-        """Max total degree over the named variables (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return max(map(_degree(self.vars, names), self.terms))
 
     def truncate_degree(self, cap, count_vars=None):
         """Drop terms whose counted total degree exceeds cap."""
@@ -322,9 +309,9 @@ class XPoly:
     # -- substitutions -------------------------------------------------
 
     def _rekeyed(self, vars, key):
-        """Every exponent tuple over `vars` (default self.vars, which it
-        must contain) sent through the one-to-one map `key`; t is kept."""
-        vars = self.vars if vars is None else tuple(vars)
+        """Every exponent tuple over `vars` (which must contain self.vars)
+        sent through the one-to-one map `key`; t is kept."""
+        vars = tuple(vars)
         out = {(k[0], *key(k[1:])): v for k, v in self._expand_to(vars).items()}
         order = sorted(range(len(vars)), key=lambda i: var_key(vars[i]))
         if order != list(range(len(vars))):  # unsorted slots
@@ -332,20 +319,19 @@ class XPoly:
             out = {(k[0], *(k[i + 1] for i in order)): v for k, v in out.items()}
         return XPoly._trusted(vars, out)
 
-    def permute_exponents(self, perm, vars=None):
+    def permute_exponents(self, perm, vars):
         """Exponent slot i takes the value of slot perm[i].
 
-        Slots refer to `vars` when given (self may omit some of them).
-        Summed over all of S_n with signs this gives the antisymmetrizer
-        regardless of direction convention.
+        Slots refer to `vars` (self may omit some of them).  Summed over
+        all of S_n with signs this gives the antisymmetrizer regardless
+        of direction convention.
         """
-        n = len(self.vars if vars is None else tuple(vars))
-        if sorted(perm) != list(range(n)):
+        if sorted(perm) != list(range(len(vars))):
             raise ValueError("not a permutation of the variable slots")
         return self._rekeyed(vars, lambda e: tuple(e[p] for p in perm))
 
-    def reverse_invert(self, vars=None):
-        """Substitute x_i -> 1/x_{n+1-i} over `vars` (default self.vars)."""
+    def reverse_invert(self, vars):
+        """Substitute x_i -> 1/x_{n+1-i} over `vars`."""
         return self._rekeyed(vars, lambda e: tuple(-x for x in reversed(e)))
 
     # -- exact division -------------------------------------------------
@@ -418,5 +404,4 @@ class XPoly:
         )
 
 
-X_ZERO = XPoly.zero()
 X_ONE = XPoly.const(1)

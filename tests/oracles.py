@@ -89,7 +89,7 @@ from hlkit.partitions import (
 )
 from hlkit.symmetrize import pi_i, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
-from hlkit.xpoly import X_ONE, X_ZERO, XPoly, _linear_combination, xvars
+from hlkit.xpoly import X_ONE, XPoly, _linear_combination, xvars
 from hlkit.xpoly import _grouped, _mul_into, merge_vars
 
 
@@ -176,7 +176,7 @@ def chain_weight(chain):
         coeff = coeff * skew_qprime_one(outer, inner)
         exps.append(sum(outer) - sum(inner))
     if not coeff:
-        return X_ZERO
+        return XPoly()
     return XPoly.monomial(xvars(n), tuple(exps), coeff)
 
 
@@ -347,7 +347,7 @@ def ct_scalar_bruteforce(f, g, n, order=None):
         kernel = X_ONE
         for i in range(n):
             for j in range(i + 1, n):
-                geom = X_ZERO
+                geom = XPoly()
                 for k in range(k_order + 1):
                     geom = geom + XPoly.monomial(
                         (vars[i], vars[j]), (k, -k), LaurentPoly.t_power(k)
@@ -394,7 +394,7 @@ def rectangle_vanishing_check(nu, A, B):
     box = ((beta + 1),) * (alpha + 1)
     if not contains(nu, box):
         raise ValueError("nu does not contain the forbidden rectangle")
-    return schur_eval(tuple(nu), A - B) == X_ZERO
+    return schur_eval(tuple(nu), A - B) == XPoly()
 
 
 def elementary_over_one_minus_t(A, m, t_cap):
@@ -412,7 +412,7 @@ def elementary_over_one_minus_t(A, m, t_cap):
         return XPoly._trusted(f.vars, kept)
 
     # coefficients of z^0..z^m in E(z), as XPolys truncated in t
-    e = [X_ONE] + [X_ZERO] * m
+    e = [X_ONE] + [XPoly()] * m
     for a in A.plus:
         for j in range(0, t_cap + 1 - a.t_exp):
             av = Letter(a.t_exp + j, a.mono).value()
@@ -512,7 +512,7 @@ def _jacobi_trudi(lam, mu, A):
         [
             h[lam[i] - mu[j] - i + j]
             if 0 <= lam[i] - mu[j] - i + j <= D
-            else X_ZERO
+            else XPoly()
             for j in range(l)
         ]
         for i in range(l)
@@ -525,7 +525,7 @@ def schur_eval_by_jacobi_trudi(lam, A):
     """S_lam(A) by the Jacobi-Trudi determinant det h_{lam_i - i + j}."""
     lam = tuple(p for p in lam if p)
     if not A.minus and len(lam) > len(A.plus):
-        return X_ZERO
+        return XPoly()
     return _jacobi_trudi(lam, (), A)
 
 
@@ -535,7 +535,7 @@ def skew_schur_eval_by_jacobi_trudi(lam, mu, A):
     lam = tuple(p for p in lam if p)
     mu = tuple(p for p in mu if p)
     if len(mu) > len(lam) or any(m > p for m, p in zip(mu, lam)):
-        return X_ZERO
+        return XPoly()
     return _jacobi_trudi(lam, mu, A)
 
 

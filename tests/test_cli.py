@@ -422,6 +422,8 @@ MALFORMED_INPUT = [
     ("qprime", "1", "--on", "x1-"),
     ("qprime", "1", "--on", "-"),
     ("qprime", "1", "--on", "+"),
+    # the walk would pack ints spanning 3 * 10^9 powers of t
+    ("qprime", "2,1", "--on", "t^1000000000+x1+x2"),
     *(argv for argv, _ in NAMED_USAGE_ERRORS),
 ]
 

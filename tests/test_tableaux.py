@@ -80,14 +80,11 @@ def words_of_weight(mu):
 class TestWordWeight:
     def test_basic(self):
         assert word_weight((1, 3, 1)) == (2, 0, 1)
-        assert word_weight((1,), nletters=3) == (1, 0, 0)
         assert word_weight(()) == ()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="letters are positive"):
             word_weight((0, 1))
-        with pytest.raises(ValueError):
-            word_weight((2,), nletters=1)
 
 
 class TestCharge:
@@ -158,9 +155,9 @@ class TestKnuthMoves:
     @given(st.lists(st.integers(1, 3), min_size=3, max_size=6))
     def test_preserves_weight(self, word):
         word = tuple(word)
-        w = word_weight(word, nletters=3)
+        w = word_weight(word)
         for other in knuth_neighbors(word):
-            assert word_weight(other, nletters=3) == w
+            assert word_weight(other) == w
 
 
 class TestEnumeration:
@@ -212,7 +209,7 @@ class TestEnumeration:
 
     def test_weight_filter(self):
         for tab in enumerate_ssyt((2, 2), (2, 1, 1)):
-            assert word_weight([a for row in tab for a in row], nletters=3) == (2, 1, 1)
+            assert word_weight([a for row in tab for a in row]) == (2, 1, 1)
 
     def test_too_many_rows(self):
         assert enumerate_ssyt((1, 1, 1), nletters=2) == []
