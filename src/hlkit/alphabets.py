@@ -40,11 +40,6 @@ class Letter(NamedTuple):
             names, tuple(exps[v] for v in names), LaurentPoly.t_power(self.t_exp)
         )
 
-    def degree_in(self, names=None):
-        if names is None:
-            return len(self.mono)
-        return sum(1 for v in self.mono if v in names)
-
 
 def letter(t_exp=0, *names):
     return Letter(int(t_exp), tuple(sorted(names, key=var_key)))

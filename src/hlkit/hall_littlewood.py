@@ -682,12 +682,11 @@ def one_minus_x_factorization_check(lam, r, n):
 
 
 def principal_specialization(lam):
-    """Closed form for Q'_lam(1 - x1): a t-power times a falling
-    product of (1 - x1 t^{-i})."""
-    acc = XPoly.const(LaurentPoly.t_power(n_stat(lam)))
-    for i in range(len(lam)):
-        acc = acc * (X_ONE - XPoly.monomial(("x1",), (1,), LaurentPoly.t_power(-i)))
-    return acc
+    """Closed form for Q'_lam(1 - x1): t^{n(lam) - C(l, 2)} times the
+    product of (t^i - x1) over i < l = l(lam)."""
+    l = len(lam)
+    prod = _t_power_minus_x_product(0, l, 1)
+    return prod.scale(LaurentPoly.t_power(n_stat(lam) - comb(l, 2)))
 
 
 def principal_specialization_check(lam):

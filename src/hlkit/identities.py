@@ -37,31 +37,28 @@ from .hall_littlewood import (
 )
 
 
-def sigma1_series(A, cap, count_vars=None):
+def sigma1_series(A, cap):
     """sigma_1(A) = prod over minus letters of (1 - b) times geometric
-    series over plus letters, truncated at total counted degree cap.
+    series over plus letters, truncated at total degree cap.
 
-    Every plus letter must have positive counted degree, otherwise the
-    truncation never terminates.
+    Every plus letter must carry a variable, otherwise the truncation
+    never terminates.
     """
     for a in A.plus:
-        if a.degree_in(count_vars) == 0:
-            raise ValueError(
-                f"plus letter {a} has degree 0 in the counted variables"
-            )
+        if not a.mono:
+            raise ValueError(f"plus letter {a} carries no variable")
     acc = X_ONE
     for b in A.minus:
-        acc = acc.mul_capped(X_ONE - b.value(), cap, count_vars)
+        acc = acc.mul_capped(X_ONE - b.value(), cap)
     for a in A.plus:
         av = a.value()
-        d = a.degree_in(count_vars)
         geom = X_ONE
         p = X_ONE
-        for _ in range(cap // d):
+        for _ in range(cap // len(a.mono)):
             p = p * av
             geom = geom + p
-        acc = acc.mul_capped(geom, cap, count_vars)
-    return acc.truncate_degree(cap, count_vars)
+        acc = acc.mul_capped(geom, cap)
+    return acc.truncate_degree(cap)
 
 
 # ------------------------------------------------------- one-variable removal
@@ -99,22 +96,22 @@ def removal_sum(c, lam, n):
 
 def removal_product(c, n, cap):
     """sigma_1(-X) times the sum of c(mu) P_mu(X) over partitions mu,
-    X = x1..xn, up to x-degree cap; `c` is None where undefined."""
-    xs = xvars(n)
-    terms = (
-        (v * p_on_xvars(mu, n), 1)
+    X = x1..xn, up to x-degree cap; `c` is None where undefined.  A
+    value c(mu) may carry other variables but never x: it multiplies
+    the capped product sigma_1(-X) P_mu."""
+    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
+    return _linear_combination(
+        (v * sig.mul_capped(p_on_xvars(mu, n), cap), 1)
         for mu in partitions_up_to(cap, max_length=n)
         if (v := c(mu)) is not None
     )
-    sig = sigma1_series(-Alphabet.of_vars(*xs), cap, xs)
-    return sig.mul_capped(_linear_combination(terms), cap, xs)
 
 
 def prodx_sides(c, n, cap):
     """Both sides of the one-variable-removal identity for the dict `c`
     on partitions: `removal_product`, against the sum of `removal_sum`
-    at lam times P_lam.  x-degrees only are capped; coefficient values
-    may carry other variables."""
+    at lam times P_lam.  Only x-degrees are capped: a value of `c` may
+    carry other variables but never x."""
     rhs = _linear_combination(
         (removal_sum(c.get, lam, n) * p_on_xvars(lam, n), 1)
         for lam in partitions_up_to(cap, max_length=n)
@@ -254,7 +251,7 @@ def warnaar3_sides(lam, n, cap):
         if len(mu) <= n
     )
     rhs = removal_product(lambda mu: theta(lam, mu), n, cap)
-    return lhs.truncate_degree(cap, xvars(n)), rhs
+    return lhs.truncate_degree(cap), rhs
 
 
 def warnaar3_check(lam, n, cap):

@@ -30,28 +30,11 @@ The central objects:
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import index
 
 from .laurent import LaurentPoly
 from .xpoly import XPoly, _linear_combination, xvars
-
-
-def _parity_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        ln = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def swap_si(f, i, n):
@@ -82,8 +65,8 @@ def pi_omega(f, n):
     delta = tuple(n - 1 - i for i in range(n))
     g = f * XPoly.monomial(vars, delta)
     acc = _linear_combination(
-        (g.permute_exponents(perm, vars=vars), _parity_sign(perm))
-        for perm in permutations(range(n))
+        (g.permute_exponents(p, vars), (-1) ** sum(a > b for a, b in combinations(p, 2)))
+        for p in permutations(range(n))
     )
     for i in range(n):
         for j in range(i + 1, n):

@@ -83,14 +83,9 @@ def _grouped(terms):
     return {e: LaurentPoly._trusted(d) for e, d in out.items()}
 
 
-def _degree(vars, count_vars):
-    """Total degree of a (t, exponents) key over `vars`, counting only
-    the variables in `count_vars` (default: all)."""
-    if count_vars is None:
-        return lambda k: sum(k) - k[0]
-    cs = set(count_vars)
-    mask = [v in cs for v in vars]
-    return lambda k: sum(x for x, m in zip(k[1:], mask) if m)
+def _degree(k):
+    """Total degree in every variable of a (t, exponents) key."""
+    return sum(k) - k[0]
 
 
 def _linear_combination(pairs):
@@ -244,23 +239,22 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def mul_capped(self, other, cap, count_vars=None):
-        """Product with terms of degree > cap discarded.
+    def mul_capped(self, other, cap):
+        """Product with terms of total degree > cap discarded.
 
-        Degree counts only the variables in `count_vars` (default: all).
-        Valid as a series truncation when both factors are supported in
-        counted degrees >= 0, which holds everywhere it is used.
+        Degree counts every variable, not t.  Valid as a series
+        truncation when both factors are supported in degrees >= 0,
+        which holds everywhere it is used.
         """
         other = self._coerce(other)
         vars, a, b = self._aligned(other)
-        deg = _degree(vars, count_vars)
         # b by ascending degree: the partners of a degree-d term of a
         # are a prefix of it
-        bs = sorted(b.items(), key=lambda kv: deg(kv[0]))
-        degs = [deg(k) for k, _ in bs]
+        bs = sorted(b.items(), key=lambda kv: _degree(kv[0]))
+        degs = [_degree(k) for k, _ in bs]
         by_deg = {}
         for k, v in a.items():
-            by_deg.setdefault(deg(k), []).append((k, v))
+            by_deg.setdefault(_degree(k), []).append((k, v))
         acc = {}
         for d, part in by_deg.items():
             _mul_into(acc, part, bs[: bisect_right(degs, cap - d)])
@@ -300,10 +294,9 @@ class XPoly:
         key = tuple(given.get(v, 0) for v in self.vars)
         return _grouped(self.terms).get(key, L_ZERO)
 
-    def truncate_degree(self, cap, count_vars=None):
-        """Drop terms whose counted total degree exceeds cap."""
-        deg = _degree(self.vars, count_vars)
-        out = {k: v for k, v in self.terms.items() if deg(k) <= cap}
+    def truncate_degree(self, cap):
+        """Drop terms whose total degree in every variable exceeds cap."""
+        out = {k: v for k, v in self.terms.items() if _degree(k) <= cap}
         return XPoly._trusted(self.vars, out)
 
     # -- substitutions -------------------------------------------------

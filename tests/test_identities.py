@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import b_poly, n_stat, partitions_up_to
 from hlkit.alphabets import Alphabet, letter
-from hlkit.xpoly import XPoly, xvars
-from hlkit.hall_littlewood import q_on_xvars, q_via_operator
+from hlkit.xpoly import X_ONE, XPoly, xvars
+from hlkit.hall_littlewood import p_on_xvars, q_on_xvars, q_via_operator
 from hlkit.identities import (
     ct_scalar,
     defq_note_holds,
@@ -23,6 +23,7 @@ from hlkit.identities import (
     kernel_image_two_vars,
     prodx_check,
     prodx_example_families,
+    removal_product,
     sigma1_series,
     sigmaxy_check,
     sigmaxy_coefficient,
@@ -65,13 +66,10 @@ class TestSigmaSeries:
         assert got == xmono(1, (0,)) - xmono(1, (1,))
 
     def test_unit_letter_raises(self):
-        with pytest.raises(ValueError):
-            sigma1_series(Alphabet((letter(0),)), 3)
-
-    def test_uncounted_letter_raises(self):
-        A = Alphabet((letter(0, "y1"),))
-        with pytest.raises(ValueError):
-            sigma1_series(A, 3, count_vars=("x1",))
+        # a plus letter with no variable has a series that never ends
+        for t_exp in (0, 2):
+            with pytest.raises(ValueError, match="carries no variable"):
+                sigma1_series(Alphabet((letter(t_exp),)), 3)
 
 
 class TestTheta:
@@ -222,6 +220,28 @@ class TestFamilies:
     def test_prodx_families(self, n):
         for name, fam in prodx_example_families(cap=4).items():
             assert prodx_check(fam, n, 4), (name, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cap", range(7))
+    def test_removal_product_caps_x_degree_only(self, n, cap):
+        # the uncapped product, with the terms of x-degree > cap dropped
+        # here; "Q over one extra variable" has values in y1, whose
+        # degree must not count
+        xs = xvars(n)
+        sig = X_ONE
+        for v in xs:
+            sig = sig * (X_ONE - XPoly.var(v))
+        for name, fam in prodx_example_families().items():
+            full = sig * sum(
+                (c * p_on_xvars(mu, n) for mu, c in fam.items() if len(mu) <= n),
+                XPoly(),
+            )
+            keep = [i for i, v in enumerate(full.vars, 1) if v in xs]
+            want = XPoly._trusted(
+                full.vars,
+                {k: c for k, c in full.terms.items() if sum(k[i] for i in keep) <= cap},
+            )
+            assert removal_product(fam.get, n, cap) == want, (name, n, cap)
 
 
 class TestGeneratingIdentities:
