@@ -22,14 +22,12 @@ from hlkit.hall_littlewood import (
     compose_shift,
 )
 from hlkit.identities import (
-    ct_scalar,
+    q_monomial_pairing,
     sigmaxy_coefficient,
     theta,
     theta_scalar_parts,
 )
-from hlkit.hall_littlewood import q_on_xvars
 from hlkit.tableaux import charge, enumerate_ssyt, charge_tableau
-from hlkit.xpoly import XPoly, xvars
 
 
 def section(title):
@@ -88,9 +86,7 @@ def main(argv=None):
 
     section("Constant-term orthogonality")
     for mu in [(1, 1), (2,)]:
-        f = q_on_xvars((1, 1), 2)
-        g = XPoly.monomial(xvars(2), mu + (0,) * (2 - len(mu)))
-        print(f"  (Q_(1,1), x^{mu}) = {ct_scalar(f, g, 2)}")
+        print(f"  (Q_(1,1), x^{mu}) = {q_monomial_pairing((1, 1), mu, 2)}")
 
     section("Coefficient family of the two-alphabet expansion")
     print(f"  at (2,1): {sigmaxy_coefficient((2, 1)).render()}")

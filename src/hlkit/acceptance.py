@@ -31,18 +31,17 @@ from .hall_littlewood import (
     one_minus_x_factorization_check,
     plane_partition_qprime,
     principal_specialization_check,
-    q_on_xvars,
     qprime_schur,
     skew_qprime_one_columns,
     tableau_route_xpoly,
     two_letter_factorization_check,
 )
 from .identities import (
-    ct_scalar,
     defq_note_holds,
     defq_note_parts,
     prodx_check,
     prodx_example_families,
+    q_monomial_pairing,
     sigmaxy_check,
     sigmaxy_coefficient,
     theta,
@@ -289,9 +288,7 @@ def criterion_11():
         vs = partitions_up_to(4, max_length=n)
         for lam in vs:
             for mu in vs:
-                f = q_on_xvars(lam, n)
-                g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
-                got = ct_scalar(f, g, n)
+                got = q_monomial_pairing(lam, mu, n)
                 want = b_poly(lam) if lam == mu else L_ZERO
                 if got != want:
                     return False, (

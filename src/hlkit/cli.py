@@ -30,7 +30,7 @@ from collections import Counter
 
 from .laurent import LaurentPoly
 from .partitions import parse_ints, parse_partition, parse_parts
-from .xpoly import XPoly, _linear_combination, xvars
+from .xpoly import _linear_combination
 from .alphabets import parse_alphabet
 from .tableaux import NonDominantWeightError, charge, charge_tableau, enumerate_ssyt
 from .hall_littlewood import (
@@ -38,18 +38,17 @@ from .hall_littlewood import (
     aleph,
     factorization_sides,
     plane_partition_qprime,
-    q_on_xvars,
     qprime_of_vector,
     qprime_on_alphabet,
     qprime_vector_schur,
     sub_one,
 )
 from .identities import (
-    ct_scalar,
     defq_note_holds,
     defq_note_parts,
     prodx_example_families,
     prodx_sides,
+    q_monomial_pairing,
     sigmaxy_sides,
     theta_scalar_holds,
     theta_scalar_parts,
@@ -218,11 +217,7 @@ def _cmd_factor(args):
 def _cmd_scalar(args):
     lam, mu = args.outer, args.inner
     n = args.n or max(len(lam), len(mu), 1)
-    if len(lam) > n or len(mu) > n:
-        raise ValueError("partitions longer than the variable count")
-    f = q_on_xvars(lam, n)
-    g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
-    val = ct_scalar(f, g, n)
+    val = q_monomial_pairing(lam, mu, n)
     _emit(args, val.__str__, val.to_json)
     return 0
 

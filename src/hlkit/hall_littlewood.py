@@ -67,10 +67,9 @@ from .partitions import (
     partitions_of,
     subpartitions,
     t_binomial,
-    t_factorial,
 )
 from .tableaux import _charge, enumerate_ssyt, reading_word
-from .symmetrize import _kernel_schur_cached, kernel_schur, pi_omega
+from .symmetrize import _kernel_schur_cached, kernel_schur
 from .alphabets import Alphabet, letter
 from .xpoly import XPoly, X_ONE, _linear_combination, xvars
 
@@ -730,26 +729,3 @@ def two_letter_factorization_check(k, nu, beta):
     lhs, rhs = two_letter_sides(k, nu, beta)
     return lhs == rhs
 
-
-# ----------------------------------------------------------------- Q operator
-
-
-def q_via_operator(lam, n):
-    """Q_lam on n variables straight from the symmetrizer definition:
-    normalize x^lam * prod_{i<j}(1 - t x_j/x_i) after the longest
-    isobaric divided difference.  Only dominant weights extend this way."""
-    if len(lam) > n:
-        raise ValueError("partition longer than the variable count")
-    vars = xvars(n)
-    padded = lam + (0,) * (n - len(lam))
-    f = XPoly.monomial(vars, padded)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = XPoly.monomial(
-                (vars[i], vars[j]), (-1, 1), LaurentPoly.t_power(1)
-            )
-            f = f * (X_ONE - ratio)
-    img = pi_omega(f, n)
-    one_minus_t = L_ONE - LaurentPoly.t_power(1)
-    num = img.scale(one_minus_t ** n)
-    return num.exact_div_scalar(t_factorial(n - len(lam)))

@@ -31,7 +31,6 @@ from .hall_littlewood import (
     p_on_xvars,
     q_on_alphabet,
     q_on_xvars,
-    q_via_operator,
     qprime_of_vector,
     skew_qprime_one,
 )
@@ -389,6 +388,15 @@ def ct_scalar(f, g, n):
     return LaurentPoly._trusted({k[0]: v for k, v in cur.items() if not any(k[1:])})
 
 
+def q_monomial_pairing(lam, mu, n):
+    """(Q_lam, x^mu) on n variables: `ct_scalar` of Q_lam and the monomial
+    x^mu, mu padded with zeros to n exponents."""
+    if len(lam) > n or len(mu) > n:
+        raise ValueError("partitions longer than the variable count")
+    g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
+    return ct_scalar(q_on_xvars(lam, n), g, n)
+
+
 # ------------------------------------------------------------- operator note
 
 
@@ -422,8 +430,8 @@ def defq_note_parts():
         + _two_var_monomial((1, 1), T - L_ONE)
         + _two_var_monomial((0, 2), T)
     )
-    q20 = q_via_operator((2,), 2)
-    q11 = q_via_operator((1, 1), 2)
+    q20 = q_on_xvars((2,), 2)
+    q11 = q_on_xvars((1, 1), 2)
     display = q20.scale(T) + q11.scale(T - L_ONE)
     candidate = im02.scale(L_ONE - T)
     straightened = qprime_of_vector((0, 2)).coeffs

@@ -242,20 +242,16 @@ def partitions_up_to(m, max_length=None):
 
 
 def subpartitions(lam):
-    """All mu contained in lam, sorted by size then lex."""
-    out = []
+    """All mu contained in lam, sorted by size then lex.
 
-    def rec(i, prev, prefix):
-        out.append(tuple(prefix))
-        if i == len(lam):
-            return
-        for p in range(min(lam[i], prev), 0, -1):
-            prefix.append(p)
-            rec(i + 1, p, prefix)
-            prefix.pop()
-
-    rec(0, lam[0] if lam else 0, [])
-    del rec  # break the closure's cycle, which would keep `out` alive
+    Built one row at a time: the mu of length i + 1 are those of
+    length i, each extended by a part 1..min(lam[i], its last part)."""
+    out, layer = [()], [()]
+    for part in lam:
+        layer = [
+            mu + (p,) for mu in layer for p in range(1, min(part, mu[-1] if mu else part) + 1)
+        ]
+        out += layer
     return sorted(out, key=lambda m: (sum(m), m))
 
 

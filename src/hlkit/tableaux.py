@@ -37,10 +37,12 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
     with entries in 1..nletters.  Rows weakly increase, columns strictly
     increase.
 
-    Letters are placed one at a time: letter i fills a horizontal strip
-    at the ends of the rows (at most one box per column), of exactly
-    weight[i-1] boxes or of any size that fits.  A strip never leaves a
-    column taller than the letters still to come can fill.
+    A tableau is a chain of shapes, one horizontal strip per letter
+    (Macdonald I.1), so the partial tableaux grow in a loop over the
+    letters v = 1..nletters.  Letter v grows each row r < v from its
+    length h to some g >= h with g <= shape[r], g <= the length row r-1
+    had before v, and g >= shape[r + letters after v] (the letters to
+    come must fill the column); with `weight`, by weight[v-1] boxes.
     """
     shape = normalize(shape)
     if weight is not None:
@@ -54,43 +56,34 @@ def enumerate_ssyt(shape, weight=None, nletters=None):
         raise ValueError("need a weight or a letter bound")
     elif nletters < 0:
         raise ValueError(f"letter bound must be nonnegative, got {nletters}")
-    if shape and len(shape) > nletters:
-        return []
-    if nletters <= 0:
-        return [()]
     ell = len(shape)
-    top = shape[0] if shape else 0
-    rows = [[] for _ in shape]
-    results = []
-
-    def place(v, r, above, left):
-        """Put letter v at the ends of rows r, r+1, ...: `above` is the
-        length row r-1 had before letter v, `left` the boxes of v still
-        to place (None when free)."""
-        if r == ell or r == v:
-            if left:
-                return
-            if v == nletters:
-                results.append(tuple(map(tuple, rows)))
-            else:
-                place(v + 1, 0, top, None if weight is None else weight[v])
-            return
-        row = rows[r]
-        have = len(row)
-        later = r + nletters - v
-        lo = max(have, shape[later] if later < ell else 0)
-        hi = min(shape[r], above)
-        if left is not None:
-            hi = min(hi, have + left)
-        for new in range(hi, lo - 1, -1):
-            row.extend([v] * (new - have))
-            place(v, r + 1, have, None if left is None else left - new + have)
-            del row[have:]
-
-    place(1, 0, top, None if weight is None else weight[0])
-    del place  # break the closure's cycle: `results` is freed with its last user
-    results.sort()
-    return results
+    if ell > nletters:
+        return []
+    padded = shape + (0,)
+    tabs = [((),) * ell]
+    for v in range(1, nletters + 1):
+        # (r, most, least) for the rows r < v, from the bottom up, so
+        # that row r-1 still has the length it had before v
+        bounds = [
+            (r, shape[r], padded[min(r + nletters - v, ell)]) for r in reversed(range(min(ell, v)))
+        ]
+        boxes = sum(shape) if weight is None else weight[v - 1]  # no strip holds more
+        grown = []
+        for start in tabs:
+            strips = [(start, boxes)]  # (tableau, boxes of v still to place)
+            for r, most, least in bounds:
+                longer = []
+                for tab, left in strips:
+                    row = tab[r]
+                    h = len(row)
+                    hi = min(most, h + left, len(tab[r - 1]) if r else most)
+                    for g in range(hi, max(h, least) - 1, -1):
+                        new = tab if g == h else (*tab[:r], row + (v,) * (g - h), *tab[r + 1 :])
+                        longer.append((new, left - g + h))
+                strips = longer
+            grown += [tab for tab, left in strips if weight is None or not left]
+        tabs = grown
+    return sorted(tabs)
 
 
 def reading_word(tab):

@@ -269,17 +269,6 @@ class XPoly:
             self.vars, {(k[0] + s, *k[1:]): m * v for k, v in self.terms.items()}
         )
 
-    def exact_div_scalar(self, c):
-        c = _coerce_coeff(c)
-        return XPoly._trusted(
-            self.vars,
-            {
-                (s, *e): v
-                for e, q in _grouped(self.terms).items()
-                for s, v in q.exact_div(c).coeffs.items()
-            },
-        )
-
     # -- structure queries --------------------------------------------
 
     def coeff_of(self, exps, vars):

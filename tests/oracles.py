@@ -32,7 +32,8 @@ values must satisfy:
   * `elementary_over_one_minus_t`: e_m(A/(1-t)) truncated in t, by
     repeating each letter with every t-shift;
   * `exact_div_linear`: exact division by a difference of two variables
-    given as a polynomial;
+    given as a polynomial; `exact_div_scalar`: exact division of every
+    coefficient by one Laurent polynomial;
   * `complete_series`, `schur_eval_by_jacobi_trudi`,
     `skew_schur_eval_by_jacobi_trudi`: h_0..h_D of an alphabet from the
     product generating series, and (skew) Schur values as Jacobi-Trudi
@@ -48,6 +49,10 @@ values must satisfy:
     determinant, against `hall_littlewood.qprime_on_alphabet`, which
     adds one letter at a time by the shifts X + a and X - a (exact
     because Q'_{mu/nu} is homogeneous, so a letter only scales it);
+  * `q_via_operator`: Q_lam on n variables from the symmetrizer
+    definition, x^lam times prod_{i<j} (1 - t x_j/x_i) under the longest
+    isobaric divided difference, normalized; against the strip route
+    `hall_littlewood.q_on_xvars`;
   * `q_on_alphabet_by_qprime`, `p_on_alphabet_by_qprime`: Q_lam(A) as
     Q'_lam(A(1-t)), the one-letter iteration over the 2n letters x and
     -t*x, and P_lam as its exact quotient by b_lam, against
@@ -86,8 +91,9 @@ from hlkit.partitions import (
     normalize,
     partitions_of,
     suffix_nonneg,
+    t_factorial,
 )
-from hlkit.symmetrize import pi_i, straighten_schur
+from hlkit.symmetrize import pi_i, pi_omega, straighten_schur
 from hlkit.tableaux import NonDominantWeightError, word_weight
 from hlkit.xpoly import X_ONE, XPoly, _linear_combination, xvars
 from hlkit.xpoly import _grouped, _mul_into, merge_vars
@@ -447,6 +453,19 @@ def exact_div_linear(f, divisor):
     return f.exact_div_diff(names[0], names[1])
 
 
+def exact_div_scalar(f, c):
+    """f with every coefficient divided by the Laurent polynomial c; each
+    division must be exact."""
+    return XPoly._trusted(
+        f.vars,
+        {
+            (s, *e): v
+            for e, q in _grouped(f.terms).items()
+            for s, v in q.exact_div(c).coeffs.items()
+        },
+    )
+
+
 @cache
 def complete_series(A, D):
     """h_0(A), ..., h_D(A), exactly.
@@ -556,6 +575,27 @@ def qprime_on_alphabet_by_schur(lam, A):
     )
 
 
+def q_via_operator(lam, n):
+    """Q_lam on n variables straight from the symmetrizer definition:
+    normalize x^lam * prod_{i<j}(1 - t x_j/x_i) after the longest
+    isobaric divided difference.  Only dominant weights extend this way."""
+    if len(lam) > n:
+        raise ValueError("partition longer than the variable count")
+    vars = xvars(n)
+    padded = lam + (0,) * (n - len(lam))
+    f = XPoly.monomial(vars, padded)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ratio = XPoly.monomial(
+                (vars[i], vars[j]), (-1, 1), LaurentPoly.t_power(1)
+            )
+            f = f * (X_ONE - ratio)
+    img = pi_omega(f, n)
+    one_minus_t = L_ONE - LaurentPoly.t_power(1)
+    num = img.scale(one_minus_t ** n)
+    return exact_div_scalar(num, t_factorial(n - len(lam)))
+
+
 def q_on_alphabet_by_qprime(lam, A):
     """Q_lam(A) = Q'_lam(A(1-t)), cancelling letters and all."""
     return qprime_on_alphabet(normalize(lam), A.one_minus_t())
@@ -563,7 +603,7 @@ def q_on_alphabet_by_qprime(lam, A):
 
 def p_on_alphabet_by_qprime(lam, A):
     """P_lam(A) = Q'_lam(A(1-t)) / b_lam; the division is exact."""
-    return q_on_alphabet_by_qprime(lam, A).exact_div_scalar(b_poly(normalize(lam)))
+    return exact_div_scalar(q_on_alphabet_by_qprime(lam, A), b_poly(normalize(lam)))
 
 
 def skew_qprime_by_extraction(lam, mu, A):

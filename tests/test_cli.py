@@ -151,6 +151,11 @@ class TestCombinatoricsVerbs:
             "charge polynomial: t + t^2",
         ]
 
+    def test_tableaux_long_column(self, capsys):
+        code, out = run(capsys, "tableaux", "1^45", "--weight", "1^45")
+        assert code == 0
+        assert out.strip().splitlines()[-2:] == ["count: 1", "charge polynomial: 1"]
+
     def test_tableaux_nletters(self, capsys):
         code, out = run(capsys, "tableaux", "1,1", "--nletters", "2")
         assert code == 0

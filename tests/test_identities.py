@@ -12,7 +12,7 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import b_poly, n_stat, partitions_up_to
 from hlkit.alphabets import Alphabet, letter
 from hlkit.xpoly import X_ONE, XPoly, xvars
-from hlkit.hall_littlewood import p_on_xvars, q_on_xvars, q_via_operator
+from hlkit.hall_littlewood import p_on_xvars, q_on_xvars
 from hlkit.identities import (
     ct_scalar,
     defq_note_holds,
@@ -36,7 +36,7 @@ from hlkit.identities import (
     warnaar3_check,
     warnaar_check,
 )
-from oracles import ct_scalar_bruteforce
+from oracles import ct_scalar_bruteforce, q_via_operator
 
 T = LaurentPoly.t_power
 ONE_M_T = L_ONE - T(1)

@@ -219,6 +219,10 @@ class TestEnumeration:
         assert len(subs) == len(set(subs))
         assert subs == sorted(subs, key=lambda mu: (sum(mu), mu))
 
+    def test_subpartitions_of_a_long_column(self):
+        # 1000 rows: deeper than the recursion limit as nested calls
+        assert subpartitions((1,) * 1000) == [(1,) * k for k in range(1001)]
+
 
 class TestOrders:
     def test_dominance(self):

@@ -124,9 +124,10 @@ class TestCharge:
         assert charge_tableau(tabs[0]) == n_stat(mu)
 
     def test_single_column_has_charge_zero(self):
-        for n in range(1, 6):
+        # 45 and 1200 rows: deeper than the recursion limit as nested calls
+        for n in [*range(1, 6), 45, 1200]:
             tabs = enumerate_ssyt((1,) * n, (1,) * n)
-            assert len(tabs) == 1
+            assert tabs == [tuple((v,) for v in range(1, n + 1))]
             assert charge_tableau(tabs[0]) == 0
 
 
@@ -220,6 +221,11 @@ class TestEnumeration:
     def test_negative_letter_bound_raises(self):
         with pytest.raises(ValueError):
             enumerate_ssyt((2, 1), nletters=-1)
+
+    def test_one_box_under_many_letters(self):
+        # 600 letters: deeper than the recursion limit as nested calls
+        assert enumerate_ssyt((1,), nletters=600) == [((v,),) for v in range(1, 601)]
+        assert enumerate_ssyt((1,), (0,) * 599 + (1,)) == [((600,),)]
 
 
 class TestReadingWord:
