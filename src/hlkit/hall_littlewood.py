@@ -71,7 +71,7 @@ from .partitions import (
 from .tableaux import _charge, enumerate_ssyt, reading_word
 from .symmetrize import _kernel_schur_cached, kernel_schur
 from .alphabets import Alphabet, letter
-from .xpoly import XPoly, X_ONE, _linear_combination, xvars
+from .xpoly import XPoly, _linear_combination, xvars
 
 
 @dataclass
@@ -265,7 +265,17 @@ _MAX_SPAN = 300_000  # the widest span of powers of t that `_branch` packs
 
 
 def _pack(coeffs, w, shift=0):
-    """The t-polynomial {power: int} times t^shift as one int, at t = 2^w."""
+    """The t-polynomial {power: int} times t^shift as one int, at t = 2^w.
+    A long one splits at its middle power; each half is packed from its
+    own lowest power and the upper half shifted into place once: O(n log n),
+    not n shifts into one int that grows with each."""
+    if len(coeffs) > 32:
+        powers = sorted(coeffs)
+        half = len(powers) // 2
+        low, mid = powers[0], powers[half]
+        lower = _pack({s: coeffs[s] for s in powers[:half]}, w, -low)
+        upper = _pack({s: coeffs[s] for s in powers[half:]}, w, -mid)
+        return (lower + (upper << w * (mid - low))) << w * (low + shift)
     m = 0
     for s, v in coeffs.items():
         m += v << w * (s + shift)
@@ -651,27 +661,42 @@ def t_minus_x_alphabet(r, n):
     return Alphabet((letter(r),), tuple(letter(0, v) for v in xvars(n)))
 
 
-def _t_power_minus_x_product(r, k, n):
-    """prod over r <= i < r + k and v = x1..xn of (t^i - v)."""
-    prod = X_ONE
+def _t_power_minus_x_product(r, k, n, s=0):
+    """t^s times the product over r <= i < r + k and v = x1..xn of (t^i - v).
+
+    The one-variable factor prod_i (t^i - x) is a {(power of t, power of
+    x): int} dict built by k shift-and-subtract steps; it is tensored over
+    x1..xn, one variable at a time, on keys whose slot 0 starts at s.
+    """
+    one = {(0, 0): 1}
     for i in range(r, r + k):
-        ti = XPoly.const(LaurentPoly.t_power(i))
-        for v in xvars(n):
-            prod = prod * (ti - XPoly.var(v))
-    return prod
+        step = {}
+        for (a, b), c in one.items():
+            step[a + i, b] = step.get((a + i, b), 0) + c
+            step[a, b + 1] = step.get((a, b + 1), 0) - c
+        one = step
+    terms = {(s,): 1}
+    for _ in range(n):
+        step = {}
+        for (a, *e), c in terms.items():
+            for (ta, b), d in one.items():
+                key = (a + ta, *e, b)
+                step[key] = step.get(key, 0) + c * d
+        terms = step
+    return XPoly._trusted(xvars(n), terms)
 
 
 def factorization_sides(lam, r, n):
     """Both sides of the width-split factorization of Q'_lam(t^r - X).
 
-    LHS: direct alphabet evaluation.  RHS: t-power times the double
-    resultant product times the residual Q'_zeta at t^{k+r} - X.
+    LHS: direct alphabet evaluation.  RHS: one product of
+    t^{n(nu) + r|nu|} prod_{r <= i < r+k} prod_v (t^i - x_v), built
+    directly, with the residual Q'_zeta at t^{k+r} - X.
     """
     k, nu, zeta = split_for_width(lam, n)
     lhs = qprime_on_alphabet(lam, t_minus_x_alphabet(r, n))
     rest = qprime_on_alphabet(zeta, t_minus_x_alphabet(k + r, n))
-    prod = _t_power_minus_x_product(r, k, n)
-    rhs = (prod * rest).scale(LaurentPoly.t_power(n_stat(nu) + r * sum(nu)))
+    rhs = _t_power_minus_x_product(r, k, n, n_stat(nu) + r * sum(nu)) * rest
     return lhs, rhs
 
 
@@ -684,8 +709,7 @@ def principal_specialization(lam):
     """Closed form for Q'_lam(1 - x1): t^{n(lam) - C(l, 2)} times the
     product of (t^i - x1) over i < l = l(lam)."""
     l = len(lam)
-    prod = _t_power_minus_x_product(0, l, 1)
-    return prod.scale(LaurentPoly.t_power(n_stat(lam) - comb(l, 2)))
+    return _t_power_minus_x_product(0, l, 1, n_stat(lam) - comb(l, 2))
 
 
 def principal_specialization_check(lam):
@@ -720,8 +744,7 @@ def two_letter_sides(k, nu, beta):
             c = c.shift(comb(i, 2) + k * i)
             cleared[(j, l)] = -c if (j + l) % 2 else c
     cleared = XPoly(("x1", "x2"), cleared)
-    prod = _t_power_minus_x_product(0, k, 2)
-    rhs = (prod * cleared).scale(LaurentPoly.t_power(n_stat(nu)))
+    rhs = _t_power_minus_x_product(0, k, 2, n_stat(nu)) * cleared
     return lhs, rhs
 
 

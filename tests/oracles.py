@@ -65,6 +65,13 @@ values must satisfy:
     one-letter skew value, t^n prod_i (1 - t^{a_i}) divided by b_mu,
     against `hall_littlewood.skew_qprime_one`, which multiplies one
     Gaussian binomial per part value of mu;
+  * `t_power_minus_x_product_by_chain`: the product of (t^i - x_v) as one
+    `XPoly` product per factor, against
+    `hall_littlewood._t_power_minus_x_product`, which builds the
+    one-variable factor and tensors it over the variables;
+  * `pack_by_shifts`: a t-polynomial at t = 2^w as one shifted int per
+    coefficient, against `hall_littlewood._pack`, which splits a long
+    polynomial in halves;
   * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
     that only the tests use.
 """
@@ -626,6 +633,26 @@ def skew_qprime_by_extraction(lam, mu, A):
         lower = [(q, -kostka_foulkes(kappa, nu)) for nu, q in solved.items()]
         solved[kappa] = _linear_combination(known + lower)
     return solved[mu]
+
+
+def t_power_minus_x_product_by_chain(r, k, n):
+    """prod over r <= i < r + k and v = x1..xn of (t^i - v), one factor
+    at a time."""
+    prod = X_ONE
+    for i in range(r, r + k):
+        ti = XPoly.const(LaurentPoly.t_power(i))
+        for v in xvars(n):
+            prod = prod * (ti - XPoly.var(v))
+    return prod
+
+
+def pack_by_shifts(coeffs, w):
+    """The t-polynomial {power: int} at t = 2^w, one shifted int added
+    per coefficient."""
+    m = 0
+    for s, v in coeffs.items():
+        m += v << w * s
+    return m
 
 
 def resultant(y, A):

@@ -8,6 +8,7 @@ specializations (t=0 Schur, t=1 monomial).
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +62,7 @@ from hlkit.tableaux import layer_chains
 from oracles import (
     chain_weight,
     p_on_alphabet_by_qprime,
+    pack_by_shifts,
     q_on_alphabet_by_qprime,
     q_via_operator,
     qprime_on_alphabet_by_schur,
@@ -68,6 +70,7 @@ from oracles import (
     schur_eval_by_jacobi_trudi,
     skew_qprime_by_extraction,
     skew_qprime_one_by_quotient,
+    t_power_minus_x_product_by_chain,
 )
 
 T = LaurentPoly.t_power
@@ -595,6 +598,25 @@ class TestPackedWalk:
         want = [(s, c) for s, c in enumerate(coeffs) if c]
         assert list(hl._unpack(hl._pack(dict(want), w), w)) == want
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([2, 3, 64]), st.integers(1, 3000))
+    def test_pack_and_widen_long_polynomials(self, seed, w, n):
+        # Past 32 coefficients the packer splits at the middle power; a
+        # dense signed polynomial of n coefficients (at w = 2, a third 0).
+        rng, top = random.Random(seed), (1 << (w - 1)) - 1
+        coeffs = {s: rng.randint(-top, top) for s in range(n)}
+        packed = hl._pack(coeffs, w)
+        assert packed == pack_by_shifts(coeffs, w)
+        assert dict(hl._unpack(packed, w)) == {s: c for s, c in coeffs.items() if c}
+        assert hl._pack(coeffs, w, 5) == pack_by_shifts(coeffs, w) << 5 * w
+        state = {((1,), 1): ({(0,): packed, (1,): -packed}, top)}
+        wide = hl._widen(w, 1 << w, state)
+        assert wide == 2 * w
+        assert state[(1,), 1][0] == {
+            (0,): pack_by_shifts(coeffs, wide),
+            (1,): -pack_by_shifts(coeffs, wide),
+        }
+
     @settings(max_examples=40, deadline=None)
     @given(
         SMALL_PARTITIONS,
@@ -679,6 +701,17 @@ class TestFactorizations:
     def test_full_alphabet_factorization(self, r, n):
         for lam in partitions_up_to(5):
             assert one_minus_x_factorization_check(lam, r, n), (lam, r, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PARTITIONS_TO_7, st.integers(0, 2), st.integers(1, 3))
+    def test_width_split_on_random_cases(self, lam, r, n):
+        assert one_minus_x_factorization_check(lam, r, n), (lam, r, n)
+
+    def test_product_matches_chain(self):
+        # k = 0 and n = 0 are the empty product, t^s alone
+        for r, k, n, s in itertools.product(range(-3, 4), range(7), range(4), (-2, 0, 3)):
+            want = t_power_minus_x_product_by_chain(r, k, n).scale(T(s))
+            assert hl._t_power_minus_x_product(r, k, n, s) == want, (r, k, n, s)
 
     def test_principal_specialization(self):
         for lam in partitions_up_to(5):
