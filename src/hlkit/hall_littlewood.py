@@ -171,6 +171,13 @@ def schur_to_qprime(sdict):
     return out
 
 
+@cache
+def _qprime_of_vector_cached(u):
+    if is_partition(u):
+        return ((normalize(u), L_ONE),)
+    return tuple(schur_to_qprime(kernel_schur(u)).items())
+
+
 def qprime_of_vector(u):
     """Q'_u for any integer vector u, expanded over the Q' basis.
 
@@ -178,10 +185,7 @@ def qprime_of_vector(u):
     and straighten the kernel image, then back-substitute.  A partition
     index, trailing zeros allowed, is its own expansion.
     """
-    u = tuple(map(index, u))
-    if is_partition(u):
-        return BasisExpansion("Qp", {normalize(u): L_ONE})
-    return BasisExpansion("Qp", schur_to_qprime(kernel_schur(u)))
+    return BasisExpansion("Qp", dict(_qprime_of_vector_cached(tuple(map(index, u)))))
 
 
 def qprime_vector_schur(u):
@@ -532,13 +536,6 @@ def schur_eval(lam, A):
 
 
 @cache
-def skew_schur_eval(lam, mu, A):
-    """s_{lam/mu}(A): the coefficient of s_mu in s_lam[X + A], 0 unless
-    mu fits in lam (see `_branch`)."""
-    return _branch(_S_STRIPS, lam, A, mu)
-
-
-@cache
 def schur_on_xvars(lam, n):
     return _branch(_S_STRIPS, lam, Alphabet.of_vars(*xvars(n)))
 
@@ -568,7 +565,6 @@ def skew_qprime_one(lam, mu):
     return acc.shift(sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0)))
 
 
-@cache
 def skew_qprime_one_columns(lam, mu):
     """Column rule for the same value: per column, alpha ends of mu-rows
     and beta boxes of lam/mu give t^{C(beta,2)} * [alpha+beta, alpha]."""
@@ -651,6 +647,7 @@ def split_for_width(lam, n):
     """Split lam as n^k + nu on top of zeta with zeta_1 < n, k maximal."""
     if n < 1:
         raise ValueError("need at least one variable")
+    lam = normalize(lam)
     k = sum(1 for p in lam if p >= n)
     nu = tuple(p - n for p in lam[:k] if p > n)
     zeta = lam[k:]
@@ -708,6 +705,7 @@ def one_minus_x_factorization_check(lam, r, n):
 def principal_specialization(lam):
     """Closed form for Q'_lam(1 - x1): t^{n(lam) - C(l, 2)} times the
     product of (t^i - x1) over i < l = l(lam)."""
+    lam = normalize(lam)
     l = len(lam)
     return _t_power_minus_x_product(0, l, 1, n_stat(lam) - comb(l, 2))
 

@@ -11,13 +11,22 @@ Each construction is written once: the one-variable removal sum
 and theta, and the two-alphabet Cauchy sum (`cauchy_sum`) serves
 Warnaar and sigmaxy.  A coefficient family is a function on partitions,
 None where undefined.
+
+Three constructions are cached, since the checks ask for each many
+times over: the Q'-expansion of an integer vector
+(`hall_littlewood._qprime_of_vector_cached`, read by `extend_family`
+and the dominant series), the dominant series of `theta_scalar_parts`
+(`_dominant_series`), and the capped product sigma_1(-X) P_mu
+(`_removal_term`).  Each is returned as a tuple or an immutable value.
+A family's value c(mu) multiplies the capped product after the cap,
+so the families are never summed before the product.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product as iproduct
-from operator import sub
+from operator import index, sub
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import b_poly, conjugate, n_skew, n_stat, normalize
@@ -27,9 +36,9 @@ from .alphabets import Alphabet, letter
 from .symmetrize import pi_omega
 from .hall_littlewood import (
     BasisExpansion,
+    _qprime_of_vector_cached,
     p_on_alphabet,
     p_on_xvars,
-    q_on_alphabet,
     q_on_xvars,
     qprime_of_vector,
     skew_qprime_one,
@@ -72,7 +81,7 @@ def extend_family(c, w):
     or an XPoly when the values are.
     """
     acc = L_ZERO
-    for mu, d in qprime_of_vector(w).coeffs.items():
+    for mu, d in _qprime_of_vector_cached(tuple(map(index, w))):
         v = c(mu)
         if v is not None:
             acc = acc + v * d
@@ -93,14 +102,20 @@ def removal_sum(c, lam, n):
     return acc
 
 
+@cache
+def _removal_term(mu, n, cap):
+    """sigma_1(-X) P_mu(X), X = x1..xn, up to degree cap."""
+    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
+    return sig.mul_capped(p_on_xvars(mu, n), cap)
+
+
 def removal_product(c, n, cap):
     """sigma_1(-X) times the sum of c(mu) P_mu(X) over partitions mu,
     X = x1..xn, up to x-degree cap; `c` is None where undefined.  A
     value c(mu) may carry other variables but never x: it multiplies
     the capped product sigma_1(-X) P_mu."""
-    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
     return _linear_combination(
-        (v * sig.mul_capped(p_on_xvars(mu, n), cap), 1)
+        (v * _removal_term(mu, n, cap), 1)
         for mu in partitions_up_to(cap, max_length=n)
         if (v := c(mu)) is not None
     )
@@ -129,7 +144,7 @@ def prodx_example_families(cap=6):
     q_extra = {}
     for m in range(cap + 1):
         mu = (m,) if m else ()
-        q_extra[mu] = _q_on_yvars(mu, 1)
+        q_extra[mu] = _p_on_yvars(mu, 1).scale(b_poly(mu))
     return {
         "delta at the empty partition": {(): L_ONE},
         "Q over one extra variable": q_extra,
@@ -191,11 +206,6 @@ def sigmaxy_check(nx, ny, cap):
 @cache
 def _p_on_yvars(mu, ny):
     return p_on_alphabet(mu, Alphabet.of_vars(*yvars(ny)))
-
-
-@cache
-def _q_on_yvars(mu, ny):
-    return q_on_alphabet(mu, Alphabet.of_vars(*yvars(ny)))
 
 
 # ------------------------------------------------------------------ theta
@@ -289,6 +299,23 @@ def theta_product_form(lam, mu):
     return acc
 
 
+@cache
+def _dominant_series(base, total, weighted):
+    """The dominant-monomial expansion of the Q'_{base - u} over the
+    vectors u >= 0 with |u| <= total, as (kappa, coefficient) pairs.
+    Weighted, each u carries t^{|u| - total}; the partner series carries
+    no t factor at all."""
+    out = {}
+    for u in iproduct(range(total + 1), repeat=len(base)):
+        s = sum(u)
+        if s > total:
+            continue
+        w = tuple(a - b for a, b in zip(base, u))
+        for kappa, d in _qprime_of_vector_cached(w):
+            _accumulate(out, kappa, d.shift(s - total) if weighted else d)
+    return tuple(out.items())
+
+
 def theta_scalar_parts(lam, mu, n):
     """The three layers of the scalar-product proposition at rank n.
 
@@ -300,24 +327,8 @@ def theta_scalar_parts(lam, mu, n):
     lam, mu = normalize(lam), normalize(mu)
     if len(lam) > n or len(mu) > n:
         raise ValueError("partitions longer than the rank")
-    lam_pad = lam + (0,) * (n - len(lam))
-    mu_pad = mu + (0,) * (n - len(mu))
-
-    def series(base, total, weighted):
-        # weighted: each u carries t^{|u| - total}; the partner series
-        # carries no t factor at all.
-        out = {}
-        for u in iproduct(range(total + 1), repeat=n):
-            s = sum(u)
-            if s > total:
-                continue
-            w = tuple(a - b for a, b in zip(base, u))
-            for kappa, d in qprime_of_vector(w).coeffs.items():
-                _accumulate(out, kappa, d.shift(s - total) if weighted else d)
-        return out
-
-    f = series(lam_pad, sum(lam), True)
-    g = series(mu_pad, sum(mu), False)
+    f = dict(_dominant_series(lam + (0,) * (n - len(lam)), sum(lam), True))
+    g = dict(_dominant_series(mu + (0,) * (n - len(mu)), sum(mu), False))
     pair = dominant_scalar(f, g)
     signed = theta_signed_sum(lam, mu, n)
     prod = theta_product_form(lam, mu)

@@ -40,6 +40,8 @@ values must satisfy:
     determinants of them, against `hall_littlewood.schur_eval` and
     `skew_schur_eval`, which add one letter at a time by horizontal
     strips (plus letters) and signed vertical strips (minus letters);
+  * `skew_schur_eval`: s_{lam/mu}(A) by the library's letter walk
+    (`hall_littlewood._branch`) with a skew end; only tests read it;
   * `qprime_schur_by_charge`: Q'_mu in the Schur basis by the charge
     statistic, sum over tableaux T of weight mu of t^charge(T) S_shape(T)
     (`hall_littlewood.kostka_foulkes`), against `qprime_schur`, which
@@ -72,6 +74,10 @@ values must satisfy:
   * `pack_by_shifts`: a t-polynomial at t = 2^w as one shifted int per
     coefficient, against `hall_littlewood._pack`, which splits a long
     polynomial in halves;
+  * `removal_product_by_loop`: sigma_1(-X) times the sum of c(mu) P_mu,
+    one capped product per mu on every call, against
+    `identities.removal_product`, which reads each capped product from
+    a memo;
   * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
     that only the tests use.
 """
@@ -80,14 +86,18 @@ from functools import cache
 from itertools import zip_longest
 from math import comb
 
-from hlkit.alphabets import Letter
+from hlkit.alphabets import Alphabet, Letter
 from hlkit.hall_littlewood import (
+    _S_STRIPS,
+    _branch,
     kostka_foulkes,
+    p_on_xvars,
     qprime_on_alphabet,
     schur_eval,
     schur_on_xvars,
     skew_qprime_one,
 )
+from hlkit.identities import sigma1_series
 from hlkit.laurent import LaurentPoly, ONE as L_ONE, ZERO as L_ZERO, _accumulate
 from hlkit.partitions import (
     b_poly,
@@ -97,6 +107,7 @@ from hlkit.partitions import (
     is_partition,
     normalize,
     partitions_of,
+    partitions_up_to,
     suffix_nonneg,
     t_factorial,
 )
@@ -565,6 +576,13 @@ def skew_schur_eval_by_jacobi_trudi(lam, mu, A):
     return _jacobi_trudi(lam, mu, A)
 
 
+def skew_schur_eval(lam, mu, A):
+    """s_{lam/mu}(A): the coefficient of s_mu in s_lam[X + A], 0 unless
+    mu fits in lam, one letter of A at a time (see
+    `hall_littlewood._branch`)."""
+    return _branch(_S_STRIPS, lam, A, mu)
+
+
 def qprime_schur_by_charge(mu):
     """{rho: KF(rho, mu)} over the partitions rho of |mu| with a nonzero
     charge polynomial: Q'_mu = sum_T t^charge(T) S_shape(T)."""
@@ -653,6 +671,18 @@ def pack_by_shifts(coeffs, w):
     for s, v in coeffs.items():
         m += v << w * s
     return m
+
+
+def removal_product_by_loop(c, n, cap):
+    """sigma_1(-X) times the sum of c(mu) P_mu(X), X = x1..xn, up to
+    x-degree cap: each capped product sigma_1(-X) P_mu built anew, then
+    multiplied by c(mu)."""
+    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
+    return _linear_combination(
+        (v * sig.mul_capped(p_on_xvars(mu, n), cap), 1)
+        for mu in partitions_up_to(cap, max_length=n)
+        if (v := c(mu)) is not None
+    )
 
 
 def resultant(y, A):

@@ -18,7 +18,7 @@ from hlkit.partitions import conjugate, partitions_up_to, subpartitions
 from hlkit.tableaux import enumerate_ssyt
 from hlkit.xpoly import XPoly, xvars
 from hlkit.alphabets import Alphabet, letter, parse_alphabet
-from hlkit.hall_littlewood import schur_eval, schur_on_xvars, skew_schur_eval
+from hlkit.hall_littlewood import schur_eval, schur_on_xvars
 from oracles import (
     berele_regev_check,
     complete_series,
@@ -26,6 +26,7 @@ from oracles import (
     rectangle_vanishing_check,
     resultant,
     schur_eval_by_jacobi_trudi,
+    skew_schur_eval,
     skew_schur_eval_by_jacobi_trudi,
 )
 

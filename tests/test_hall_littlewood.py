@@ -169,6 +169,19 @@ class TestVectorArguments:
             u = lam + (0,) * zeros
             assert qprime_of_vector(u).coeffs == schur_to_qprime(kernel_schur(u)), u
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-2, 4), max_size=4).map(tuple))
+    def test_cached_expansion_matches_back_substitution(self, u):
+        assert qprime_of_vector(u).coeffs == schur_to_qprime(kernel_schur(u)), u
+
+    def test_mutating_a_result_leaves_the_next_call(self):
+        for u in ((0, 2), (2, 1, 0), (1, -1, 2)):
+            want = schur_to_qprime(kernel_schur(u))
+            got = qprime_of_vector(u)
+            got.coeffs.clear()
+            got.coeffs[(9,)] = L_ONE
+            assert qprime_of_vector(u).coeffs == want, u
+
     def test_frozen(self):
         assert qprime_of_vector((1, -1)).coeffs == {}
         assert qprime_of_vector((0, 1)).coeffs == {(1,): T(1)}
@@ -716,6 +729,18 @@ class TestFactorizations:
     def test_principal_specialization(self):
         for lam in partitions_up_to(5):
             assert principal_specialization_check(lam), lam
+
+    def test_unsorted_and_padded_spellings_give_the_sorted_value(self):
+        # each spelling was read as given: (1, 2, 0) gave a cubic in x1,
+        # and the two sides at (1, 2) differed
+        for lam in partitions_up_to(5)[1:]:
+            for spelling in set(itertools.permutations(lam + (0,))):
+                assert hl.principal_specialization(spelling) == hl.principal_specialization(lam)
+                assert split_for_width(spelling, 2) == split_for_width(lam, 2)
+                for r, n in ((0, 1), (0, 2), (1, 2)):
+                    sides = hl.factorization_sides(spelling, r, n)
+                    assert sides == hl.factorization_sides(lam, r, n), (spelling, r, n)
+                    assert sides[0] == sides[1], (spelling, r, n)
 
     def test_two_letter_shape(self):
         assert two_letter_shape(2, (1,), 1) == (3, 2, 1)

@@ -12,8 +12,9 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import b_poly, n_stat, partitions_up_to
 from hlkit.alphabets import Alphabet, letter
 from hlkit.xpoly import X_ONE, XPoly, xvars
-from hlkit.hall_littlewood import p_on_xvars, q_on_xvars
+from hlkit.hall_littlewood import p_on_xvars, q_on_xvars, qprime_of_vector
 from hlkit.identities import (
+    _dominant_series,
     ct_scalar,
     defq_note_holds,
     defq_note_parts,
@@ -36,7 +37,7 @@ from hlkit.identities import (
     warnaar3_check,
     warnaar_check,
 )
-from oracles import ct_scalar_bruteforce, q_via_operator
+from oracles import ct_scalar_bruteforce, q_via_operator, removal_product_by_loop
 
 T = LaurentPoly.t_power
 ONE_M_T = L_ONE - T(1)
@@ -137,6 +138,18 @@ class TestThetaScalar:
         with pytest.raises(ValueError):
             theta_scalar_parts((1, 1, 1), (1,), 2)
 
+    def test_mutating_a_result_leaves_the_next_call(self):
+        want = theta_scalar_parts((2, 1), (1,), 2)
+        f = dict(_dominant_series((2, 1), 3, True))
+        g = dict(_dominant_series((1, 0), 1, False))
+        for d in (f, g):
+            d.clear()
+            d[(9,)] = T(1)
+        for u in ((2, 1), (1, 0), (0, 0)):
+            qprime_of_vector(u).coeffs.clear()
+        assert theta_scalar_parts((2, 1), (1,), 2) == want
+        assert dict(_dominant_series((1, 0), 1, False)) == {(1,): L_ONE, (): L_ONE}
+
     @pytest.mark.parametrize(
         "key", ["pairing", "theta", "halfway", "signed_sum", "product_form"]
     )
@@ -220,6 +233,16 @@ class TestFamilies:
     def test_prodx_families(self, n):
         for name, fam in prodx_example_families(cap=4).items():
             assert prodx_check(fam, n, 4), (name, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_removal_product_matches_the_per_call_loop(self, n):
+        # each capped product comes from a memo; c(mu) multiplies it
+        # after the cap, as in the loop that builds it anew every call
+        families = [fam.get for fam in prodx_example_families().values()]
+        families += [lambda mu, lam=lam: theta(lam, mu) for lam in partitions_up_to(4)]
+        for cap in range(7):
+            for c in families:
+                assert removal_product(c, n, cap) == removal_product_by_loop(c, n, cap)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("cap", range(7))

@@ -20,7 +20,6 @@ from hlkit.hall_littlewood import (
     qprime_vector_schur,
     schur_eval,
     skew_qprime,
-    skew_schur_eval,
     sub_one,
 )
 from hlkit.identities import (
@@ -56,7 +55,7 @@ from hlkit.partitions import (
 )
 from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import enumerate_ssyt
-from oracles import format_partition, is_vertical_strip
+from oracles import format_partition, is_vertical_strip, skew_schur_eval
 
 parts = st.lists(st.integers(1, 6), max_size=5).map(normalize)
 
