@@ -34,15 +34,7 @@ from .hall_littlewood import (
     skew_qprime,
     sub_one,
 )
-from .identities import (
-    ct_scalar,
-    prodx_check,
-    sigmaxy_check,
-    theta,
-    theta_scalar_check,
-    warnaar3_check,
-    warnaar_check,
-)
+from .identities import ct_scalar, theta
 
 __version__ = "0.1.0"
 
@@ -70,17 +62,12 @@ __all__ = [
     "pi_i",
     "pi_omega",
     "plane_partition_qprime",
-    "prodx_check",
     "qprime_of_vector",
     "qprime_schur",
     "schur_eval",
-    "sigmaxy_check",
     "skew_qprime",
     "straighten_schur",
     "sub_one",
     "t_binomial",
     "theta",
-    "theta_scalar_check",
-    "warnaar3_check",
-    "warnaar_check",
 ]

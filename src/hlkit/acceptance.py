@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import product as iproduct
+from operator import eq
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import (
@@ -27,31 +28,43 @@ from .hall_littlewood import (
     _qprime_schur_cached,
     add_one,
     aleph,
+    factorization_sides,
     kostka_foulkes,
-    one_minus_x_factorization_check,
     plane_partition_qprime,
-    principal_specialization_check,
+    principal_specialization,
+    qprime_on_alphabet,
     qprime_schur,
     skew_qprime_one_columns,
+    t_minus_x_alphabet,
     tableau_route_xpoly,
-    two_letter_factorization_check,
+    two_letter_sides,
 )
 from .identities import (
     defq_note_holds,
     defq_note_parts,
-    prodx_check,
     prodx_example_families,
+    prodx_sides,
     q_monomial_pairing,
-    sigmaxy_check,
     sigmaxy_coefficient,
+    sigmaxy_sides,
     theta,
     theta_product_form,
+    theta_scalar_holds,
+    theta_scalar_parts,
     theta_signed_sum,
     theta_skew_form,
-    theta_scalar_check,
-    warnaar3_check,
-    warnaar_check,
+    warnaar3_sides,
+    warnaar_sides,
 )
+
+# The sizes (nx, ny) of X and Y at which criteria 8 and 9 compare sides.
+_TWO_ALPHABET_SIZES = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _first_failure(cases, holds):
+    """The first case, in order, for which holds(*case) is false; None
+    when every case holds."""
+    return next((case for case in cases if not holds(*case)), None)
 
 
 def criterion_1():
@@ -112,16 +125,20 @@ def criterion_3():
 
 def criterion_4():
     """Charge route against kernel route, all |lam| <= 7, lengths <= n <= 4."""
-    checked = 0
-    for lam in partitions_up_to(7, max_length=4):
-        kfs = {rho: kostka_foulkes(rho, lam) for rho in partitions_of(sum(lam))}
-        charge_route = {rho: kf for rho, kf in kfs.items() if kf}
-        for n in range(max(1, len(lam)), 5):
-            padded = lam + (0,) * (n - len(lam))
-            if kernel_schur(padded) != charge_route:
-                return False, f"mismatch at lam={lam}, n={n}"
-            checked += 1
-    return True, f"{checked} (lam, n) pairs agree across the two routes"
+    cases = [
+        (lam, n)
+        for lam in partitions_up_to(7, max_length=4)
+        for n in range(max(1, len(lam)), 5)
+    ]
+
+    def holds(lam, n):
+        kfs = ((rho, kostka_foulkes(rho, lam)) for rho in partitions_of(sum(lam)))
+        charge_route = {rho: kf for rho, kf in kfs if kf}
+        return kernel_schur(lam + (0,) * (n - len(lam))) == charge_route
+
+    if bad := _first_failure(cases, holds):
+        return False, "charge and kernel routes differ at lam={}, n={}".format(*bad)
+    return True, f"{len(cases)} (lam, n) pairs agree across the two routes"
 
 
 def criterion_5():
@@ -145,12 +162,13 @@ def criterion_5():
 def criterion_6():
     """Layer-chain expansion against the tableau route, plus the frozen
     degree-3 coefficient pattern on three variables."""
-    checked = 0
-    for lam in partitions_up_to(5):
-        for n in (1, 2, 3):
-            if plane_partition_qprime(lam, n) != tableau_route_xpoly(lam, n):
-                return False, f"mismatch at lam={lam}, n={n}"
-            checked += 1
+    cases = [(lam, n) for lam in partitions_up_to(5) for n in (1, 2, 3)]
+
+    def holds(lam, n):
+        return plane_partition_qprime(lam, n) == tableau_route_xpoly(lam, n)
+
+    if bad := _first_failure(cases, holds):
+        return False, "layer-chain and tableau routes differ at lam={}, n={}".format(*bad)
     f = plane_partition_qprime((2, 1), 3)
     vars3 = xvars(3)
     pure = all(
@@ -162,9 +180,9 @@ def criterion_6():
         for e in ((2, 1, 0), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2))
     )
     three = f.coeff_of((1, 1, 1), vars3) == LaurentPoly({0: 2, 1: 1})
-    ok = checked == 57 and pure and two and three
+    ok = len(cases) == 57 and pure and two and three
     return ok, (
-        f"{checked} chain/tableau agreements; Qp[2,1] display "
+        f"{len(cases)} chain/tableau agreements; Qp[2,1] display "
         f"(t, 1+t, 2+t): {pure and two and three}"
     )
 
@@ -173,32 +191,29 @@ def criterion_7():
     """The three factorization families at t-power-minus-variables
     arguments: width split, single-variable closed form, two-variable
     cleared-multinomial form."""
-    n_split = 0
-    for lam in partitions_up_to(8):
-        for n in (1, 2, 3):
-            for r in (0, 1):
-                if not one_minus_x_factorization_check(lam, r, n):
-                    return False, f"width split fails at lam={lam}, r={r}, n={n}"
-                n_split += 1
-    n_prin = 0
-    for lam in partitions_up_to(6):
-        if not principal_specialization_check(lam):
-            return False, f"single-variable closed form fails at lam={lam}"
-        n_prin += 1
-    n_two = 0
-    for k in (0, 1, 2):
-        for beta in (0, 1, 2):
-            for m in (0, 1, 2):
-                for nu in partitions_of(m, max_length=k):
-                    if not two_letter_factorization_check(k, nu, beta):
-                        return False, (
-                            f"two-variable form fails at k={k}, nu={nu}, "
-                            f"beta={beta}"
-                        )
-                    n_two += 1
+    split = [(lam, r, n) for lam in partitions_up_to(8) for n in (1, 2, 3) for r in (0, 1)]
+    if bad := _first_failure(split, lambda *case: eq(*factorization_sides(*case))):
+        return False, "width split fails at lam={}, r={}, n={}".format(*bad)
+    single = [(lam,) for lam in partitions_up_to(6)]
+    one_minus_x1 = t_minus_x_alphabet(0, 1)
+
+    def closed_form_holds(lam):
+        return principal_specialization(lam) == qprime_on_alphabet(lam, one_minus_x1)
+
+    if bad := _first_failure(single, closed_form_holds):
+        return False, "single-variable closed form fails at lam={}".format(*bad)
+    two = [
+        (k, nu, beta)
+        for k in (0, 1, 2)
+        for beta in (0, 1, 2)
+        for m in (0, 1, 2)
+        for nu in partitions_of(m, max_length=k)
+    ]
+    if bad := _first_failure(two, lambda *case: eq(*two_letter_sides(*case))):
+        return False, "two-variable form fails at k={}, nu={}, beta={}".format(*bad)
     return True, (
-        f"width split: {n_split} cases; single variable: {n_prin} cases; "
-        f"two variables: {n_two} cases"
+        f"width split: {len(split)} cases; single variable: {len(single)} cases; "
+        f"two variables: {len(two)} cases"
     )
 
 
@@ -206,13 +221,12 @@ def criterion_8():
     """Capped series products: the one-variable-removal identity for
     three coefficient families, the X+XY(1-t) product, and the frozen
     P-basis display for the coefficient of P[4,2]."""
-    for name, fam in prodx_example_families(6).items():
-        for n in (1, 2):
-            if not prodx_check(fam, n, 6):
-                return False, f"product identity fails for {name} at n={n}"
-    for nx, ny in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        if not sigmaxy_check(nx, ny, 6):
-            return False, f"two-alphabet product fails at nx={nx}, ny={ny}"
+    families = prodx_example_families(6)
+    removal = [(name, n) for name in families for n in (1, 2)]
+    if bad := _first_failure(removal, lambda name, n: eq(*prodx_sides(families[name], n, 6))):
+        return False, "product identity fails for {} at n={}".format(*bad)
+    if bad := _first_failure(_TWO_ALPHABET_SIZES, lambda nx, ny: eq(*sigmaxy_sides(nx, ny, 6))):
+        return False, "two-alphabet product fails at nx={}, ny={}".format(*bad)
     one_m_t = L_ONE - T
     one_m_t2 = L_ONE - LaurentPoly.t_power(2)
     want = {
@@ -233,70 +247,65 @@ def criterion_8():
     if not disp:
         return False, "P[4,2] coefficient display mismatch"
     return True, (
-        "3 removal families at n <= 2, 4 two-alphabet caps, and the "
-        "P[4,2] display all hold at cap 6"
+        f"{len(families)} removal families at n <= 2, "
+        f"{len(_TWO_ALPHABET_SIZES)} two-alphabet caps, "
+        "and the P[4,2] display all hold at cap 6"
     )
 
 
 def criterion_9():
     """Theta-weighted two-alphabet product and its skewed one-alphabet
     consequence."""
-    for nx, ny in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        if not warnaar_check(nx, ny, 6):
-            return False, f"two-alphabet form fails at nx={nx}, ny={ny}"
-    n3 = 0
-    for lam in partitions_up_to(5):
-        if not warnaar3_check(lam, 2, 6):
-            return False, f"skewed form fails at lam={lam}"
-        n3 += 1
-    return True, f"4 two-alphabet caps and {n3} skewed cases hold at cap 6"
+    if bad := _first_failure(_TWO_ALPHABET_SIZES, lambda nx, ny: eq(*warnaar_sides(nx, ny, 6))):
+        return False, "two-alphabet form fails at nx={}, ny={}".format(*bad)
+    skewed = [(lam,) for lam in partitions_up_to(5)]
+    if bad := _first_failure(skewed, lambda lam: eq(*warnaar3_sides(lam, 2, 6))):
+        return False, "skewed form fails at lam={}".format(*bad)
+    return True, (
+        f"{len(_TWO_ALPHABET_SIZES)} two-alphabet caps and {len(skewed)} skewed cases "
+        "hold at cap 6"
+    )
 
 
 def criterion_10():
     """The two theta formulas agree wherever both apply, and the product
     form of the alternating sum matches brute force."""
-    n_pairs = 0
-    for lam in partitions_up_to(8):
-        for mu in subpartitions(lam):
-            if theta(lam, mu) != theta_skew_form(lam, mu):
-                return False, f"theta formulas differ at lam={lam}, mu={mu}"
-            n_pairs += 1
-    n_alt = 0
-    for lam in partitions_up_to(6):
-        for mu in subpartitions(lam):
-            n = len(mu)
-            if theta_signed_sum(lam, mu, n) != theta_product_form(lam, mu):
-                return False, f"alternating sum differs at lam={lam}, mu={mu}"
-            n_alt += 1
-    return True, (
-        f"{n_pairs} formula agreements; {n_alt} alternating-sum cases"
-    )
+    pairs = [(lam, mu) for lam in partitions_up_to(8) for mu in subpartitions(lam)]
+    if bad := _first_failure(pairs, lambda lam, mu: theta(lam, mu) == theta_skew_form(lam, mu)):
+        return False, "theta formulas differ at lam={}, mu={}".format(*bad)
+    alternating = [(lam, mu) for lam in partitions_up_to(6) for mu in subpartitions(lam)]
+
+    def alternating_holds(lam, mu):
+        return theta_signed_sum(lam, mu, len(mu)) == theta_product_form(lam, mu)
+
+    if bad := _first_failure(alternating, alternating_holds):
+        return False, "alternating sum differs at lam={}, mu={}".format(*bad)
+    return True, f"{len(pairs)} formula agreements; {len(alternating)} alternating-sum cases"
 
 
 def criterion_11():
     """Scalar products: the dominant-expansion pairing chain at rank 3,
     and constant-term orthogonality of Q against dominant monomials."""
     small = partitions_up_to(4, max_length=3)
-    n_chain = 0
-    for lam in small:
-        for mu in small:
-            if not theta_scalar_check(lam, mu, 3):
-                return False, f"pairing chain fails at lam={lam}, mu={mu}"
-            n_chain += 1
-    n_ct = 0
-    for n in (1, 2, 3):
-        vs = partitions_up_to(4, max_length=n)
-        for lam in vs:
-            for mu in vs:
-                got = q_monomial_pairing(lam, mu, n)
-                want = b_poly(lam) if lam == mu else L_ZERO
-                if got != want:
-                    return False, (
-                        f"constant-term pairing fails at lam={lam}, "
-                        f"mu={mu}, n={n}"
-                    )
-                n_ct += 1
-    return True, f"{n_chain} pairing chains; {n_ct} orthogonality values"
+    chains = [(lam, mu) for lam in small for mu in small]
+    if bad := _first_failure(
+        chains, lambda lam, mu: theta_scalar_holds(theta_scalar_parts(lam, mu, 3))
+    ):
+        return False, "pairing chain fails at lam={}, mu={}".format(*bad)
+    orthogonality = [
+        (lam, mu, n)
+        for n in (1, 2, 3)
+        for lam in partitions_up_to(4, max_length=n)
+        for mu in partitions_up_to(4, max_length=n)
+    ]
+
+    def orthogonal(lam, mu, n):
+        want = b_poly(lam) if lam == mu else L_ZERO
+        return q_monomial_pairing(lam, mu, n) == want
+
+    if bad := _first_failure(orthogonality, orthogonal):
+        return False, "constant-term pairing fails at lam={}, mu={}, n={}".format(*bad)
+    return True, f"{len(chains)} pairing chains; {len(orthogonality)} orthogonality values"
 
 
 def criterion_12():

@@ -513,11 +513,6 @@ def p_on_alphabet(lam, A):
     return _branch(_P_STRIPS, lam, A)
 
 
-def q_on_alphabet(lam, A):
-    """Q_lam(A) = b_lam(t) P_lam(A), which is Q'_lam(A(1-t))."""
-    return p_on_alphabet(lam, A).scale(b_poly(lam))
-
-
 @cache
 def p_on_xvars(lam, n):
     return p_on_alphabet(lam, Alphabet.of_vars(*xvars(n)))
@@ -697,22 +692,12 @@ def factorization_sides(lam, r, n):
     return lhs, rhs
 
 
-def one_minus_x_factorization_check(lam, r, n):
-    lhs, rhs = factorization_sides(lam, r, n)
-    return lhs == rhs
-
-
 def principal_specialization(lam):
     """Closed form for Q'_lam(1 - x1): t^{n(lam) - C(l, 2)} times the
     product of (t^i - x1) over i < l = l(lam)."""
     lam = normalize(lam)
     l = len(lam)
     return _t_power_minus_x_product(0, l, 1, n_stat(lam) - comb(l, 2))
-
-
-def principal_specialization_check(lam):
-    A = Alphabet((letter(0),), (letter(0, "x1"),))
-    return principal_specialization(lam) == qprime_on_alphabet(lam, A)
 
 
 def two_letter_shape(k, nu, beta):
@@ -744,9 +729,4 @@ def two_letter_sides(k, nu, beta):
     cleared = XPoly(("x1", "x2"), cleared)
     rhs = _t_power_minus_x_product(0, k, 2, n_stat(nu)) * cleared
     return lhs, rhs
-
-
-def two_letter_factorization_check(k, nu, beta):
-    lhs, rhs = two_letter_sides(k, nu, beta)
-    return lhs == rhs
 

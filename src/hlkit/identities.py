@@ -92,6 +92,7 @@ def removal_sum(c, lam, n):
     """The alternating cube sum over v in {0,1}^n of the family `c`
     (see `extend_family`) at lam - v: the coefficient of P_lam(X) in
     sigma_1(-X) times the c-weighted P sum, X = x1..xn."""
+    lam = normalize(lam)
     if len(lam) > n:
         raise ValueError("partition longer than n")
     lam_pad = lam + (0,) * (n - len(lam))
@@ -133,11 +134,6 @@ def prodx_sides(c, n, cap):
     return removal_product(c.get, n, cap), rhs
 
 
-def prodx_check(c, n, cap):
-    lhs, rhs = prodx_sides(c, n, cap)
-    return lhs == rhs
-
-
 def prodx_example_families(cap=6):
     """Stock coefficient families for verification runs: a delta, the
     Q values over one extra variable, and a fixed sparse family."""
@@ -164,6 +160,7 @@ def sigmaxy_coefficient(lam, ny=None, cap=None):
     """For fixed lam, the P-over-Y expansion of the coefficient of
     P_lam X: mu -> b_mu times the one-letter skew value of lam/mu.
     The sum is finite; ny and cap only restrict the reported terms."""
+    lam = normalize(lam)
     out = {}
     for mu in subpartitions(lam):
         if ny is not None and len(mu) > ny:
@@ -196,11 +193,6 @@ def sigmaxy_sides(nx, ny, cap):
         return sigmaxy_coefficient(lam, ny, cap - sum(lam)).coeffs.items()
 
     return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
-
-
-def sigmaxy_check(nx, ny, cap):
-    lhs, rhs = sigmaxy_sides(nx, ny, cap)
-    return lhs == rhs
 
 
 @cache
@@ -244,11 +236,6 @@ def warnaar_sides(nx, ny, cap):
     return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
 
 
-def warnaar_check(nx, ny, cap):
-    lhs, rhs = warnaar_sides(nx, ny, cap)
-    return lhs == rhs
-
-
 def warnaar3_sides(lam, n, cap):
     """Skewed single-alphabet form: sum over mu inside lam of
     t^{-|mu|} Q_mu X times the one-letter skew value, against
@@ -261,11 +248,6 @@ def warnaar3_sides(lam, n, cap):
     )
     rhs = removal_product(lambda mu: theta(lam, mu), n, cap)
     return lhs.truncate_degree(cap), rhs
-
-
-def warnaar3_check(lam, n, cap):
-    lhs, rhs = warnaar3_sides(lam, n, cap)
-    return lhs == rhs
 
 
 # --------------------------------------------------------- dominant reduction
@@ -291,6 +273,7 @@ def theta_product_form(lam, mu):
     """Closed product for the alternating theta sum: theta(lam, mu)
     times prod (1 - t^{nu_i - i + 1}) over the mu-indexed conjugate
     parts, the same exponents as in the one-letter skew value."""
+    mu = normalize(mu)  # lam reaches only conjugate and theta, which sort it
     lc = conjugate(lam)
     acc = theta(lam, mu)
     for i in range(1, len(mu) + 1):
@@ -352,10 +335,6 @@ def theta_scalar_holds(parts):
     )
 
 
-def theta_scalar_check(lam, mu, n):
-    return theta_scalar_holds(theta_scalar_parts(lam, mu, n))
-
-
 # --------------------------------------------------------------- CT pairing
 
 
@@ -371,6 +350,9 @@ def ct_scalar(f, g, n):
     complete.
     """
     vars = xvars(n)
+    extra = sorted(set(f.vars + g.vars).difference(vars))
+    if extra:
+        raise ValueError(f"ct_scalar on n={n} cannot read {', '.join(extra)}")
     h = f * g.reverse_invert(vars)
     # keys are (t, e_1, ..., e_n) as in XPoly.terms, so column j is slot j
     cur = {k: v for k, v in h._expand_to(vars).items() if sum(k) == k[0]}

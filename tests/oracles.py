@@ -59,7 +59,7 @@ values must satisfy:
     Q'_lam(A(1-t)), the one-letter iteration over the 2n letters x and
     -t*x, and P_lam as its exact quotient by b_lam, against
     `hall_littlewood.p_on_alphabet`, which takes one horizontal-strip
-    step per letter, and `q_on_alphabet` = b_lam P_lam;
+    step per letter, and b_lam times it;
   * `skew_qprime_by_extraction`: Q'_{lam/mu}(A) by a unitriangular
     solve over skew Schur determinants, against the same one-letter
     iteration in `hall_littlewood.skew_qprime`;

@@ -33,13 +33,12 @@ from hlkit.hall_littlewood import (
     add_one,
     aleph,
     compose_shift,
+    factorization_sides,
     kostka_foulkes,
-    one_minus_x_factorization_check,
     p_on_alphabet,
     p_on_xvars,
     plane_partition_qprime,
-    principal_specialization_check,
-    q_on_alphabet,
+    principal_specialization,
     q_on_xvars,
     qprime_of_vector,
     qprime_on_alphabet,
@@ -53,9 +52,10 @@ from hlkit.hall_littlewood import (
     skew_qprime_one_columns,
     split_for_width,
     sub_one,
+    t_minus_x_alphabet,
     tableau_route_xpoly,
-    two_letter_factorization_check,
     two_letter_shape,
+    two_letter_sides,
 )
 from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import layer_chains
@@ -265,7 +265,7 @@ class TestEvaluations:
     def test_strip_route_on_random_alphabets(self, lam, plus):
         A = Alphabet(tuple(plus))
         assert p_on_alphabet(lam, A) == p_on_alphabet_by_qprime(lam, A)
-        assert q_on_alphabet(lam, A) == q_on_alphabet_by_qprime(lam, A)
+        assert p_on_alphabet(lam, A).scale(b_poly(lam)) == q_on_alphabet_by_qprime(lam, A)
 
     def test_q_on_xvars_reads_the_p_memo(self, monkeypatch):
         p_on_xvars.cache_clear()
@@ -281,7 +281,7 @@ class TestEvaluations:
         assert q == p.scale(b_poly((3, 1)))
         assert q == q_on_alphabet_by_qprime((3, 1), Alphabet.of_vars(*xvars(3)))
 
-    @pytest.mark.parametrize("route", [p_on_alphabet, q_on_alphabet])
+    @pytest.mark.parametrize("route", [p_on_alphabet])
     def test_strip_route_refuses_minus_letters(self, route):
         A = Alphabet((letter(0, "x1"),), (letter(1, "x2"),))
         with pytest.raises(ValueError, match="plus letters"):
@@ -713,12 +713,14 @@ class TestFactorizations:
     @pytest.mark.parametrize("n", [1, 2])
     def test_full_alphabet_factorization(self, r, n):
         for lam in partitions_up_to(5):
-            assert one_minus_x_factorization_check(lam, r, n), (lam, r, n)
+            lhs, rhs = factorization_sides(lam, r, n)
+            assert lhs == rhs, (lam, r, n)
 
     @settings(max_examples=60, deadline=None)
     @given(PARTITIONS_TO_7, st.integers(0, 2), st.integers(1, 3))
     def test_width_split_on_random_cases(self, lam, r, n):
-        assert one_minus_x_factorization_check(lam, r, n), (lam, r, n)
+        lhs, rhs = factorization_sides(lam, r, n)
+        assert lhs == rhs, (lam, r, n)
 
     def test_product_matches_chain(self):
         # k = 0 and n = 0 are the empty product, t^s alone
@@ -727,8 +729,9 @@ class TestFactorizations:
             assert hl._t_power_minus_x_product(r, k, n, s) == want, (r, k, n, s)
 
     def test_principal_specialization(self):
+        one_minus_x1 = t_minus_x_alphabet(0, 1)
         for lam in partitions_up_to(5):
-            assert principal_specialization_check(lam), lam
+            assert principal_specialization(lam) == qprime_on_alphabet(lam, one_minus_x1), lam
 
     def test_unsorted_and_padded_spellings_give_the_sorted_value(self):
         # each spelling was read as given: (1, 2, 0) gave a cubic in x1,
@@ -754,11 +757,8 @@ class TestFactorizations:
                 for nu in partitions_up_to(2):
                     if len(nu) > k:
                         continue
-                    assert two_letter_factorization_check(k, nu, beta), (
-                        k,
-                        nu,
-                        beta,
-                    )
+                    lhs, rhs = two_letter_sides(k, nu, beta)
+                    assert lhs == rhs, (k, nu, beta)
 
 
 class TestBasisExpansion:

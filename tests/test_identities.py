@@ -22,20 +22,19 @@ from hlkit.identities import (
     extend_family,
     is_proportional,
     kernel_image_two_vars,
-    prodx_check,
     prodx_example_families,
+    prodx_sides,
     removal_product,
     sigma1_series,
-    sigmaxy_check,
     sigmaxy_coefficient,
+    sigmaxy_sides,
     theta,
     theta_product_form,
-    theta_scalar_check,
     theta_scalar_holds,
     theta_scalar_parts,
     theta_signed_sum,
-    warnaar3_check,
-    warnaar_check,
+    warnaar3_sides,
+    warnaar_sides,
 )
 from oracles import ct_scalar_bruteforce, q_via_operator, removal_product_by_loop
 
@@ -127,7 +126,7 @@ class TestThetaScalar:
             for mu in partitions_up_to(3):
                 if len(mu) > n:
                     continue
-                assert theta_scalar_check(lam, mu, n), (lam, mu, n)
+                assert theta_scalar_holds(theta_scalar_parts(lam, mu, n)), (lam, mu, n)
 
     def test_parts_shape(self):
         parts = theta_scalar_parts((1,), (1,), 2)
@@ -210,6 +209,19 @@ class TestConstantTermScalar:
         g = XPoly(xvars(n), data.draw(terms))
         assert ct_scalar(f, g, n) == ct_scalar_bruteforce(f, g, n)
 
+    @pytest.mark.parametrize(
+        "f, g, n, names",
+        [
+            (XPoly.var("y1"), X_ONE, 1, "y1"),
+            (X_ONE, XPoly.var("y1"), 1, "y1"),
+            (XPoly.var("x3") * XPoly.var("y2"), XPoly.var("x1"), 2, "x3, y2"),
+        ],
+    )
+    def test_refuses_variables_outside_the_rank(self, f, g, n, names):
+        # a bare KeyError from the re-keying before
+        with pytest.raises(ValueError, match=f"cannot read {names}$"):
+            ct_scalar(f, g, n)
+
 
 class TestFamilies:
     def test_extend_on_partition(self):
@@ -232,7 +244,8 @@ class TestFamilies:
     @pytest.mark.parametrize("n", [1, 2])
     def test_prodx_families(self, n):
         for name, fam in prodx_example_families(cap=4).items():
-            assert prodx_check(fam, n, 4), (name, n)
+            lhs, rhs = prodx_sides(fam, n, 4)
+            assert lhs == rhs, (name, n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_removal_product_matches_the_per_call_loop(self, n):
@@ -269,8 +282,9 @@ class TestFamilies:
 
 class TestGeneratingIdentities:
     def test_sigmaxy(self):
-        assert sigmaxy_check(1, 1, 5)
-        assert sigmaxy_check(2, 1, 4)
+        for nx, ny, cap in ((1, 1, 5), (2, 1, 4)):
+            lhs, rhs = sigmaxy_sides(nx, ny, cap)
+            assert lhs == rhs, (nx, ny, cap)
 
     def test_sigmaxy_coefficient_frozen(self):
         got = sigmaxy_coefficient((2, 1))
@@ -290,16 +304,19 @@ class TestGeneratingIdentities:
         assert set(low.coeffs) == {(), (1,)}
 
     def test_warnaar(self):
-        assert warnaar_check(1, 1, 5)
-        assert warnaar_check(2, 1, 4)
+        for nx, ny, cap in ((1, 1, 5), (2, 1, 4)):
+            lhs, rhs = warnaar_sides(nx, ny, cap)
+            assert lhs == rhs, (nx, ny, cap)
 
     def test_warnaar_skew_form(self):
-        assert warnaar3_check((2, 1), 2, 5)
-        assert warnaar3_check((2, 2), 2, 5)
+        for lam in ((2, 1), (2, 2)):
+            lhs, rhs = warnaar3_sides(lam, 2, 5)
+            assert lhs == rhs, lam
 
     def test_warnaar_skew_form_beyond_width(self):
         # more rows than variables: still balances
-        assert warnaar3_check((1, 1, 1), 2, 5)
+        lhs, rhs = warnaar3_sides((1, 1, 1), 2, 5)
+        assert lhs == rhs
 
 
 class TestOperatorBoundary:

@@ -23,10 +23,11 @@ from hlkit.hall_littlewood import (
     sub_one,
 )
 from hlkit.identities import (
+    sigmaxy_coefficient,
     theta,
-    theta_scalar_check,
+    theta_product_form,
     theta_scalar_parts,
-    warnaar3_check,
+    theta_signed_sum,
     warnaar3_sides,
 )
 from hlkit.laurent import ONE, T
@@ -274,9 +275,9 @@ SPELLED_ENTRY_POINTS = {
     "warnaar3_sides": lambda lam: warnaar3_sides(lam, 2, 3),
     "theta_scalar_parts outer": lambda lam: theta_scalar_parts(lam, (1,), 3),
     "theta_scalar_parts inner": lambda lam: theta_scalar_parts((2, 1), lam, 3),
-    "theta_scalar_check outer": lambda lam: theta_scalar_check(lam, (1,), 3),
-    "theta_scalar_check inner": lambda lam: theta_scalar_check((2, 1), lam, 3),
-    "warnaar3_check": lambda lam: warnaar3_check(lam, 2, 3),
+    "sigmaxy_coefficient": sigmaxy_coefficient,
+    "theta_product_form": lambda lam: theta_product_form((3, 2, 1), lam),
+    "theta_signed_sum": lambda lam: theta_signed_sum((3, 2, 1), lam, 3),
     "enumerate_ssyt": lambda lam: enumerate_ssyt(lam, nletters=3),
 }
 # These read a partition with trailing zeros only: a reordered index is
@@ -360,8 +361,7 @@ class TestEntryPoints:
             "letter", "parse_alphabet",
             # integers, words, vectors or polynomials
             "charge", "ct_scalar", "kernel_schur", "partitions_of", "pi_i", "pi_omega",
-            "prodx_check", "sigmaxy_check", "straighten_schur", "t_binomial",
-            "warnaar_check",
+            "straighten_schur", "t_binomial",
         }
         exported = set(hlkit.__all__)
         assert no_partition <= exported and not no_partition & (covered | helpers)
