@@ -20,13 +20,18 @@ and the dominant series), the dominant series of `theta_scalar_parts`
 (`_removal_term`).  Each is returned as a tuple or an immutable value.
 A family's value c(mu) multiplies the capped product after the cap,
 so the families are never summed before the product.
+
+The theta families fix lam and run over mu: the alternating theta sum,
+the skewed Warnaar form and each row of the two-alphabet Warnaar sum
+read one row mu -> theta(lam, mu) (`_theta_row`), which computes the
+conjugate of lam and n(lam) once; it is rebuilt per family, not kept.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product as iproduct
-from operator import index, sub
+from operator import index, mul, sub
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, T, _accumulate
 from .partitions import b_poly, conjugate, n_skew, n_stat, normalize
@@ -126,7 +131,13 @@ def prodx_sides(c, n, cap):
     """Both sides of the one-variable-removal identity for the dict `c`
     on partitions: `removal_product`, against the sum of `removal_sum`
     at lam times P_lam.  Only x-degrees are capped: a value of `c` may
-    carry other variables but never x."""
+    carry other variables but never x.  The keys of `c` may spell their
+    partitions in any order, zeros included; two keys that spell one
+    partition raise ValueError."""
+    keyed = {normalize(mu): v for mu, v in c.items()}
+    if len(keyed) < len(c):
+        raise ValueError("two keys of the family spell one partition")
+    c = keyed
     rhs = _linear_combination(
         (removal_sum(c.get, lam, n) * p_on_xvars(lam, n), 1)
         for lam in partitions_up_to(cap, max_length=n)
@@ -203,11 +214,21 @@ def _p_on_yvars(mu, ny):
 # ------------------------------------------------------------------ theta
 
 
+def _theta_row(lam):
+    """The function mu -> theta(lam, mu), with the conjugate of lam and
+    n(lam) computed once."""
+    lc, n_lam = conjugate(lam), n_stat(lam)
+
+    def row(mu):
+        dot = sum(map(mul, lc, conjugate(mu)))
+        return LaurentPoly.t_power(n_lam + n_stat(mu) - dot)
+
+    return row
+
+
 def theta(lam, mu):
     """t to the n(lam) + n(mu) - (lam~, mu~); defined for every pair."""
-    lc, mc = conjugate(lam), conjugate(mu)
-    dot = sum(a * b for a, b in zip(lc, mc))
-    return LaurentPoly.t_power(n_stat(lam) + n_stat(mu) - dot)
+    return _theta_row(lam)(mu)
 
 
 def theta_skew_form(lam, mu):
@@ -230,8 +251,9 @@ def warnaar_sides(nx, ny, cap):
     A = AX + AY + AXY.times_letter(letter(-1)) - AXY
 
     def row(lam):
+        theta_lam = _theta_row(lam)
         for mu in partitions_up_to(cap - sum(lam), max_length=ny):
-            yield mu, theta(lam, mu)
+            yield mu, theta_lam(mu)
 
     return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
 
@@ -246,7 +268,7 @@ def warnaar3_sides(lam, n, cap):
         for mu in subpartitions(lam)
         if len(mu) <= n
     )
-    rhs = removal_product(lambda mu: theta(lam, mu), n, cap)
+    rhs = removal_product(_theta_row(lam), n, cap)
     return lhs.truncate_degree(cap), rhs
 
 
@@ -266,7 +288,7 @@ def dominant_scalar(f, g):
 
 def theta_signed_sum(lam, mu, n):
     """Alternating cube sum of theta(lam, mu - v) over v in {0,1}^n."""
-    return removal_sum(lambda kappa: theta(lam, kappa), mu, n)
+    return removal_sum(_theta_row(lam), mu, n)
 
 
 def theta_product_form(lam, mu):

@@ -17,8 +17,10 @@ The public constructor takes {exponents: LaurentPoly or int}, validates
 it and canonicalizes it.  Results of arithmetic go through the private
 XPoly._trusted, which only drops zero coefficients and the variables
 that cancellation left unused.  Products multiply the letters t^s x^e
-by adding keys, t included (see _mul_into).  Values leave as one
-LaurentPoly per monomial (_grouped) only to be read or rendered.
+by adding keys, t included (see _mul_into); a product by the constant
+1 returns the other factor, which is safe because no value is changed
+in place.  Values leave as one LaurentPoly per monomial (_grouped)
+only to be read or rendered.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def _linear_combination(pairs):
         const = [((s,) + zero, m) for s, m in c.coeffs.items()]
         _mul_into(acc, f._expand_to(vars).items(), const)
     return XPoly._trusted(vars, acc)
+
+
+# the terms of the constant 1, which has no variables
+_UNIT = {(0,): 1}
 
 
 def _coerce_coeff(c):
@@ -232,6 +238,11 @@ class XPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a factor 1, the constant over no variables, gives the other one
+        if other.terms == _UNIT:
+            return self
+        if self.terms == _UNIT:
+            return other
         vars, a, b = self._aligned(other)
         acc = {}
         _mul_into(acc, a.items(), b.items())

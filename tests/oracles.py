@@ -78,6 +78,12 @@ values must satisfy:
     one capped product per mu on every call, against
     `identities.removal_product`, which reads each capped product from
     a memo;
+  * `mul_by_loop`: the product of two polynomials by the general loop
+    over their aligned terms, against `XPoly.__mul__`, which returns the
+    other factor when one factor is the constant 1;
+  * `theta_by_conjugates`: theta(lam, mu) with both conjugates and both
+    n-statistics computed on every call, against
+    `identities._theta_row`, which computes those of lam once per row;
   * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
     that only the tests use.
 """
@@ -105,6 +111,7 @@ from hlkit.partitions import (
     contains,
     is_horizontal_strip,
     is_partition,
+    n_stat,
     normalize,
     partitions_of,
     partitions_up_to,
@@ -683,6 +690,23 @@ def removal_product_by_loop(c, n, cap):
         for mu in partitions_up_to(cap, max_length=n)
         if (v := c(mu)) is not None
     )
+
+
+def mul_by_loop(f, g):
+    """f * g for XPoly, int or LaurentPoly factors, every pair of terms
+    multiplied over the union of the variables."""
+    f, g = XPoly._coerce(f), XPoly._coerce(g)
+    vars = merge_vars(f.vars, g.vars)
+    acc = {}
+    _mul_into(acc, f._expand_to(vars).items(), g._expand_to(vars).items())
+    return XPoly._trusted(vars, acc)
+
+
+def theta_by_conjugates(lam, mu):
+    """t to the n(lam) + n(mu) - (lam~, mu~), from both conjugates."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    dot = sum(a * b for a, b in zip(lc, mc))
+    return LaurentPoly.t_power(n_stat(lam) + n_stat(mu) - dot)
 
 
 def resultant(y, A):

@@ -15,6 +15,7 @@ from hlkit.xpoly import X_ONE, XPoly, xvars
 from hlkit.hall_littlewood import p_on_xvars, q_on_xvars, qprime_of_vector
 from hlkit.identities import (
     _dominant_series,
+    _theta_row,
     ct_scalar,
     defq_note_holds,
     defq_note_parts,
@@ -36,7 +37,12 @@ from hlkit.identities import (
     warnaar3_sides,
     warnaar_sides,
 )
-from oracles import ct_scalar_bruteforce, q_via_operator, removal_product_by_loop
+from oracles import (
+    ct_scalar_bruteforce,
+    q_via_operator,
+    removal_product_by_loop,
+    theta_by_conjugates,
+)
 
 T = LaurentPoly.t_power
 ONE_M_T = L_ONE - T(1)
@@ -92,6 +98,19 @@ class TestTheta:
             want = theta(lam, (2,)) * T(1) + theta(lam, (1, 1)) * (T(1) - L_ONE)
             assert extend_family(lambda k: theta(lam, k), (0, 2)) == want
         assert not extend_family(lambda k: theta((2, 1), k), (1, -1))
+
+    def test_rows_match_the_per_call_formula(self):
+        # every pair with |lam|, |mu| <= 7, mu inside lam or not, each
+        # spelled sorted, reversed with a zero, and with a leading zero
+        parts = list(partitions_up_to(7))
+        for lam in parts:
+            for lam_spelling in (lam, lam[::-1] + (0,), (0,) + lam):
+                row = _theta_row(lam_spelling)
+                for mu in parts:
+                    want = theta_by_conjugates(lam, mu)
+                    for mu_spelling in (mu, mu[::-1] + (0,), (0,) + mu):
+                        assert row(mu_spelling) == want, (lam_spelling, mu_spelling)
+                        assert theta(lam_spelling, mu_spelling) == want
 
     @pytest.mark.parametrize("mu", [(1,), (2,), (1, 1), (2, 1)])
     def test_signed_sum_rank_independent(self, mu):
@@ -246,6 +265,16 @@ class TestFamilies:
         for name, fam in prodx_example_families(cap=4).items():
             lhs, rhs = prodx_sides(fam, n, 4)
             assert lhs == rhs, (name, n)
+
+    def test_prodx_reads_any_spelling_of_a_key(self):
+        sides = [prodx_sides({mu: L_ONE}, 2, 4) for mu in ((1, 2), (2, 1), (2, 1, 0))]
+        assert sides[0] == sides[1] == sides[2]
+        lhs, rhs = sides[0]
+        assert lhs and lhs == rhs  # not two zero sides that agree vacuously
+
+    def test_prodx_refuses_two_spellings_of_one_partition(self):
+        with pytest.raises(ValueError, match="spell one partition"):
+            prodx_sides({(1, 2): L_ONE, (2, 1): L_ONE}, 2, 4)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_removal_product_matches_the_per_call_loop(self, n):

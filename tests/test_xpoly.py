@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, NotDivisibleError, ONE as L_ONE, T
 from hlkit.xpoly import XPoly, X_ONE, merge_vars, var_key, xvars, yvars
-from oracles import exact_div_linear, exact_div_scalar
+from oracles import exact_div_linear, exact_div_scalar, mul_by_loop
 
 try:
     import sympy
@@ -109,6 +109,40 @@ class TestArithmetic:
         got = f.scale(c)
         assert got == f * XPoly.const(c)
         assert_canonical(got)
+
+
+class TestUnitFactor:
+    """A product by the constant 1 returns the other factor; every other
+    factor, one-term constants included, takes the general loop.  Each
+    product equals `mul_by_loop`, which has no shortcut."""
+
+    F = mono(("x1", "y2"), (2, -1), T) + mono(("x1",), (0,), 3)
+    ONES = [1, L_ONE, X_ONE, XPoly(("x1",), {(0,): 1}), XPoly.const(L_ONE)]
+
+    @pytest.mark.parametrize("one", ONES)
+    @pytest.mark.parametrize("f", [F, XPoly(), X_ONE, XPoly.var("x2")])
+    def test_either_side(self, f, one):
+        want = mul_by_loop(f, one)
+        assert want == f
+        for got in (f * one, one * f):
+            assert got == want
+            assert_canonical(got)
+
+    @given(xpolys(n=3, lo=-2), st.sampled_from(ONES))
+    @settings(max_examples=60)
+    def test_random_factor(self, f, one):
+        assert f * one == one * f == mul_by_loop(f, one)
+
+    # one-term constants other than 1: a shortcut that fired on them
+    # would return f unchanged
+    OTHERS = [2, -1, T, LaurentPoly({-1: 1}), XPoly.const(LaurentPoly({2: -3}))]
+
+    @given(xpolys(n=3, lo=-2).filter(bool), st.sampled_from(OTHERS))
+    @settings(max_examples=60)
+    def test_other_one_term_constants_multiply(self, f, c):
+        want = mul_by_loop(f, c)
+        assert want != f
+        assert f * c == c * f == want
 
 
 class TestStructure:
