@@ -12,12 +12,13 @@ holds a nested table of the same shape, `TARGETS`, in place of a
 handler: each target is a subcommand with only the options it reads,
 so argparse refuses any other.  A process parses one command line, and
 building a subparser costs about as much as a small request, so `main`
-builds only the entries that the first words of the command line name:
-`charge 21` builds `charge`'s subparser, and `verify prodx --deg 3`
-builds `verify`'s and `prodx`'s.  At a level that no word names (no
+builds only the parser of the entry that the first words name and
+parses the words after them: `charge 21` builds `charge`'s parser
+alone, and `verify prodx --deg 3` `prodx`'s, with `verb` and `target`
+set as the full tree sets them.  A level that no word names (no
 arguments, `--help`, an unknown verb or target, an option before the
-name) every entry is built, so the help listings and argparse's
-messages are the same either way.
+name) gets every entry, so the help listings and argparse's messages
+are the same either way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from collections import Counter
 
@@ -111,13 +113,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, text, payload):
     """Print text(), or with --json payload() as one JSON line; with
-    --out, also append that JSON line to FILE.  Each form is built only
-    when it is asked for."""
+    --out, also write that JSON line to FILE, afresh for the first line
+    of a request.  Each form is built only when it is asked for."""
     if args.json or args.out:
         line = json.dumps(payload(), sort_keys=True)
         if args.out:
-            with open(args.out, "a") as fh:
+            with open(args.out, args.out_mode) as fh:
                 fh.write(line + "\n")
+            args.out_mode = "a"
         if args.json:
             print(line)
             return
@@ -383,32 +386,44 @@ VERBS = {
 }
 
 
-def _add_entries(sub, table, path):
-    """Add to `sub` the subparser of each entry of `table`, or of path[0]
-    alone; a nested table takes the rest of `path`."""
-    for name in path[:1] or table:
-        fn, help, arguments = table[name]
-        # no abbreviations: `verify factor` would read `--l` as `--lambda`
-        sp = sub.add_parser(name, help=help, allow_abbrev=False)
-        if isinstance(fn, dict):
-            _add_entries(sp.add_subparsers(dest="target", required=True), fn, path[1:])
-            continue
-        sp.add_argument("--json", action="store_true", help="JSON to stdout")
-        sp.add_argument("--out", metavar="FILE", help="also write JSON to FILE")
-        for flags, options in arguments:
-            sp.add_argument(*flags, **options)
-        sp.set_defaults(fn=fn)
+def _fill(parser, entry, dests, formatter):
+    """Give `parser` the arguments of `entry`, or for a table one
+    subcommand per entry, whose name goes to dests[0]."""
+    fn, _, arguments = entry
+    if isinstance(fn, dict):
+        sub = parser.add_subparsers(dest=dests[0], required=True)
+        for name, child in fn.items():
+            # no abbreviations: `verify factor` would read `--l` as `--lambda`
+            sp = sub.add_parser(
+                name, help=child[1], allow_abbrev=False, formatter_class=formatter
+            )
+            _fill(sp, child, dests[1:], formatter)
+        return
+    parser.add_argument("--json", action="store_true", help="JSON to stdout")
+    parser.add_argument("--out", metavar="FILE", help="also write JSON to FILE")
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(fn=fn)
 
 
 def build_parser(*path):
-    """The parser with the subparsers that `path` names (a verb, then a
-    `verify` target) alone, and every entry at each level it leaves out."""
+    """The parser of the entry that `path` names (a verb, then a `verify`
+    target; `()` is the top level), which reads the words after `path`
+    and gives the namespace, help and messages of the full tree."""
+    width = shutil.get_terminal_size().columns - 2  # once, not per argument
+    formatter = lambda prog: argparse.HelpFormatter(prog, width=width)
+    entry, dests = (VERBS, None, ()), ("verb", "target")
+    for name in path:
+        entry = entry[0][name]
     p = _Parser(
-        prog="hlkit",
-        description="Exact Hall-Littlewood computations: expansions, "
-        "argument shifts, plane partitions, identity verification.",
+        prog=" ".join(("hlkit", *path)),
+        description=None if path else "Exact Hall-Littlewood computations: "
+        "expansions, argument shifts, plane partitions, identity verification.",
+        allow_abbrev=not path,  # off below the top, as for `_fill`'s subcommands
+        formatter_class=formatter,
     )
-    _add_entries(p.add_subparsers(dest="verb", required=True), VERBS, path)
+    p.set_defaults(**dict(zip(dests, path)))
+    _fill(p, entry, dests[len(path):], formatter)
     return p
 
 
@@ -430,8 +445,8 @@ def piped(fn, *args):
 
 
 def _named(argv):
-    """The first words of argv that name table entries: a verb, then a
-    target of `verify`."""
+    """The first words of argv that name table entries (a verb, then a
+    target of `verify`): the path to `build_parser`, which reads the rest."""
     path, table = [], VERBS
     for word in argv:
         if not isinstance(table, dict) or word not in table:
@@ -442,17 +457,15 @@ def _named(argv):
 
 
 def _run(path, argv):
-    args = build_parser(*path).parse_args(argv)
-    if args.out:  # each emitted line is appended to a fresh file
-        with open(args.out, "w"):
-            pass
+    args = build_parser(*path).parse_args(argv[len(path):])
+    args.out_mode = "w"  # the first JSON line starts FILE afresh
     return args.fn(args)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # This process parses one command line, so only the entries that it
-    # names are built; help, no verb or an unknown one needs them all.
+    # This process parses one command line, so only the entry that it
+    # names is built; help, no verb or an unknown one needs them all.
     try:
         return piped(_run, _named(argv), argv)
     except SystemExit:  # --help; usage errors raise ValueError

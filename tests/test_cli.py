@@ -1,5 +1,6 @@
 """Command-line surface: output text, JSON mode, exit codes."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -667,6 +668,14 @@ class TestOutFile:
         assert code == 0 and out == "t^2 + t^3 + t^4\n"
         assert target.read_text() == '{"2": 1, "3": 1, "4": 1}\n'
 
+    def test_a_failed_request_keeps_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "expansion.json"
+        target.write_text("keep\n")
+        out = assert_usage_error(
+            capsys, "qprime", "2,1", "--on", "bad!", "--out", str(target)
+        )
+        assert out == "" and target.read_text() == "keep\n"
+
     def test_verify_all(self, capsys, tmp_path):
         target = tmp_path / "gate.jsonl"
         code, out = run(capsys, "verify", "all", "--json", "--out", str(target))
@@ -698,13 +707,15 @@ def parse_outcome(parser, argv, capsys):
 
 
 class TestVerbTable:
-    """`main` builds only the subparsers of the verb and the `verify`
-    target named first; that parser must read every command line as the
-    full one does."""
+    """`main` builds only the parser of the verb and the `verify` target
+    named first, and it reads the words after them; that parser must
+    read every command line as the full one does."""
 
     def assert_same(self, argv, capsys):
         full = parse_outcome(build_parser(), argv, capsys)
-        assert parse_outcome(build_parser(*cli._named(argv)), argv, capsys) == full
+        path = cli._named(argv)
+        leaf = parse_outcome(build_parser(*path), argv[len(path):], capsys)
+        assert leaf == full
         return full
 
     def test_catalog(self, capsys):
@@ -718,7 +729,7 @@ class TestVerbTable:
             path = tuple(cli._named(argv))
             assert path == tuple(argv[: 2 if argv[0] == "verify" else 1])
             one = named.setdefault(path, build_parser(*path))
-            assert parse_outcome(one, argv, capsys) == namespace, argv
+            assert parse_outcome(one, argv[len(path):], capsys) == namespace, argv
 
     @pytest.mark.parametrize(
         "argv", [a for a in MALFORMED_INPUT if a[0] in VERBS], ids=argv_id
@@ -742,6 +753,20 @@ class TestVerbTable:
         options = text.split("options:\n", 1)[1].split()
         listed = {word.rstrip(",") for word in options if word.startswith("-")}
         assert listed == {"-h", "--help", "--json", "--out", *VERIFY_READS[target]}
+
+    def test_help_at_every_width(self, capsys, monkeypatch):
+        entries = [(), *((verb,) for verb in VERBS)]
+        entries += [("verify", target) for target in TARGETS]
+        texts = {}
+        for columns in (40, 80, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            for entry in entries:
+                argv = [*entry, "--help"]
+                full = parse_outcome(build_parser(), argv, capsys)
+                assert run(capsys, *argv) == (0, full), (columns, argv)
+                texts.setdefault(entry, set()).add(full)
+        # the width is read: the top level wraps its verb listing
+        assert len(texts[()]) == 3
 
     def test_help_lists_every_verb(self, capsys):
         code, out = run(capsys, "--help")
@@ -770,8 +795,11 @@ class TestVerbTable:
             ("charge",), (), (), (), (), ("verify", "prodx"), ("verify",)
         ]
         prodx = build_parser("verify", "prodx")
-        assert parse_outcome(prodx, ["verify", "sigmaxy"], capsys).startswith(
-            "error: argument target: invalid choice: 'sigmaxy' (choose from 'prodx')"
+        full = parse_outcome(build_parser(), ["verify", "prodx", "--deg", "2"], capsys)
+        assert parse_outcome(prodx, ["--deg", "2"], capsys) == full
+        assert full["deg"] == 2 and full["target"] == "prodx"
+        assert not any(
+            isinstance(action, argparse._SubParsersAction) for action in prodx._actions
         )
 
 
