@@ -523,10 +523,10 @@ def q_on_xvars(lam, n):
     return p_on_xvars(lam, n).scale(b_poly(lam))
 
 
-@cache
 def schur_eval(lam, A):
     """s_lam(A), one letter of A at a time by the strip rules read at
-    t = 0 (see `_branch`)."""
+    t = 0 (see `_branch`).  Not memoized: no route of the library calls
+    it, and `schur_on_xvars` keeps the values on variables."""
     return _branch(_S_STRIPS, lam, A)
 
 

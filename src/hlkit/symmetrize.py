@@ -24,7 +24,9 @@ The central objects:
     prod_{i<j} (1 - t R_ij)^{-1} s_u, whose factors with i = 1 act as
     H_{u_1} (Garsia 1992), so the two agree on every integer vector;
     the column-by-column enumeration of the kernel is the test oracle
-    `kernel_schur_by_columns` in tests/oracles.py.
+    `kernel_schur_by_columns` in tests/oracles.py.  Each row H_m s_lam
+    (its strips and straightening) is built once per memo lifetime, so
+    the Q' of many vectors share their rows; see `kernel_schur`.
 """
 
 from __future__ import annotations
@@ -106,6 +108,21 @@ def straighten_schur(v):
 
 
 @cache
+def _creation_row(m, lam):
+    """H_m s_lam for a partition lam, as its nonzero terms (mu, j, sign):
+    s_{(m+j, nu)} straightened to sign * s_mu, one term per horizontal
+    j-strip lam/nu (see `kernel_schur`).  Each (mu, j) occurs once."""
+    size = sum(lam)
+    row = []
+    for nu in product(*(range(b, p + 1) for p, b in zip(lam, lam[1:] + (0,)))):
+        j = size - sum(nu)
+        st = _prepend(m + j, nu)
+        if st is not None:
+            row.append((st[1], j, st[0]))
+    return tuple(row)
+
+
+@cache
 def _kernel_schur_cached(u):
     # terms holds H_{u_k} ... H_{u_n} . 1 in the Schur basis, k falling,
     # each coefficient a flat {power of t: int}.
@@ -113,15 +130,14 @@ def _kernel_schur_cached(u):
     for m in reversed(u):
         new = {}
         for lam, c in terms.items():
-            size = sum(lam)
-            for nu in product(*(range(b, p + 1) for p, b in zip(lam, lam[1:] + (0,)))):
-                j = size - sum(nu)
-                st = _prepend(m + j, nu)
-                if st is not None:
-                    sign, mu = st
-                    acc = new.setdefault(mu, {})
+            for mu, j, sign in _creation_row(m, lam):
+                acc = new.setdefault(mu, {})
+                if sign > 0:
                     for s, v in c.items():
-                        acc[s + j] = acc.get(s + j, 0) + sign * v
+                        acc[s + j] = acc.get(s + j, 0) + v
+                else:
+                    for s, v in c.items():
+                        acc[s + j] = acc.get(s + j, 0) - v
         terms = {mu: c for mu, acc in new.items() if (c := {s: v for s, v in acc.items() if v})}
     return tuple(sorted((lam, LaurentPoly._trusted(c)) for lam, c in terms.items()))
 
@@ -147,6 +163,14 @@ def kernel_schur(u):
     (-1)^p s_{(nu_1 - 1, ..., nu_p - 1, h + p, nu_{p+1}, ...)}.  Each
     coefficient is a flat {power of t: int} during the steps, so t^j is
     a shift of the keys; zeros are dropped once per step.
+
+    The strips and straightening of one H_m s_lam depend only on m and
+    lam, not on the rest of u, so they are kept as a row of signed terms
+    (mu, j, sign) in the memo `_creation_row`, keyed by (m, lam): the
+    same lam meets other operators H_m in other vectors, and the row of
+    one m is not the row of another.  A step then only reads rows and
+    adds shifted coefficients.  The Q' of all partitions of 10 read 745
+    rows but build only 211.
     """
     u = tuple(map(index, u))
     return dict(_kernel_schur_cached(u))

@@ -84,8 +84,11 @@ values must satisfy:
   * `theta_by_conjugates`: theta(lam, mu) with both conjugates and both
     n-statistics computed on every call, against
     `identities._theta_row`, which computes those of lam once per row;
-  * `resultant`, `is_vertical_strip`, `format_partition`: small helpers
-    that only the tests use.
+  * `principal_s`: s_lam(1, t, ..., t^{n-1}) by the hook-content
+    formula, against `schur_eval` at powers of t, and at t = 1 against
+    the Schur expansion of `qprime_schur`;
+  * `one_minus_t_powers`, `resultant`, `is_vertical_strip`,
+    `format_partition`: small helpers that only the tests use.
 """
 
 from functools import cache
@@ -707,6 +710,24 @@ def theta_by_conjugates(lam, mu):
     lc, mc = conjugate(lam), conjugate(mu)
     dot = sum(a * b for a, b in zip(lc, mc))
     return LaurentPoly.t_power(n_stat(lam) + n_stat(mu) - dot)
+
+
+def one_minus_t_powers(exps):
+    """The product of (1 - t^e) over exps."""
+    out = L_ONE
+    for e in exps:
+        out = out * (L_ONE - LaurentPoly.t_power(e))
+    return out
+
+
+def principal_s(lam, n):
+    """s_lam(1, t, ..., t^{n-1}) by the hook-content formula (Stanley,
+    Enumerative Combinatorics 2, Theorem 7.21.2)."""
+    cols = conjugate(lam)
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    contents = one_minus_t_powers(n + j - i for i, j in cells)
+    hooks = one_minus_t_powers(lam[i] - j + cols[j] - i - 1 for i, j in cells)
+    return contents.shift(n_stat(lam)).exact_div(hooks)
 
 
 def resultant(y, A):

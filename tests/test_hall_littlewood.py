@@ -4,11 +4,13 @@ Cross-checks used here, none of which share code with the route under
 test: the charge enumeration of the Schur expansion, the symmetrizer
 definition of Q, Q and P through Q'(X(1-t)), the layer-chain expansion,
 the four-term exchange relation for vector arguments, and classical
-specializations (t=0 Schur, t=1 monomial).
+specializations (t=0 Schur, t=1 monomial, and at t=1 on four ones the
+product of binomials that h_lam gives, with s_rho by hook content).
 """
 
 import itertools
 import random
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,6 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit import hall_littlewood as hl
 from hlkit.partitions import (
     b_poly,
-    conjugate,
     contains,
     n_stat,
     normalize,
@@ -61,8 +62,10 @@ from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import layer_chains
 from oracles import (
     chain_weight,
+    one_minus_t_powers,
     p_on_alphabet_by_qprime,
     pack_by_shifts,
+    principal_s,
     q_on_alphabet_by_qprime,
     q_via_operator,
     qprime_on_alphabet_by_schur,
@@ -129,6 +132,28 @@ class TestQprimeSchur:
     def test_matches_charge_route(self):
         for lam in partitions_up_to(9):
             assert qprime_schur(lam).coeffs == qprime_schur_by_charge(lam), lam
+
+    def test_specializations_up_to_twelve(self):
+        # Checks that hold where the charge route is too slow: Q'_lam is
+        # s_lam at t = 0 and h_lam at t = 1, so on n = 4 ones its Schur
+        # values sum to prod_i C(n + lam_i - 1, lam_i); each K_{rho,lam}(t)
+        # has positive coefficients and is monic of degree n(lam) - n(rho).
+        n = 4
+        s_at_ones = {}
+        for lam in partitions_up_to(12):
+            coeffs = qprime_schur(lam).coeffs
+            assert {rho: kf.at_t_zero() for rho, kf in coeffs.items()} == {
+                rho: int(rho == lam) for rho in coeffs
+            }, lam
+            total = 0
+            for rho, kf in coeffs.items():
+                if rho not in s_at_ones:
+                    s_at_ones[rho] = sum(principal_s(rho, n).coeffs.values())
+                total += sum(kf.coeffs.values()) * s_at_ones[rho]
+                assert min(kf.coeffs.values()) > 0, (rho, lam)
+                assert max(kf.coeffs) == n_stat(lam) - n_stat(rho), (rho, lam)
+                assert kf.coeffs[max(kf.coeffs)] == 1, (rho, lam)
+            assert total == prod(comb(n + part - 1, part) for part in lam), lam
 
     @pytest.mark.parametrize("index", [(1, 2), (2, 0, 1), (1, -1)])
     def test_refuses_unsorted_index(self, index):
@@ -803,14 +828,6 @@ class TestBasisExpansion:
         ]
 
 
-def one_minus_t_powers(exps):
-    """The product of (1 - t^e) over exps."""
-    out = L_ONE
-    for e in exps:
-        out = out * (L_ONE - LaurentPoly.t_power(e))
-    return out
-
-
 def principal_p(lam, n):
     """P_lam(1, t, ..., t^{n-1}) = t^{n(lam)} v_n(t) / prod_i v_{m_i}(t),
     m_0 = n - l(lam) (Macdonald, Symmetric Functions and Hall
@@ -823,16 +840,6 @@ def principal_p(lam, n):
         denominator = denominator * one_minus_t_powers(range(1, m + 1))
     numerator = one_minus_t_powers(range(1, n + 1)).shift(n_stat(lam))
     return numerator.exact_div(denominator)
-
-
-def principal_s(lam, n):
-    """s_lam(1, t, ..., t^{n-1}) by the hook-content formula (Stanley,
-    Enumerative Combinatorics 2, Theorem 7.21.2)."""
-    cols = conjugate(lam)
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    contents = one_minus_t_powers(n + j - i for i, j in cells)
-    hooks = one_minus_t_powers(lam[i] - j + cols[j] - i - 1 for i, j in cells)
-    return contents.shift(n_stat(lam)).exact_div(hooks)
 
 
 def powers_of_t(n):

@@ -5,7 +5,8 @@ degree cap and checks cap-stability before comparing, so it shares no
 logic with the creation operators in the module.  The kernel route is
 also checked against the column enumeration of the kernel
 (`oracles.kernel_schur_by_columns`), against the charge route
-(`oracles.qprime_schur_by_charge`) and against the hook formula for 1^n.
+(`oracles.qprime_schur_by_charge`) and against the hook formula for 1^n,
+also when the rows H_m s_lam that one vector built are read by others.
 """
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
-from hlkit.hall_littlewood import schur_on_xvars
+from hlkit import symmetrize
+from hlkit.hall_littlewood import _qprime_schur_cached, qprime_schur, schur_on_xvars
 from hlkit.partitions import conjugate, n_stat, partitions_of, t_factorial
 from hlkit.symmetrize import _prepend, kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
 from oracles import (
@@ -275,3 +277,36 @@ class TestKernel:
         # One step per entry, with no recursion on the suffix.
         assert kernel_schur((0,) * 1200 + (1,)) == {(1,): LaurentPoly.t_power(1200)}
         assert kernel_schur((1,) + (0,) * 1200) == {(1,): L_ONE}
+
+
+class TestCreationRows:
+    """Rows H_m s_lam built for one vector and read by others.
+
+    The row memo outlives each Q': here only the memos of whole
+    expansions are cleared between passes, so a later pass reads rows
+    that an earlier one built, in another order."""
+
+    @staticmethod
+    def clear_expansions():
+        _qprime_schur_cached.cache_clear()
+        symmetrize._kernel_schur_cached.cache_clear()
+
+    def test_partitions_forward_then_reverse(self):
+        symmetrize._creation_row.cache_clear()
+        lams = [lam for n in range(10) for lam in partitions_of(n)]
+        for order in (lams, lams[::-1]):
+            self.clear_expansions()
+            for lam in order:
+                assert qprime_schur(lam).coeffs == qprime_schur_by_charge(lam), lam
+        assert symmetrize._creation_row.cache_info().hits
+
+    def test_mixed_signs_sharing_first_entries(self):
+        symmetrize._creation_row.cache_clear()
+        self.clear_expansions()
+        heads = [(2, -1), (0, 2), (-1, 3), (1, 1)]
+        tails = [(a, b) for a in range(-1, 3) for b in range(-2, 3)]
+        for head in heads:
+            for tail in tails:
+                u = head + tail
+                assert kernel_schur(u) == kernel_schur_by_columns(u), u
+        assert symmetrize._creation_row.cache_info().hits
