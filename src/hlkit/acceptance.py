@@ -69,21 +69,19 @@ def _first_failure(cases, holds):
 
 def criterion_1():
     """Q'[2,1] in the Schur basis, and the t=0 collapse up to degree 7."""
-    want = BasisExpansion("S", {(2, 1): L_ONE, (3,): T})
-    first = qprime_schur((2, 1)) == want
-    bad = []
-    for lam in partitions_up_to(7):
-        at0 = {}
-        for rho, c in qprime_schur(lam).coeffs.items():
-            v = c.at_t_zero()
-            if v:
-                at0[rho] = v
-        if at0 != {lam: 1}:
-            bad.append(lam)
-    ok = first and not bad
-    return ok, (
-        f"Qp[2,1] = S[2,1] + t*S[3]: {first}; "
-        f"t=0 collapse to a single Schur term for all |lam| <= 7: {not bad}"
+    if qprime_schur((2, 1)) != BasisExpansion("S", {(2, 1): L_ONE, (3,): T}):
+        return False, "Qp[2,1] is not S[2,1] + t*S[3]"
+    cases = [(lam,) for lam in partitions_up_to(7)]
+
+    def collapses(lam):
+        at0 = {rho: v for rho, c in qprime_schur(lam).coeffs.items() if (v := c.at_t_zero())}
+        return at0 == {lam: 1}
+
+    if bad := _first_failure(cases, collapses):
+        return False, "t=0 collapse fails at lam={}".format(*bad)
+    return True, (
+        "Qp[2,1] = S[2,1] + t*S[3]: True; "
+        "t=0 collapse to a single Schur term for all |lam| <= 7: True"
     )
 
 
@@ -145,18 +143,22 @@ def criterion_5():
     """[S_kappa] Q'_lam(X+1), kappa inside lam, by the creation operators,
     sum_rho K(rho, lam) [rho/kappa a horizontal strip], and by charge and
     the closed form, sum_nu KF(kappa, nu) aleph(lam, nu)."""
-    checked = 0
-    for lam in partitions_up_to(6):
-        expansion = _qprime_schur_cached(lam)
-        inside = subpartitions(lam)
-        for kappa in inside:
-            strips = [kf for rho, kf in expansion if is_horizontal_strip(rho, kappa)]
-            same_size = [nu for nu in inside if sum(nu) == sum(kappa)]
-            by_aleph = [kostka_foulkes(kappa, nu) * aleph(lam, nu) for nu in same_size]
-            if sum(strips, L_ZERO) != sum(by_aleph, L_ZERO):
-                return False, f"mismatch at lam={lam}, kappa={kappa}"
-            checked += 1
-    return True, f"{checked} skew values match the closed form"
+    cases = [
+        (lam, kappa, inside)
+        for lam in partitions_up_to(6)
+        for inside in [subpartitions(lam)]
+        for kappa in inside
+    ]
+
+    def holds(lam, kappa, inside):
+        strips = (kf for rho, kf in _qprime_schur_cached(lam) if is_horizontal_strip(rho, kappa))
+        same_size = (nu for nu in inside if sum(nu) == sum(kappa))
+        by_aleph = (kostka_foulkes(kappa, nu) * aleph(lam, nu) for nu in same_size)
+        return sum(strips, L_ZERO) == sum(by_aleph, L_ZERO)
+
+    if bad := _first_failure(cases, holds):
+        return False, "mismatch at lam={}, kappa={}".format(*bad)
+    return True, f"{len(cases)} skew values match the closed form"
 
 
 def criterion_6():
@@ -334,51 +336,48 @@ def criterion_13():
         terms = {}
         for _ in range(4):
             e = tuple(rng.randint(-2, 4) for _ in range(n))
-            c = LaurentPoly(
-                {rng.randint(-1, 2): rng.choice([-3, -2, -1, 1, 2, 3])}
-            )
+            c = LaurentPoly({rng.randint(-1, 2): rng.choice([-3, -2, -1, 1, 2, 3])})
             _accumulate(terms, e, c)
         return XPoly(xvars(n), terms)
 
-    n_op = 0
-    for n in (2, 3, 4):
-        for _ in range(3):
-            f = rand_poly(n)
-            for i in range(1, n):
-                once = pi_i(f, i, n)
-                if pi_i(once, i, n) != once:
-                    return False, f"idempotence fails at n={n}, i={i}"
-                n_op += 1
-            for i in range(1, n - 1):
-                aba = pi_i(pi_i(pi_i(f, i, n), i + 1, n), i, n)
-                bab = pi_i(pi_i(pi_i(f, i + 1, n), i, n), i + 1, n)
-                if aba != bab:
-                    return False, f"braid relation fails at n={n}, i={i}"
-                n_op += 1
-        if n == 4:
-            f = rand_poly(4)
-            if pi_i(pi_i(f, 1, 4), 3, 4) != pi_i(pi_i(f, 3, 4), 1, 4):
-                return False, "distant commutation fails at n=4"
-            n_op += 1
-    n_drop = 0
-    for n in (1, 2, 3):
-        for v in iproduct(range(-4, 5), repeat=n):
-            if suffix_nonneg(v):
-                continue
-            if straighten_schur(v) is not None:
-                return False, f"dropped monomial {v} straightens nonzero"
-            n_drop += 1
-    n_kostka = 0
-    for lam in partitions_up_to(7):
-        for rho, c in kernel_schur(lam).items():
-            if any(v < 0 for v in c.coeffs.values()) or (
-                c and c.min_exp() < 0
-            ):
-                return False, f"negative Schur coefficient at lam={lam}, rho={rho}"
-            n_kostka += 1
+    draws = [(rand_poly(n), n) for n in (2, 3, 4) for _ in range(3)]
+    distant = rand_poly(4)
+    idempotent = [(n, i, f) for f, n in draws for i in range(1, n)]
+
+    def idempotence_holds(n, i, f):
+        once = pi_i(f, i, n)
+        return pi_i(once, i, n) == once
+
+    if bad := _first_failure(idempotent, idempotence_holds):
+        return False, "idempotence fails at n={}, i={}".format(*bad)
+    braids = [(n, i, f) for f, n in draws for i in range(1, n - 1)]
+
+    def braid_holds(n, i, f):
+        aba = pi_i(pi_i(pi_i(f, i, n), i + 1, n), i, n)
+        return aba == pi_i(pi_i(pi_i(f, i + 1, n), i, n), i + 1, n)
+
+    if bad := _first_failure(braids, braid_holds):
+        return False, "braid relation fails at n={}, i={}".format(*bad)
+    if pi_i(pi_i(distant, 1, 4), 3, 4) != pi_i(pi_i(distant, 3, 4), 1, 4):
+        return False, "distant commutation fails at n=4"
+    dropped = [
+        (v,) for n in (1, 2, 3) for v in iproduct(range(-4, 5), repeat=n) if not suffix_nonneg(v)
+    ]
+    if bad := _first_failure(dropped, lambda v: straighten_schur(v) is None):
+        return False, "dropped monomial {} straightens nonzero".format(*bad)
+    charge_polys = [
+        (lam, rho, c) for lam in partitions_up_to(7) for rho, c in kernel_schur(lam).items()
+    ]
+
+    def nonnegative(lam, rho, c):
+        return all(v >= 0 for v in c.coeffs.values()) and not (c and c.min_exp() < 0)
+
+    if bad := _first_failure(charge_polys, nonnegative):
+        return False, "negative Schur coefficient at lam={}, rho={}".format(*bad)
     return True, (
-        f"{n_op} operator identities; {n_drop} dropped monomials vanish; "
-        f"{n_kostka} charge polynomials are nonnegative"
+        f"{len(idempotent) + len(braids) + 1} operator identities; "
+        f"{len(dropped)} dropped monomials vanish; "
+        f"{len(charge_polys)} charge polynomials are nonnegative"
     )
 
 

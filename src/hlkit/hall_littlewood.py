@@ -40,6 +40,8 @@ Q_lam = Q'_lam[X(1-t)] would walk every subpartition and every vertical
 strip, and most of their terms cancel.  s_lam is Q'_lam and P_lam at
 t = 0: a plus letter takes P's strips and a minus letter Q''s signed
 vertical strips, each coefficient read at t = 0 (Macdonald I (5.11)).
+Each evaluator on an alphabet (Q', skew Q', P, Q and s) is one memo
+keyed by its arguments, so its partitions are tuples.
 Last come the factorizations of Q' at arguments t^r minus variables.
 """
 
@@ -481,6 +483,7 @@ def qprime_on_alphabet(lam, A):
     return _branch(_SHIFTS, lam, A)
 
 
+@cache
 def skew_qprime(lam, mu, A):
     """Q'_{lam/mu} evaluated at the alphabet A: the coefficient of Q'_mu
     in Q'_lam[X + A], one letter of A at a time (see `_branch`)."""
@@ -498,13 +501,15 @@ def plane_partition_qprime(lam, n):
 def tableau_route_xpoly(lam, n):
     """Q'_lam on n variables as sum_rho K_{rho,lam}(t) s_rho(x_1..x_n),
     the Schur expansion of `qprime_schur` read on the variables."""
+    X = Alphabet.of_vars(*xvars(n))
     return _linear_combination(
-        (schur_on_xvars(rho, n), kf)
-        for rho, kf in _qprime_schur_cached(lam)
+        (schur_eval(rho, X), kf)
+        for rho, kf in _qprime_schur_cached(normalize(lam))
         if len(rho) <= n
     )
 
 
+@cache
 def p_on_alphabet(lam, A):
     """P_lam(A) for an alphabet A of plus letters: one horizontal-strip
     step per letter (see `_branch`)."""
@@ -514,25 +519,16 @@ def p_on_alphabet(lam, A):
 
 
 @cache
-def p_on_xvars(lam, n):
-    return p_on_alphabet(lam, Alphabet.of_vars(*xvars(n)))
+def q_on_alphabet(lam, A):
+    """Q_lam(A) = b_lam(t) P_lam(A), read from the P memo."""
+    return p_on_alphabet(lam, A).scale(b_poly(lam))
 
 
 @cache
-def q_on_xvars(lam, n):
-    return p_on_xvars(lam, n).scale(b_poly(lam))
-
-
 def schur_eval(lam, A):
     """s_lam(A), one letter of A at a time by the strip rules read at
-    t = 0 (see `_branch`).  Not memoized: no route of the library calls
-    it, and `schur_on_xvars` keeps the values on variables."""
+    t = 0 (see `_branch`)."""
     return _branch(_S_STRIPS, lam, A)
-
-
-@cache
-def schur_on_xvars(lam, n):
-    return _branch(_S_STRIPS, lam, Alphabet.of_vars(*xvars(n)))
 
 
 # ------------------------------------------------------- one-letter skew values

@@ -10,7 +10,8 @@ Each construction is written once: the one-variable removal sum
 (`removal_sum`) and its capped product (`removal_product`) serve prodx
 and theta, and the two-alphabet Cauchy sum (`cauchy_sum`) serves
 Warnaar and sigmaxy.  A coefficient family is a function on partitions,
-None where undefined.
+None where undefined.  P and Q are read from the memos of
+`p_on_alphabet` and `q_on_alphabet`, on alphabets built once per call.
 
 Three constructions are cached, since the checks ask for each many
 times over: the Q'-expansion of an integer vector
@@ -43,8 +44,7 @@ from .hall_littlewood import (
     BasisExpansion,
     _qprime_of_vector_cached,
     p_on_alphabet,
-    p_on_xvars,
-    q_on_xvars,
+    q_on_alphabet,
     qprime_of_vector,
     skew_qprime_one,
 )
@@ -111,8 +111,8 @@ def removal_sum(c, lam, n):
 @cache
 def _removal_term(mu, n, cap):
     """sigma_1(-X) P_mu(X), X = x1..xn, up to degree cap."""
-    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
-    return sig.mul_capped(p_on_xvars(mu, n), cap)
+    X = Alphabet.of_vars(*xvars(n))
+    return sigma1_series(-X, cap).mul_capped(p_on_alphabet(mu, X), cap)
 
 
 def removal_product(c, n, cap):
@@ -138,8 +138,9 @@ def prodx_sides(c, n, cap):
     if len(keyed) < len(c):
         raise ValueError("two keys of the family spell one partition")
     c = keyed
+    X = Alphabet.of_vars(*xvars(n))
     rhs = _linear_combination(
-        (removal_sum(c.get, lam, n) * p_on_xvars(lam, n), 1)
+        (removal_sum(c.get, lam, n) * p_on_alphabet(lam, X), 1)
         for lam in partitions_up_to(cap, max_length=n)
     )
     return removal_product(c.get, n, cap), rhs
@@ -148,13 +149,12 @@ def prodx_sides(c, n, cap):
 def prodx_example_families(cap=6):
     """Stock coefficient families for verification runs: a delta, the
     Q values over one extra variable, and a fixed sparse family."""
-    q_extra = {}
-    for m in range(cap + 1):
-        mu = (m,) if m else ()
-        q_extra[mu] = _p_on_yvars(mu, 1).scale(b_poly(mu))
+    Y = Alphabet.of_vars("y1")
     return {
         "delta at the empty partition": {(): L_ONE},
-        "Q over one extra variable": q_extra,
+        "Q over one extra variable": {
+            mu: q_on_alphabet(mu, Y) for mu in partitions_up_to(cap, max_length=1)
+        },
         "fixed sparse family": {
             (): L_ONE + T,
             (1,): T,
@@ -184,13 +184,14 @@ def sigmaxy_coefficient(lam, ny=None, cap=None):
     return BasisExpansion("P", out)
 
 
-def cauchy_sum(row, nx, ny, cap):
+def cauchy_sum(row, AX, AY, cap):
     """The sum of c P_lam(X) P_mu(Y) over |lam| + |mu| <= cap, with
-    X = x1..x{nx} and Y = y1..y{ny}.  `row(lam)` gives the (mu, c) pairs
-    of lam, each mu of length <= ny and |mu| <= cap - |lam|."""
+    X and Y the alphabets AX and AY of plus letters, lam no longer than
+    AX.  `row(lam)` gives the (mu, c) pairs of lam, each mu no longer
+    than AY and |mu| <= cap - |lam|."""
     return _linear_combination(
-        (p_on_xvars(lam, nx) * _p_on_yvars(mu, ny), c)
-        for lam in partitions_up_to(cap, max_length=nx)
+        (p_on_alphabet(lam, AX) * p_on_alphabet(mu, AY), c)
+        for lam in partitions_up_to(cap, max_length=len(AX.plus))
         for mu, c in row(lam)
     )
 
@@ -203,12 +204,7 @@ def sigmaxy_sides(nx, ny, cap):
     def row(lam):
         return sigmaxy_coefficient(lam, ny, cap - sum(lam)).coeffs.items()
 
-    return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
-
-
-@cache
-def _p_on_yvars(mu, ny):
-    return p_on_alphabet(mu, Alphabet.of_vars(*yvars(ny)))
+    return sigma1_series(A, cap), cauchy_sum(row, AX, AY, cap)
 
 
 # ------------------------------------------------------------------ theta
@@ -255,7 +251,7 @@ def warnaar_sides(nx, ny, cap):
         for mu in partitions_up_to(cap - sum(lam), max_length=ny):
             yield mu, theta_lam(mu)
 
-    return sigma1_series(A, cap), cauchy_sum(row, nx, ny, cap)
+    return sigma1_series(A, cap), cauchy_sum(row, AX, AY, cap)
 
 
 def warnaar3_sides(lam, n, cap):
@@ -263,8 +259,9 @@ def warnaar3_sides(lam, n, cap):
     t^{-|mu|} Q_mu X times the one-letter skew value, against
     sigma_1(-X) times the theta-weighted P sum."""
     lam = normalize(lam)
+    X = Alphabet.of_vars(*xvars(n))
     lhs = _linear_combination(
-        (q_on_xvars(mu, n), skew_qprime_one(lam, mu).shift(-sum(mu)))
+        (q_on_alphabet(mu, X), skew_qprime_one(lam, mu).shift(-sum(mu)))
         for mu in subpartitions(lam)
         if len(mu) <= n
     )
@@ -408,8 +405,9 @@ def q_monomial_pairing(lam, mu, n):
     x^mu, mu padded with zeros to n exponents."""
     if len(lam) > n or len(mu) > n:
         raise ValueError("partitions longer than the variable count")
-    g = XPoly.monomial(xvars(n), mu + (0,) * (n - len(mu)))
-    return ct_scalar(q_on_xvars(lam, n), g, n)
+    names = xvars(n)
+    g = XPoly.monomial(names, mu + (0,) * (n - len(mu)))
+    return ct_scalar(q_on_alphabet(lam, Alphabet.of_vars(*names)), g, n)
 
 
 # ------------------------------------------------------------- operator note
@@ -445,8 +443,9 @@ def defq_note_parts():
         + _two_var_monomial((1, 1), T - L_ONE)
         + _two_var_monomial((0, 2), T)
     )
-    q20 = q_on_xvars((2,), 2)
-    q11 = q_on_xvars((1, 1), 2)
+    X = Alphabet.of_vars("x1", "x2")
+    q20 = q_on_alphabet((2,), X)
+    q11 = q_on_alphabet((1, 1), X)
     display = q20.scale(T) + q11.scale(T - L_ONE)
     candidate = im02.scale(L_ONE - T)
     straightened = qprime_of_vector((0, 2)).coeffs

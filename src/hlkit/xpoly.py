@@ -285,10 +285,14 @@ class XPoly:
     def coeff_of(self, exps, vars):
         """Coefficient of the monomial with the given exponents.
 
-        `exps` is matched against `vars`; variables of self outside
-        `vars` must have exponent 0 for a hit.
+        `exps` is matched against `vars`, one distinct name per exponent;
+        variables of self outside `vars` must have exponent 0 for a hit.
         """
+        if len(exps) != len(vars):
+            raise ValueError("exponent tuple does not match variables")
         given = dict(zip(vars, exps))
+        if len(given) < len(vars):
+            raise ValueError(f"repeated variable name in {tuple(vars)}")
         if any(given[v] for v in given if v not in self.vars):
             return L_ZERO
         key = tuple(given.get(v, 0) for v in self.vars)

@@ -54,7 +54,7 @@ values must satisfy:
   * `q_via_operator`: Q_lam on n variables from the symmetrizer
     definition, x^lam times prod_{i<j} (1 - t x_j/x_i) under the longest
     isobaric divided difference, normalized; against the strip route
-    `hall_littlewood.q_on_xvars`;
+    `hall_littlewood.q_on_alphabet` on x1..xn;
   * `q_on_alphabet_by_qprime`, `p_on_alphabet_by_qprime`: Q_lam(A) as
     Q'_lam(A(1-t)), the one-letter iteration over the 2n letters x and
     -t*x, and P_lam as its exact quotient by b_lam, against
@@ -100,10 +100,9 @@ from hlkit.hall_littlewood import (
     _S_STRIPS,
     _branch,
     kostka_foulkes,
-    p_on_xvars,
+    p_on_alphabet,
     qprime_on_alphabet,
     schur_eval,
-    schur_on_xvars,
     skew_qprime_one,
 )
 from hlkit.identities import sigma1_series
@@ -357,9 +356,8 @@ def kernel_schur_by_columns(u):
 
 def schur_dict_to_xpoly(coeffs, n):
     """Rebuild sum coeffs[lam] * S_lam(x_1..x_n) as an explicit XPoly."""
-    return _linear_combination(
-        (schur_on_xvars(lam, n), c) for lam, c in coeffs.items()
-    )
+    X = Alphabet.of_vars(*xvars(n))
+    return _linear_combination((schur_eval(lam, X), c) for lam, c in coeffs.items())
 
 
 def ct_scalar_bruteforce(f, g, n, order=None):
@@ -687,9 +685,10 @@ def removal_product_by_loop(c, n, cap):
     """sigma_1(-X) times the sum of c(mu) P_mu(X), X = x1..xn, up to
     x-degree cap: each capped product sigma_1(-X) P_mu built anew, then
     multiplied by c(mu)."""
-    sig = sigma1_series(-Alphabet.of_vars(*xvars(n)), cap)
+    X = Alphabet.of_vars(*xvars(n))
+    sig = sigma1_series(-X, cap)
     return _linear_combination(
-        (v * sig.mul_capped(p_on_xvars(mu, n), cap), 1)
+        (v * sig.mul_capped(p_on_alphabet(mu, X), cap), 1)
         for mu in partitions_up_to(cap, max_length=n)
         if (v := c(mu)) is not None
     )

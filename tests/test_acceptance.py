@@ -8,7 +8,8 @@ import pytest
 
 from hlkit import acceptance
 from hlkit.acceptance import CRITERIA
-from hlkit.laurent import T
+from hlkit.hall_littlewood import BasisExpansion
+from hlkit.laurent import ONE, T
 
 
 @pytest.mark.parametrize(
@@ -54,13 +55,31 @@ def _pairing(parts):
     return {**parts, "pairing": _Unequal()}
 
 
+def _times_t(v):
+    return v * T
+
+
+def _extra_term(expansion):
+    return BasisExpansion("S", {**expansion.coeffs, (9,): ONE})
+
+
+def _negated(schur):
+    return {rho: -c for rho, c in schur.items()}
+
+
 _SPARSE = acceptance.prodx_example_families(6)["fixed sparse family"]
 
 # (criterion, side patched in acceptance, the call it answers wrongly,
 # how it goes wrong, the failure detail)
 WRONG_SIDES = [
+    (1, "qprime_schur", ((2, 1),), _value,
+     "Qp[2,1] is not S[2,1] + t*S[3]"),
+    (1, "qprime_schur", ((3, 1),), _extra_term,
+     "t=0 collapse fails at lam=(3, 1)"),
     (4, "kernel_schur", ((2, 1, 0),), _value,
      "charge and kernel routes differ at lam=(2, 1), n=3"),
+    (5, "aleph", ((3, 2, 1), (2, 1)), _times_t,
+     "mismatch at lam=(3, 2, 1), kappa=(2, 1)"),
     (6, "tableau_route_xpoly", ((2, 1), 2), _value,
      "layer-chain and tableau routes differ at lam=(2, 1), n=2"),
     (7, "factorization_sides", ((3, 1), 1, 2), _right_side,
@@ -85,6 +104,10 @@ WRONG_SIDES = [
      "pairing chain fails at lam=(2,), mu=(1, 1)"),
     (11, "q_monomial_pairing", ((1, 1), (2,), 2), _value,
      "constant-term pairing fails at lam=(1, 1), mu=(2,), n=2"),
+    (13, "straighten_schur", ((0, -1),), _value,
+     "dropped monomial (0, -1) straightens nonzero"),
+    (13, "kernel_schur", ((3, 1),), _negated,
+     "negative Schur coefficient at lam=(3, 1), rho=(3, 1)"),
 ]
 
 
@@ -103,3 +126,15 @@ def test_a_wrong_side_fails_its_family_at_that_case(monkeypatch, num, name, args
     monkeypatch.setattr(acceptance, name, side)
     ok, got = getattr(acceptance, f"criterion_{num}")()
     assert ok is False and got == detail
+
+
+def test_criterion_13_catches_an_operator_that_is_not_idempotent(monkeypatch):
+    # pi_2 on three variables adds 1, so applying it twice adds 2
+    true_pi = acceptance.pi_i
+
+    def pi(f, i, n):
+        value = true_pi(f, i, n)
+        return value + 1 if (i, n) == (2, 3) else value
+
+    monkeypatch.setattr(acceptance, "pi_i", pi)
+    assert acceptance.criterion_13() == (False, "idempotence fails at n=3, i=2")

@@ -21,7 +21,6 @@ from hlkit.partitions import (
     b_poly,
     contains,
     n_stat,
-    normalize,
     partitions_of,
     partitions_up_to,
     subpartitions,
@@ -37,16 +36,14 @@ from hlkit.hall_littlewood import (
     factorization_sides,
     kostka_foulkes,
     p_on_alphabet,
-    p_on_xvars,
     plane_partition_qprime,
     principal_specialization,
-    q_on_xvars,
+    q_on_alphabet,
     qprime_of_vector,
     qprime_on_alphabet,
     qprime_schur,
     qprime_vector_schur,
     schur_eval,
-    schur_on_xvars,
     schur_to_qprime,
     skew_qprime,
     skew_qprime_one,
@@ -262,25 +259,27 @@ PLUS_LETTERS = st.builds(
 class TestEvaluations:
     @pytest.mark.parametrize("n", [2, 3])
     def test_operator_route_agrees(self, n):
+        X = Alphabet.of_vars(*xvars(n))
         for lam in partitions_up_to(4):
             if len(lam) > n:
                 continue
-            assert q_via_operator(lam, n) == q_on_xvars(lam, n), (lam, n)
+            assert q_via_operator(lam, n) == q_on_alphabet(lam, X), (lam, n)
 
     def test_operator_needs_enough_variables(self):
         with pytest.raises(ValueError):
             q_via_operator((1, 1, 1), 2)
 
     def test_vanishing_beyond_width(self):
-        assert not q_on_xvars((1, 1, 1), 2)
-        assert not p_on_xvars((2, 2, 1), 2)
+        X = Alphabet.of_vars("x1", "x2")
+        assert not q_on_alphabet((1, 1, 1), X)
+        assert not p_on_alphabet((2, 2, 1), X)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_strip_route_matches_two_letter_route(self, n):
         A = Alphabet.of_vars(*xvars(n))
         for lam in partitions_up_to(5):
-            assert p_on_xvars(lam, n) == p_on_alphabet_by_qprime(lam, A), lam
-            assert q_on_xvars(lam, n) == q_on_alphabet_by_qprime(lam, A), lam
+            assert p_on_alphabet(lam, A) == p_on_alphabet_by_qprime(lam, A), lam
+            assert q_on_alphabet(lam, A) == q_on_alphabet_by_qprime(lam, A), lam
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -290,21 +289,22 @@ class TestEvaluations:
     def test_strip_route_on_random_alphabets(self, lam, plus):
         A = Alphabet(tuple(plus))
         assert p_on_alphabet(lam, A) == p_on_alphabet_by_qprime(lam, A)
-        assert p_on_alphabet(lam, A).scale(b_poly(lam)) == q_on_alphabet_by_qprime(lam, A)
+        assert q_on_alphabet(lam, A) == q_on_alphabet_by_qprime(lam, A)
 
-    def test_q_on_xvars_reads_the_p_memo(self, monkeypatch):
-        p_on_xvars.cache_clear()
-        q_on_xvars.cache_clear()
-        p = p_on_xvars((3, 1), 3)
+    def test_q_on_alphabet_reads_the_p_memo(self, monkeypatch):
+        A = Alphabet.of_vars(*xvars(3))
+        p_on_alphabet.cache_clear()
+        q_on_alphabet.cache_clear()
+        p = p_on_alphabet((3, 1), A)
         calls = []
         branch = hl._branch
         monkeypatch.setattr(
             hl, "_branch", lambda *args: calls.append(args) or branch(*args)
         )
-        q = q_on_xvars((3, 1), 3)
+        q = q_on_alphabet((3, 1), A)
         assert calls == []
         assert q == p.scale(b_poly((3, 1)))
-        assert q == q_on_alphabet_by_qprime((3, 1), Alphabet.of_vars(*xvars(3)))
+        assert q == q_on_alphabet_by_qprime((3, 1), A)
 
     @pytest.mark.parametrize("route", [p_on_alphabet])
     def test_strip_route_refuses_minus_letters(self, route):
@@ -315,15 +315,16 @@ class TestEvaluations:
             route((), -Alphabet.of_vars("x1"))
 
     def test_t_zero_is_schur(self):
+        X = Alphabet.of_vars("x1", "x2")
         for lam in partitions_up_to(4):
             if len(lam) > 2:
                 continue
-            q = q_on_xvars(lam, 2)
-            s = schur_on_xvars(lam, 2)
+            q = q_on_alphabet(lam, X)
+            s = schur_eval(lam, X)
             assert eval_t(q, 0) == eval_t(s, 0), lam
 
     def test_t_one_is_monomial(self):
-        got = eval_t(p_on_xvars((2, 1), 3), 1)
+        got = eval_t(p_on_alphabet((2, 1), Alphabet.of_vars(*xvars(3))), 1)
         want = {e: 1 for e in set(itertools.permutations((2, 1, 0)))}
         assert got == want
 
@@ -706,6 +707,14 @@ class TestPlanePartitionRoute:
             assert plane_partition_qprime(lam, n) == tableau_route_xpoly(
                 lam, n
             ), (lam, n)
+
+    def test_routes_agree_on_any_spelling(self):
+        # the tableau route read (1, 2) as the vector it spells, whose
+        # Q' is not Q'_(2,1)
+        want = plane_partition_qprime((2, 1), 2)
+        for spelling in [(1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2, 0)]:
+            assert plane_partition_qprime(spelling, 2) == want, spelling
+            assert tableau_route_xpoly(spelling, 2) == want, spelling
 
     @settings(max_examples=40, deadline=None)
     @given(

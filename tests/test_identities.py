@@ -12,7 +12,7 @@ from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.partitions import b_poly, n_stat, partitions_up_to
 from hlkit.alphabets import Alphabet, letter
 from hlkit.xpoly import X_ONE, XPoly, xvars
-from hlkit.hall_littlewood import p_on_xvars, q_on_xvars, qprime_of_vector
+from hlkit.hall_littlewood import p_on_alphabet, q_on_alphabet, qprime_of_vector
 from hlkit.identities import (
     _dominant_series,
     _theta_row,
@@ -180,11 +180,10 @@ class TestThetaScalar:
 
 class TestConstantTermScalar:
     def test_orthogonality_micro(self):
-        assert ct_scalar(q_on_xvars((1,), 1), xmono(1, (1,)), 1) == ONE_M_T
-        assert ct_scalar(q_on_xvars((1, 1), 2), xmono(2, (1, 1)), 2) == b_poly(
-            (1, 1)
-        )
-        assert not ct_scalar(q_on_xvars((2,), 2), xmono(2, (1, 1)), 2)
+        X1, X2 = Alphabet.of_vars("x1"), Alphabet.of_vars("x1", "x2")
+        assert ct_scalar(q_on_alphabet((1,), X1), xmono(1, (1,)), 1) == ONE_M_T
+        assert ct_scalar(q_on_alphabet((1, 1), X2), xmono(2, (1, 1)), 2) == b_poly((1, 1))
+        assert not ct_scalar(q_on_alphabet((2,), X2), xmono(2, (1, 1)), 2)
 
     def test_constant_pairing(self):
         # kernel terms carry strictly positive x1/x2 powers, so only the
@@ -208,7 +207,7 @@ class TestConstantTermScalar:
         assert ct_scalar(f, g, 2) == ct_scalar_bruteforce(f, g, 2)
 
     def test_matches_bruteforce_three_vars(self):
-        f = q_on_xvars((2, 1), 3)
+        f = q_on_alphabet((2, 1), Alphabet.of_vars(*xvars(3)))
         g = xmono(3, (2, 1, 0))
         assert ct_scalar(f, g, 3) == ct_scalar_bruteforce(f, g, 3)
 
@@ -293,12 +292,13 @@ class TestFamilies:
         # here; "Q over one extra variable" has values in y1, whose
         # degree must not count
         xs = xvars(n)
+        X = Alphabet.of_vars(*xs)
         sig = X_ONE
         for v in xs:
             sig = sig * (X_ONE - XPoly.var(v))
         for name, fam in prodx_example_families().items():
             full = sig * sum(
-                (c * p_on_xvars(mu, n) for mu, c in fam.items() if len(mu) <= n),
+                (c * p_on_alphabet(mu, X) for mu, c in fam.items() if len(mu) <= n),
                 XPoly(),
             )
             keep = [i for i, v in enumerate(full.vars, 1) if v in xs]

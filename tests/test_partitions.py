@@ -14,6 +14,7 @@ from hlkit.hall_littlewood import (
     kostka_foulkes,
     p_on_alphabet,
     plane_partition_qprime,
+    q_on_alphabet,
     qprime_of_vector,
     qprime_on_alphabet,
     qprime_schur,
@@ -21,6 +22,7 @@ from hlkit.hall_littlewood import (
     schur_eval,
     skew_qprime,
     sub_one,
+    tableau_route_xpoly,
 )
 from hlkit.identities import (
     sigmaxy_coefficient,
@@ -263,7 +265,9 @@ SPELLED_ENTRY_POINTS = {
     "skew_qprime outer": lambda lam: skew_qprime(lam, (1,), _A2),
     "skew_qprime inner": lambda lam: skew_qprime((3, 2, 1), lam, _A2),
     "plane_partition_qprime": lambda lam: plane_partition_qprime(lam, 2),
+    "tableau_route_xpoly": lambda lam: tableau_route_xpoly(lam, 2),
     "p_on_alphabet": lambda lam: p_on_alphabet(lam, _A2),
+    "q_on_alphabet": lambda lam: q_on_alphabet(lam, _A2),
     "schur_eval": lambda lam: schur_eval(lam, _ONE_MINUS_X1),
     "skew_schur_eval": lambda lam: skew_schur_eval((3, 2, 1), lam, _A2),
     "aleph outer": lambda lam: aleph(lam, (1,)),

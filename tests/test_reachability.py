@@ -35,7 +35,6 @@ ALLOWED_UNCALLED = {
     # The benchmark traces these by name (perfbench/run.py), so they
     # stay in src/ until its next version (ROADMAP item 1).
     "hlkit.hall_littlewood.skew_qprime",
-    "hlkit.hall_littlewood.schur_eval",
     "hlkit.tableaux.layer_chains",
 }
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hlkit.laurent import LaurentPoly, ONE as L_ONE
 from hlkit.xpoly import XPoly, xvars
 from hlkit import symmetrize
-from hlkit.hall_littlewood import _qprime_schur_cached, qprime_schur, schur_on_xvars
+from hlkit.alphabets import Alphabet
+from hlkit.hall_littlewood import _qprime_schur_cached, qprime_schur, schur_eval
 from hlkit.partitions import conjugate, n_stat, partitions_of, t_factorial
 from hlkit.symmetrize import _prepend, kernel_schur, pi_i, pi_omega, straighten_schur, swap_si
 from oracles import (
@@ -111,7 +112,7 @@ class TestPiOmega:
     @pytest.mark.parametrize("n", [2, 3])
     def test_sends_dominant_monomials_to_schur(self, lam, n):
         v = lam + (0,) * (n - len(lam))
-        assert pi_omega(mono(n, v), n) == schur_on_xvars(lam, n)
+        assert pi_omega(mono(n, v), n) == schur_eval(lam, Alphabet.of_vars(*xvars(n)))
 
     def test_laurent_monomial_differs_from_straightening(self):
         # straightening kills (3, -1) but the raw operator does not
@@ -127,6 +128,7 @@ class TestPiOmega:
         assert got == want
 
     def test_matches_straightening_on_nonneg_box(self):
+        X = Alphabet.of_vars("x1", "x2")
         for a in range(4):
             for b in range(4):
                 got = pi_omega(mono(2, (a, b)), 2)
@@ -135,7 +137,7 @@ class TestPiOmega:
                     assert got == XPoly(), (a, b)
                 else:
                     sign, lam = st_
-                    assert got == schur_on_xvars(lam, 2).scale(sign), (a, b)
+                    assert got == schur_eval(lam, X).scale(sign), (a, b)
 
 
 class TestStraighten:
@@ -190,7 +192,7 @@ class TestToSchur:
     @pytest.mark.parametrize("lam", [(1,), (2, 1), (2, 2), (3, 1)])
     @pytest.mark.parametrize("n", [2, 3])
     def test_schur_is_fixed(self, lam, n):
-        f = schur_on_xvars(lam, n)
+        f = schur_eval(lam, Alphabet.of_vars(*xvars(n)))
         assert to_schur(f, n) == {lam: L_ONE}
 
     def test_round_trip(self):

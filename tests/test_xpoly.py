@@ -150,6 +150,22 @@ class TestStructure:
         f = XPoly.var("x1")
         assert f.coeff_of((1, 0), ("x1", "x2")) == L_ONE
 
+    def test_coeff_of_refuses_what_the_constructor_refuses(self):
+        # a short or long exponent tuple was read against a prefix of the
+        # names (5, the coefficient of x1) or past them (1, of x1*x2)
+        f = XPoly.var("x1") * XPoly.var("x2") + XPoly.var("x1").scale(5)
+        for exps, names in [((1,), ("x1", "x2")), ((1, 1, 7), ("x1", "x2"))]:
+            with pytest.raises(ValueError, match="does not match"):
+                XPoly(names, {exps: 1})
+            with pytest.raises(ValueError, match="does not match"):
+                f.coeff_of(exps, names)
+        with pytest.raises(ValueError, match="repeated variable"):
+            XPoly(("x1", "x1"), {(1, 1): 1})
+        with pytest.raises(ValueError, match="repeated variable"):
+            f.coeff_of((1, 1), ("x1", "x1"))
+        assert f.coeff_of((1, 0), ("x1", "x2")) == 5
+        assert f.coeff_of((1, 1), ("x1", "x2")) == L_ONE
+
     def test_permute_exponents(self):
         f = mono(("x1", "x2"), (2, 0))
         g = f.permute_exponents((1, 0), vars=("x1", "x2"))
