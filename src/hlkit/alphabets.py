@@ -42,10 +42,16 @@ class Letter(NamedTuple):
 
 
 def letter(t_exp=0, *names):
-    return Letter(int(t_exp), tuple(sorted(names, key=var_key)))
+    if len(names) > 1:
+        names = tuple(sorted(names, key=var_key))
+    elif names:
+        var_key(names[0])  # refuses a bad name, as the sort does
+    return Letter(int(t_exp), names)
 
 
 def _cancel(plus, minus):
+    if not (plus and minus):
+        return tuple(sorted(plus)), tuple(sorted(minus))
     plus, minus = list(plus), list(minus)
     for a in tuple(plus):
         if a in minus:

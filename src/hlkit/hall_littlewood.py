@@ -30,7 +30,10 @@ keeps one int per exponent vector, its t-polynomial at t = 2^w
 (Kronecker substitution), read back as balanced digits; each state
 carries a bound on the 1-norm of its polynomials, and w doubles before
 a bound could reach 2^(w-1).  Powers of t are counted from the lowest
-one among the letters and the offset is put back at the end.
+one among the letters and the offset is put back at the end.  A table
+entry carries its coefficient's 1-norm and the coefficient packed at
+t = 2^64, so the memoized X - 1 and strip rows norm and pack each
+coefficient once per memo lifetime, not at every step that reads it.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -47,12 +50,13 @@ Last come the factorizations of Q' at arguments t^r minus variables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct, zip_longest
 from math import comb
-from operator import add, index
+from operator import add, index, itemgetter
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
@@ -200,23 +204,53 @@ def qprime_vector_schur(u):
 
 
 class _Table(NamedTuple):
-    """The (nu, |nu|, c) triples of F_mu[X + 1] = sum_nu c F_nu[X] and
-    F_mu[X - 1] with |nu| in a range `window`."""
+    """The entries of F_mu[X + 1] = sum_nu c F_nu[X] and F_mu[X - 1]
+    with |nu| in a range `window`, each (nu, |nu|, c, the 1-norm of c,
+    c packed at t = 2^_ENTRY_WIDTH); see `_entry`."""
 
-    plus: object  # (mu, window) -> triples
-    minus: object  # (mu, window) -> triples
-    strips: bool  # each pair of plus is a horizontal strip mu/nu
+    plus: object  # (mu, window) -> entries
+    minus: object  # (mu, window) -> entries
+    strips: bool  # each nu of plus makes mu/nu a horizontal strip
     t_zero: bool  # each c is read at t = 0
 
 
+_ENTRY_WIDTH = 64  # the digit width, in bits, a table entry is packed at
+
+
+def _entry(nu, size, c):
+    """The walk-table entry of nu and its coefficient c: the 1-norm of c
+    and c packed at t = 2^_ENTRY_WIDTH ride along, so a memoized row
+    computes each once.  The packed value is c(2^_ENTRY_WIDTH) exactly,
+    whatever the size of the coefficients."""
+    return nu, size, c, sum(map(abs, c.coeffs.values())), _pack(c.coeffs, _ENTRY_WIDTH)
+
+
+_size = itemgetter(1)  # the |nu| of an entry
+
+
+def _by_size(entries):
+    """The entries of one row sorted by |nu|, as `_in_window` bisects it."""
+    return tuple(sorted(entries, key=_size))
+
+
 def _add_one_terms(mu, window):
+    """The entries of add_one(mu) in the window, built at each read, so
+    only the values of the window are computed."""
     nus = subpartitions(mu) if window.stop > 1 else [()]  # () alone has size 0
-    return [(nu, s, skew_qprime_one(mu, nu)) for nu in nus if (s := sum(nu)) in window]
+    return [_entry(nu, s, skew_qprime_one(mu, nu)) for nu in nus if (s := sum(nu)) in window]
 
 
 def _in_window(terms):
-    """The table entry that reads the memoized triples terms(mu) in the window."""
-    return lambda mu, window: [p for p in terms(mu) if p[1] in window]
+    """The table reader of the memoized row terms(mu), sorted by |nu|:
+    the entries in the window are the slice between two bisections."""
+
+    def read(mu, window):
+        row = terms(mu)
+        return row[
+            bisect_left(row, window.start, key=_size) : bisect_left(row, window.stop, key=_size)
+        ]
+
+    return read
 
 
 def _symmetric(A):
@@ -240,7 +274,7 @@ def _orbits(polys):
     """The (t, e) coefficients of {e: [(t, c), ...]} copied to every
     distinct rearrangement of e."""
     return {
-        (s, *p): c
+        (s,) + p: c
         for e, pairs in polys.items()
         for p in _rearrangements(e)
         for s, c in pairs
@@ -266,7 +300,7 @@ def _rearrangements(e):
         p[i + 1 :] = reversed(p[i + 1 :])
 
 
-_WIDTH = 64  # the starting digit width w, in bits, of a packed t-polynomial
+_WIDTH = _ENTRY_WIDTH  # the starting digit width w, in bits, of a packed t-polynomial
 _MAX_SPAN = 300_000  # the widest span of powers of t that `_branch` packs
 
 
@@ -357,11 +391,14 @@ def _branch(table, lam, A, end=()):
     as balanced digits, exact while each lies in (-2^(w-1), 2^(w-1));
     so is the test of a packed value for zero.  Each state carries a
     bound on the 1-norm of its t-polynomials, which bounds every
-    coefficient: the sum over the triples that reach it of the
+    coefficient: the sum over the entries that reach it of the
     source's bound times the 1-norm of c, as the 1-norm of a product is
     at most the product of the 1-norms.  Before a product would let a
     bound reach 2^(w-1), w doubles and the states are repacked
-    (`_widen`).  A span of powers of t, (|lam| - |end|) times the highest
+    (`_widen`).  Each entry brings the 1-norm of c and c packed at
+    t = 2^_ENTRY_WIDTH; while w is that width the factor is the packed
+    c shifted left, and at any other w, or read at t = 0, c is packed
+    here.  A span of powers of t, (|lam| - |end|) times the highest
     letter power of t less the lowest, over _MAX_SPAN raises ValueError.
 
     The table is asked only for the nu in a window of sizes, so it
@@ -406,6 +443,7 @@ def _branch(table, lam, A, end=()):
         var_left -= bool(l.mono)
         bounded = orbit and k >= last_t
         read = table.minus if minus else table.plus
+        t_zero = table.t_zero
         new = {}
         for (mu, cap), (vecs, bound) in state.items():
             size = sum(mu)
@@ -414,12 +452,13 @@ def _branch(table, lam, A, end=()):
                 hi = size * var_left // (var_left + 1) if capped else cap * var_left
             if last:
                 lo, hi = max(lo, end_size), min(hi, end_size)
-            for nu, s, c in read(mu, range(lo, hi + 1)):
+            for nu, s, c, norm, packed in read(mu, range(lo, hi + 1)):
                 if len(nu) <= longest and (nu == end or not last):
-                    c = {0: c.at_t_zero()} if table.t_zero else c.coeffs
-                    norm = sum(map(abs, c.values()))
-                    if not norm:
-                        continue
+                    if t_zero:
+                        packed = c.at_t_zero()  # a constant packs as itself
+                        norm = abs(packed)
+                        if not norm:
+                            continue
                     d = size - s
                     key = nu, d if capped else cap
                     to = new.get(key)
@@ -428,7 +467,9 @@ def _branch(table, lam, A, end=()):
                     to[1] += bound * norm
                     if to[1] >> (w - 1):
                         w = _widen(w, to[1], state, new)
-                    _mul_packed(to[0], vecs, shifts[d], _pack(c, w, d * t_rel))
+                    if w != _ENTRY_WIDTH and not t_zero:
+                        packed = _pack(c.coeffs, w)
+                    _mul_packed(to[0], vecs, shifts[d], packed << w * d * t_rel)
         state = {}
         for mu_cap, (acc, bound) in new.items():
             if not end or contains(mu_cap[0], end):
@@ -438,7 +479,7 @@ def _branch(table, lam, A, end=()):
                     state[mu_cap] = acc, bound
     offset = low * (sum(lam) - end_size)
     polys = {
-        e: [(s + offset, c) for s, c in _unpack(v, w)]
+        e: list(_unpack(v, w, offset))
         for (mu, _), (vecs, _) in state.items() if mu == end
         for e, v in vecs.items()
     }
@@ -451,8 +492,8 @@ def _branch(table, lam, A, end=()):
 
 @cache
 def _strip_terms(mu):
-    """The (nu, |nu|, psi_{mu/nu}(t)) triples of
-    P_mu[X + 1] = sum_nu psi_{mu/nu}(t) P_nu[X].
+    """The entries (see `_entry`) of P_mu[X + 1] =
+    sum_nu psi_{mu/nu}(t) P_nu[X], sorted by |nu|.
 
     nu runs over the partitions with mu/nu a horizontal strip, and
     psi_{mu/nu}(t) = prod_{j in J} (1 - t^{m_j(nu)}), where J holds the
@@ -472,8 +513,8 @@ def _strip_terms(mu):
         for j, m in multiplicities(nu).items():
             if j + 1 in cols and j not in cols:
                 psi = psi - psi.shift(m)
-        out.append((nu, sum(nu), psi))
-    return tuple(out)
+        out.append(_entry(nu, sum(nu), psi))
+    return _by_size(out)
 
 
 @cache
@@ -582,7 +623,7 @@ def add_one(lam):
     """Expansion of Q'_lam at the shifted argument X+1 over the Q' basis."""
     lam = normalize(lam)
     terms = _add_one_terms(lam, range(sum(lam) + 1))
-    return BasisExpansion("Qp", {nu: c for nu, _, c in terms})
+    return BasisExpansion("Qp", {nu: c for nu, _, c, _, _ in terms})
 
 
 def sub_one(lam):
@@ -591,12 +632,14 @@ def sub_one(lam):
     Independently for each part value i with multiplicity m_i, lower
     alpha_i of the parts to i-1, at cost (-1)^alpha_i [m_i, alpha_i].
     """
-    return BasisExpansion("Qp", {nu: c for nu, _, c in _sub_one_terms(normalize(lam))})
+    terms = _sub_one_terms(normalize(lam))
+    return BasisExpansion("Qp", {nu: c for nu, _, c, _, _ in terms})
 
 
 @cache
 def _sub_one_terms(lam):
-    """The (nu, |nu|, coefficient) triples of sub_one(lam), lam a partition."""
+    """The entries (see `_entry`) of sub_one(lam), lam a partition,
+    sorted by |nu|."""
     mults = multiplicities(lam)
     values = sorted(mults)
     out = {}
@@ -612,7 +655,7 @@ def _sub_one_terms(lam):
             parts.extend([v] * (mults[v] - a))
         nu = tuple(p for p in reversed(parts) if p)
         _accumulate(out, nu, coeff if sign > 0 else -coeff)
-    return tuple((nu, sum(nu), c) for nu, c in out.items())
+    return _by_size(_entry(nu, sum(nu), c) for nu, c in out.items())
 
 
 # The tables of `_branch`.  s = Q' = P at t = 0 takes P's horizontal

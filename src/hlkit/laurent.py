@@ -4,8 +4,9 @@ Coefficients are arbitrary-precision Python ints and exponents may be
 negative; the constructor reads both with operator.index, so a float
 raises TypeError instead of being truncated.  Values are canonical: a
 zero coefficient is never stored, so two polynomials are equal iff
-their coefficient dicts are equal.  All operations return new objects;
-constructed values are never mutated.
+their coefficient dicts are equal.  Constructed values are never
+mutated, so values may share objects: a product by 1 returns the other
+factor itself.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ def _accumulate(out, key, c):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+_UNIT = {0: 1}  # the coefficients of the constant 1
 
 
 class LaurentPoly:
@@ -99,6 +103,11 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a factor 1 gives the other one
+        if other.coeffs == _UNIT:
+            return self
+        if self.coeffs == _UNIT:
+            return other
         out = {}
         b = other.coeffs.items()
         for k1, c1 in self.coeffs.items():

@@ -111,6 +111,16 @@ class TestAlphabetAlgebra:
         assert A.plus == (letter(0, "x1"),)
         assert A.minus == (letter(1, "x1"),)
 
+    @pytest.mark.parametrize("names", [("x-1",), ("1x",), ("",), ("x1", "x-1"), ("x-1", "x1")])
+    def test_letter_refuses_a_bad_name(self, names):
+        # one name skips the sort but not the check
+        with pytest.raises(ValueError, match="bad variable name"):
+            letter(0, *names)
+
+    def test_letter_sorts_its_names(self):
+        assert letter(1, "y1", "x2", "x10", "x2").mono == ("x2", "x2", "x10", "y1")
+        assert letter(0, "x3").mono == ("x3",) and letter(2).mono == ()
+
     def test_letter_value(self):
         v = letter(2, "x1", "x1", "y1").value()
         assert v == XPoly.monomial(("x1", "y1"), (2, 1), LaurentPoly.t_power(2))

@@ -559,16 +559,16 @@ class TestOrbitPath:
     @settings(max_examples=60, deadline=None)
     @given(PARTITIONS_TO_7, SYMMETRIC_ALPHABETS)
     def test_computes_only_kept_values(self, lam, A):
-        """Every triple the Q' table hands `_branch` is multiplied into a
+        """Every entry the Q' table hands `_branch` is multiplied into a
         state at once, by one packed product, and the one-letter skew
-        values asked for are exactly the plus triples."""
+        values asked for are exactly the plus entries."""
         log, asked, mul_packed = [], [], hl._mul_packed
 
         def offered(read, side):
             def spy(mu, window):
-                for nu, size, c in read(mu, window):
+                for nu, size, c, norm, packed in read(mu, window):
                     log.append((side, mu, nu))
-                    yield nu, size, c
+                    yield nu, size, c, norm, packed
 
             return spy
 
@@ -692,6 +692,64 @@ class TestPackedWalk:
                 on(lam, E)
         with pytest.raises(ValueError, match="span 3000000000,"):
             qprime_on_alphabet((2, 1), parse_alphabet("t^1000000000+x1+x2"))
+
+
+class TestTableEntries:
+    """Each walk-table entry carries the 1-norm of its coefficient and
+    the coefficient packed at `_ENTRY_WIDTH`; the memoized rows are
+    sorted by size and read in a window by bisection."""
+
+    ROWS = [hl._sub_one_terms, hl._strip_terms]
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_entries_carry_norm_and_packed_coefficient(self, m):
+        for mu in partitions_of(m):
+            whole = hl._add_one_terms(mu, range(m + 1))
+            for row in [terms(mu) for terms in self.ROWS] + [whole]:
+                assert row, mu
+                sizes = [size for _, size, _, _, _ in row]
+                assert sizes == sorted(sizes), mu
+                for nu, size, c, norm, packed in row:
+                    assert size == sum(nu)
+                    assert norm == sum(abs(v) for v in c.coeffs.values()) > 0
+                    assert dict(hl._unpack(packed, hl._ENTRY_WIDTH)) == c.coeffs
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_bisected_window_is_the_filtered_row(self, m):
+        for mu in partitions_of(m):
+            for terms in self.ROWS:
+                read = hl._in_window(terms)
+                for lo, hi in itertools.product(range(-1, m + 2), repeat=2):
+                    window = range(lo, hi + 1)
+                    want = [e for e in terms(mu) if e[1] in window]
+                    assert list(read(mu, window)) == want, (mu, lo, hi)
+
+    CASES = [
+        (lam, parse_alphabet(text))
+        for lam in partitions_up_to(5)
+        for text in ["t^2-x1-x2", "1-x1", "x1+x2-y1", "(x1+x2)*(1-t)", "x1+x2+y1"]
+    ]
+
+    def test_rows_outlive_a_change_of_starting_width(self):
+        """Rows memoized by walks that start at one width serve walks
+        that start at another, both ways, with no memo cleared between;
+        each value equals the walk from cold rows at the default width."""
+
+        def clear_rows():
+            hl._sub_one_terms.cache_clear()
+            hl._strip_terms.cache_clear()
+
+        clear_rows()
+        want = [branch_all(A, lam) for lam, A in self.CASES]
+        for first, then in [(2, hl._WIDTH), (hl._WIDTH, 2)]:
+            clear_rows()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(hl, "_WIDTH", first)
+                for lam, A in self.CASES:
+                    branch_all(A, lam)
+                m.setattr(hl, "_WIDTH", then)
+                got = [branch_all(A, lam) for lam, A in self.CASES]
+            assert got == want, (first, then)
 
 
 class TestPlanePartitionRoute:

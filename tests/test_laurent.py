@@ -69,6 +69,24 @@ class TestBasics:
         assert str(lp({-1: 1, 3: 2})) == "t^-1 + 2*t^3"
 
 
+class TestUnitFactor:
+    """A product by 1 returns the other factor itself; every other
+    one-term factor takes the general loop."""
+
+    ONES = [1, ONE, lp({0: 1, 3: 0})]
+
+    @given(laurents, st.sampled_from(ONES))
+    def test_returns_the_other_factor(self, f, one):
+        assert f * one is f and one * f is f
+        assert ONE * ONE is ONE
+
+    @given(laurents, st.sampled_from([2, -1, T, lp({-1: 1}), lp({0: -1})]))
+    def test_other_one_term_factors(self, f, c):
+        (k, a), = LaurentPoly._coerce(c).coeffs.items()
+        want = lp({e + k: a * v for e, v in f.coeffs.items()})
+        assert f * c == c * f == want
+
+
 class TestDivision:
     def test_exact(self):
         num = (ONE - T**6) * (ONE - T**5)
