@@ -27,13 +27,14 @@ exponent paths and copies each coefficient over its orbit; each step
 asks its table only for the sizes of nu such a path can take.  Skew
 values and every other alphabet walk every exponent vector.  The walk
 keeps one int per exponent vector, its t-polynomial at t = 2^w
-(Kronecker substitution), read back as balanced digits; each state
-carries a bound on the 1-norm of its polynomials, and w doubles before
-a bound could reach 2^(w-1).  Powers of t are counted from the lowest
-one among the letters and the offset is put back at the end.  A table
-entry carries its coefficient's 1-norm and the coefficient packed at
-t = 2^64, so the memoized X - 1 and strip rows norm and pack each
-coefficient once per memo lifetime, not at every step that reads it.
+(Kronecker substitution), packed and read back as balanced digits by
+`laurent._pack` and `_unpack`, the packing helper that the t-binomials
+share; each state carries a bound on the 1-norm of its polynomials, and
+w doubles before a bound could reach 2^(w-1).  Powers of t are counted
+from the lowest one among the letters and the offset is put back at the
+end.  A table entry carries its coefficient's 1-norm and the coefficient
+packed at t = 2^64, so the memoized X - 1 and strip rows norm and pack
+each coefficient once per memo lifetime, not at every step that reads it.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -60,7 +61,7 @@ from operator import add, index, itemgetter
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
-from .laurent import _accumulate, _fmt_coeff, _joined
+from .laurent import _accumulate, _fmt_coeff, _joined, _pack, _unpack
 from .partitions import (
     b_poly,
     conjugate,
@@ -302,49 +303,6 @@ def _rearrangements(e):
 
 _WIDTH = _ENTRY_WIDTH  # the starting digit width w, in bits, of a packed t-polynomial
 _MAX_SPAN = 300_000  # the widest span of powers of t that `_branch` packs
-
-
-def _pack(coeffs, w, shift=0):
-    """The t-polynomial {power: int} times t^shift as one int, at t = 2^w.
-    A long one splits at its middle power; each half is packed from its
-    own lowest power and the upper half shifted into place once: O(n log n),
-    not n shifts into one int that grows with each."""
-    if len(coeffs) > 32:
-        powers = sorted(coeffs)
-        half = len(powers) // 2
-        low, mid = powers[0], powers[half]
-        lower = _pack({s: coeffs[s] for s in powers[:half]}, w, -low)
-        upper = _pack({s: coeffs[s] for s in powers[half:]}, w, -mid)
-        return (lower + (upper << w * (mid - low))) << w * (low + shift)
-    m = 0
-    for s, v in coeffs.items():
-        m += v << w * (s + shift)
-    return m
-
-
-def _unpack(v, w, s=0):
-    """The (power, coefficient) pairs of t^s times the t-polynomial packed
-    in v at t = 2^w, read as balanced digits in (-2^(w-1), 2^(w-1)); exact
-    when every coefficient lies in that range, and then v has at most
-    n = bit_length(|v|) // w + 1 digits.  A long v splits into its low half,
-    a balanced residue, and the rest: O(n log n), not n one-digit shifts."""
-    n = v.bit_length() // w + 1
-    if n > 32:
-        k = n // 2 * w
-        low = v & ((1 << k) - 1)
-        if low >> (k - 1):
-            low -= 1 << k
-        yield from _unpack(low, w, s)
-        yield from _unpack((v - low) >> k, w, s + n // 2)
-        return
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    for s in range(s, s + n):
-        c = v & mask
-        if c >= half:
-            c -= 1 << w
-        if c:
-            yield s, c
-        v = (v - c) >> w
 
 
 def _mul_packed(acc, vecs, shift, m):

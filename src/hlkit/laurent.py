@@ -7,6 +7,12 @@ zero coefficient is never stored, so two polynomials are equal iff
 their coefficient dicts are equal.  Constructed values are never
 mutated, so values may share objects: a product by 1 returns the other
 factor itself.
+
+The packing helper lives here too: `_pack` writes a t-polynomial as
+one int at t = 2^w (Kronecker substitution) and `_unpack` reads it
+back as balanced digits, both in O(n log n) for n coefficients.  The
+letter walk of `hall_littlewood` keeps its polynomials this way, and
+`partitions.t_binomial` runs the q-Pascal rule on such ints.
 """
 
 from __future__ import annotations
@@ -191,6 +197,49 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls({int(k): int(c) for k, c in data.items()})
+
+
+def _pack(coeffs, w, shift=0):
+    """The t-polynomial {power: int} times t^shift as one int, at t = 2^w.
+    A long one splits at its middle power; each half is packed from its
+    own lowest power and the upper half shifted into place once: O(n log n),
+    not n shifts into one int that grows with each."""
+    if len(coeffs) > 32:
+        powers = sorted(coeffs)
+        half = len(powers) // 2
+        low, mid = powers[0], powers[half]
+        lower = _pack({s: coeffs[s] for s in powers[:half]}, w, -low)
+        upper = _pack({s: coeffs[s] for s in powers[half:]}, w, -mid)
+        return (lower + (upper << w * (mid - low))) << w * (low + shift)
+    m = 0
+    for s, v in coeffs.items():
+        m += v << w * (s + shift)
+    return m
+
+
+def _unpack(v, w, s=0):
+    """The (power, coefficient) pairs of t^s times the t-polynomial packed
+    in v at t = 2^w, read as balanced digits in (-2^(w-1), 2^(w-1)); exact
+    when every coefficient lies in that range, and then v has at most
+    n = bit_length(|v|) // w + 1 digits.  A long v splits into its low half,
+    a balanced residue, and the rest: O(n log n), not n one-digit shifts."""
+    n = v.bit_length() // w + 1
+    if n > 32:
+        k = n // 2 * w
+        low = v & ((1 << k) - 1)
+        if low >> (k - 1):
+            low -= 1 << k
+        yield from _unpack(low, w, s)
+        yield from _unpack((v - low) >> k, w, s + n // 2)
+        return
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    for s in range(s, s + n):
+        c = v & mask
+        if c >= half:
+            c -= 1 << w
+        if c:
+            yield s, c
+        v = (v - c) >> w
 
 
 def _joined(parts):

@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import comb, prod
 from operator import ge, index
 
-from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE
+from .laurent import LaurentPoly, ZERO as L_ZERO, ONE as L_ONE, _unpack
 
 
 def normalize(parts):
@@ -188,12 +188,26 @@ def t_factorial(m):
 
 @cache
 def t_binomial(m, a):
-    """Gaussian binomial coefficient [m choose a] as a polynomial in t."""
+    """Gaussian binomial coefficient [m choose a] as a polynomial in t.
+
+    Built by the q-Pascal rule [j, i] = [j-1, i-1] + t^i [j-1, i], with
+    no division: one column of ints [j, 0..a] at t = 2^w, a = min(a, m - a),
+    updated in place with i falling for j = 1..m, skipping the i below
+    a - (m - j), which never reach [m, a].  Every coefficient of every
+    [j, i] is nonnegative and at most C(j, i) <= C(m, a), so at the width
+    w = C(m, a).bit_length() + 1 the packed [m, a] reads back exactly as
+    balanced digits (`laurent._unpack`)."""
     if a < 0 or a > m:
         return L_ZERO
-    if a in (0, m):
+    a = min(a, m - a)
+    if not a:
         return L_ONE
-    return t_factorial(m).exact_div(t_factorial(a) * t_factorial(m - a))
+    w = comb(m, a).bit_length() + 1
+    col = [1] + [0] * a
+    for j in range(1, m + 1):
+        for i in range(min(j, a), max(0, a - m + j - 1), -1):
+            col[i] = col[i - 1] + (col[i] << w * i)
+    return LaurentPoly._trusted(dict(_unpack(col[a], w)))
 
 
 def suffix_nonneg(v):

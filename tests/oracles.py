@@ -67,12 +67,16 @@ values must satisfy:
     one-letter skew value, t^n prod_i (1 - t^{a_i}) divided by b_mu,
     against `hall_littlewood.skew_qprime_one`, which multiplies one
     Gaussian binomial per part value of mu;
+  * `t_binomial_by_division`, `t_binomial_by_quotient`: the Gaussian
+    binomial as the polynomial quotient of t-factorials, and as one
+    big-int quotient at t = 2^w read back byte by byte, against
+    `partitions.t_binomial`, which runs the q-Pascal rule on packed ints;
   * `t_power_minus_x_product_by_chain`: the product of (t^i - x_v) as one
     `XPoly` product per factor, against
     `hall_littlewood._t_power_minus_x_product`, which builds the
     one-variable factor and tensors it over the variables;
   * `pack_by_shifts`: a t-polynomial at t = 2^w as one shifted int per
-    coefficient, against `hall_littlewood._pack`, which splits a long
+    coefficient, against `laurent._pack`, which splits a long
     polynomial in halves;
   * `removal_product_by_loop`: sigma_1(-X) times the sum of c(mu) P_mu,
     one capped product per mu on every call, against
@@ -229,6 +233,35 @@ def skew_qprime_one_by_quotient(lam, mu):
         prod = prod - prod.shift(a)
     n = sum(comb(a - b, 2) for a, b in zip_longest(lc, mc, fillvalue=0))
     return prod.shift(n).exact_div(b_poly(mu))
+
+
+def t_binomial_by_division(m, a):
+    """[m choose a]_t as the polynomial quotient of t-factorials,
+    (t; t)_m / ((t; t)_a (t; t)_(m-a)), by `LaurentPoly.exact_div`."""
+    if a < 0 or a > m:
+        return L_ZERO
+    return t_factorial(m).exact_div(t_factorial(a) * t_factorial(m - a))
+
+
+def t_binomial_by_quotient(m, a):
+    """[m choose a]_t as one big-int quotient at t = 2^w: the product of
+    (2^(w j) - 1) over j = m-a+1..m divided by that over j = 1..a, with a
+    zero remainder.  Every coefficient lies in [0, C(m, a)], so with w a
+    multiple of 8 above its bit length the quotient's little-endian bytes
+    are the coefficients, w / 8 bytes each."""
+    if a < 0 or a > m:
+        return L_ZERO
+    size = comb(m, a).bit_length() // 8 + 1  # bytes per coefficient
+    w = 8 * size
+    num = den = 1
+    for j in range(1, a + 1):
+        num *= (1 << w * (m - a + j)) - 1
+        den *= (1 << w * j) - 1
+    q, r = divmod(num, den)
+    assert r == 0, (m, a)
+    raw = q.to_bytes(q.bit_length() // 8 + 1, "little")
+    digits = (raw[size * k : size * (k + 1)] for k in range(len(raw) // size + 1))
+    return LaurentPoly({k: int.from_bytes(d, "little") for k, d in enumerate(digits)})
 
 
 def knuth_neighbors(word):

@@ -15,7 +15,7 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hlkit.laurent import LaurentPoly, ONE as L_ONE
+from hlkit.laurent import LaurentPoly, ONE as L_ONE, _pack, _unpack
 from hlkit import hall_littlewood as hl
 from hlkit.partitions import (
     b_poly,
@@ -379,6 +379,21 @@ class TestShifts:
         )
         assert t_binomial(2, 1) == LaurentPoly({0: 1, 1: 1})
 
+    @pytest.mark.parametrize("k", [5, 12, 50])
+    def test_long_columns_specialize(self, k):
+        # At t = 1, Q'_(1^k)[X +- 1] has the coefficient C(k, j) and
+        # (-1)^(k-j) C(k, j) on Q'_(1^j); at t = 0, X + 1 leaves only
+        # Q'_(1^k) + Q'_(1^(k-1)).
+        def at(f, t):
+            return {nu: sum(v * t**e for e, v in c.coeffs.items()) for nu, c in f.coeffs.items()}
+
+        col = [(1,) * j for j in range(k + 1)]
+        assert at(add_one(col[k]), 1) == {col[j]: comb(k, j) for j in range(k + 1)}
+        signed = {col[j]: (-1) ** (k - j) * comb(k, j) for j in range(k + 1)}
+        assert at(sub_one(col[k]), 1) == signed
+        at_zero = {nu: c for nu, c in at(add_one(col[k]), 0).items() if c}
+        assert at_zero == {col[k]: 1, col[k - 1]: 1}
+
     @pytest.mark.parametrize("lam", [p for p in partitions_up_to(5)])
     def test_shifts_invert(self, lam):
         ident = BasisExpansion("Qp", {lam: L_ONE})
@@ -635,7 +650,7 @@ class TestPackedWalk:
         top = (1 << (w - 1)) - 1
         coeffs = data.draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
         want = [(s, c) for s, c in enumerate(coeffs) if c]
-        assert list(hl._unpack(hl._pack(dict(want), w), w)) == want
+        assert list(_unpack(_pack(dict(want), w), w)) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from([2, 3, 64]), st.integers(1, 3000))
@@ -644,10 +659,10 @@ class TestPackedWalk:
         # dense signed polynomial of n coefficients (at w = 2, a third 0).
         rng, top = random.Random(seed), (1 << (w - 1)) - 1
         coeffs = {s: rng.randint(-top, top) for s in range(n)}
-        packed = hl._pack(coeffs, w)
+        packed = _pack(coeffs, w)
         assert packed == pack_by_shifts(coeffs, w)
-        assert dict(hl._unpack(packed, w)) == {s: c for s, c in coeffs.items() if c}
-        assert hl._pack(coeffs, w, 5) == pack_by_shifts(coeffs, w) << 5 * w
+        assert dict(_unpack(packed, w)) == {s: c for s, c in coeffs.items() if c}
+        assert _pack(coeffs, w, 5) == pack_by_shifts(coeffs, w) << 5 * w
         state = {((1,), 1): ({(0,): packed, (1,): -packed}, top)}
         wide = hl._widen(w, 1 << w, state)
         assert wide == 2 * w
@@ -712,7 +727,7 @@ class TestTableEntries:
                 for nu, size, c, norm, packed in row:
                     assert size == sum(nu)
                     assert norm == sum(abs(v) for v in c.coeffs.values()) > 0
-                    assert dict(hl._unpack(packed, hl._ENTRY_WIDTH)) == c.coeffs
+                    assert dict(_unpack(packed, hl._ENTRY_WIDTH)) == c.coeffs
 
     @pytest.mark.parametrize("m", range(9))
     def test_bisected_window_is_the_filtered_row(self, m):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hlkit.laurent import LaurentPoly, NotDivisibleError, ONE, T, ZERO
 
@@ -76,8 +76,12 @@ class TestUnitFactor:
     ONES = [1, ONE, lp({0: 1, 3: 0})]
 
     @given(laurents, st.sampled_from(ONES))
+    @example(lp({0: 1}), lp({0: 1}))
     def test_returns_the_other_factor(self, f, one):
-        assert f * one is f and one * f is f
+        # When f is a 1 too, each factor is "the other one".
+        others = (f,) if f != ONE else (f, one)
+        assert any(f * one is g for g in others)
+        assert any(one * f is g for g in others)
         assert ONE * ONE is ONE
 
     @given(laurents, st.sampled_from([2, -1, T, lp({-1: 1}), lp({0: -1})]))

@@ -32,7 +32,7 @@ from hlkit.identities import (
     theta_signed_sum,
     warnaar3_sides,
 )
-from hlkit.laurent import ONE, T
+from hlkit.laurent import ONE, T, LaurentPoly
 from hlkit.partitions import (
     MAX_DIGITS,
     MAX_LIST_LENGTH,
@@ -58,7 +58,13 @@ from hlkit.partitions import (
 )
 from hlkit.symmetrize import kernel_schur
 from hlkit.tableaux import enumerate_ssyt
-from oracles import format_partition, is_vertical_strip, skew_schur_eval
+from oracles import (
+    format_partition,
+    is_vertical_strip,
+    skew_schur_eval,
+    t_binomial_by_division,
+    t_binomial_by_quotient,
+)
 
 parts = st.lists(st.integers(1, 6), max_size=5).map(normalize)
 
@@ -186,6 +192,30 @@ class TestPolynomials:
 
     def test_t_binomial_symmetry(self):
         assert t_binomial(5, 2) == t_binomial(5, 3)
+
+    def test_t_binomial_matches_the_big_int_quotient(self):
+        # [m, a] = [m, m - a], so one quotient checks both halves of a row.
+        for m in range(61):
+            for a in range(m // 2 + 1):
+                want = t_binomial_by_quotient(m, a)
+                assert t_binomial(m, a) == want == t_binomial(m, m - a), (m, a)
+
+    def test_t_binomial_matches_the_polynomial_division(self):
+        for m in range(17):
+            for a in range(-1, m + 2):
+                assert t_binomial(m, a) == t_binomial_by_division(m, a), (m, a)
+
+    def test_t_binomial_never_divides(self, monkeypatch):
+        # The memo is bypassed, so every value is built under the spy;
+        # the division oracle shows that the spy sees a division.
+        calls, div = [], LaurentPoly.exact_div
+        monkeypatch.setattr(LaurentPoly, "exact_div", lambda *a: calls.append(a) or div(*a))
+        for m in range(13):
+            for a in range(m + 1):
+                t_binomial.__wrapped__(m, a)
+        assert calls == []
+        t_binomial_by_division(4, 2)
+        assert calls
 
 
 class TestEnumeration:
