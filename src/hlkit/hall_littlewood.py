@@ -26,15 +26,20 @@ is symmetric in them, so the iteration walks only the weakly decreasing
 exponent paths and copies each coefficient over its orbit; each step
 asks its table only for the sizes of nu such a path can take.  Skew
 values and every other alphabet walk every exponent vector.  The walk
-keeps one int per exponent vector, its t-polynomial at t = 2^w
-(Kronecker substitution), packed and read back as balanced digits by
-`laurent._pack` and `_unpack`, the packing helper that the t-binomials
-share; each state carries a bound on the 1-norm of its polynomials, and
-w doubles before a bound could reach 2^(w-1).  Powers of t are counted
-from the lowest one among the letters and the offset is put back at the
-end.  A table entry carries its coefficient's 1-norm and the coefficient
-packed at t = 2^64, so the memoized X - 1 and strip rows norm and pack
-each coefficient once per memo lifetime, not at every step that reads it.
+adds the variable letters first and the powers of t last, and keeps the
+state reached after the variable letters for the memo's lifetime, so
+alphabets that differ only in their powers of t (t^r - X for each r)
+walk their variables once.  It keeps one int per exponent vector, its
+t-polynomial at t = 2^w (Kronecker substitution), packed and read back
+as balanced digits by `laurent._pack` and `_unpack`, the packing helper
+that the t-binomials share; each state carries a bound on the 1-norm of
+its polynomials, and w doubles before a bound could reach 2^(w-1).
+Powers of t are counted from the lowest one among the letters and the
+offset is put back at the end.  A table entry carries its coefficient's
+1-norm and the coefficient packed at t = 2^64, so the memoized rows
+norm and pack each coefficient once per memo lifetime, not at every
+step that reads it; each entry of the X + 1 row of mu is built the
+first time a step's window holds its size.
 
 P, Q and Schur functions run the same iteration with other tables.
 P_mu[X + a] = sum_nu a^{|mu/nu|} psi_{mu/nu}(t) P_nu[X] over the
@@ -44,8 +49,8 @@ Q_lam = Q'_lam[X(1-t)] would walk every subpartition and every vertical
 strip, and most of their terms cancel.  s_lam is Q'_lam and P_lam at
 t = 0: a plus letter takes P's strips and a minus letter Q''s signed
 vertical strips, each coefficient read at t = 0 (Macdonald I (5.11)).
-Each evaluator on an alphabet (Q', skew Q', P, Q and s) is one memo
-keyed by its arguments, so its partitions are tuples.
+Each evaluator on an alphabet (Q', P, Q and s) is one memo keyed by
+its arguments, so its partitions are tuples.
 Last come the factorizations of Q' at arguments t^r minus variables.
 """
 
@@ -234,11 +239,31 @@ def _by_size(entries):
     return tuple(sorted(entries, key=_size))
 
 
+@cache
+def _plus_row(mu):
+    """The row of add_one(mu) as `_add_one_terms` fills it: the nu
+    inside mu sorted by size, their sizes, and their entries, each None
+    until a window asks for it.  Only nu = () is listed until a window
+    asks for a size over 0, so a state read only at the last letter
+    enumerates no subpartitions."""
+    return [[()], [0], [None]]
+
+
 def _add_one_terms(mu, window):
-    """The entries of add_one(mu) in the window, built at each read, so
-    only the values of the window are computed."""
-    nus = subpartitions(mu) if window.stop > 1 else [()]  # () alone has size 0
-    return [_entry(nu, s, skew_qprime_one(mu, nu)) for nu in nus if (s := sum(nu)) in window]
+    """The entries of add_one(mu) in the window, sorted by |nu|: only
+    the values of some window are computed, each once per memo lifetime
+    (see `_plus_row`)."""
+    row = _plus_row(mu)
+    nus, sizes, entries = row
+    if window.stop > 1 and len(nus) == 1 and mu:
+        row[0] = nus = subpartitions(mu)
+        row[1] = sizes = [sum(nu) for nu in nus]
+        entries += [None] * (len(nus) - 1)
+    i, j = bisect_left(sizes, window.start), bisect_left(sizes, window.stop)
+    for k in range(i, j):
+        if entries[k] is None:
+            entries[k] = _entry(nus[k], sizes[k], skew_qprime_one(mu, nus[k]))
+    return entries[i:j]
 
 
 def _in_window(terms):
@@ -318,16 +343,20 @@ def _mul_packed(acc, vecs, shift, m):
         acc[k] = get(k, 0) + v * m
 
 
-def _widen(w, bound, *states):
+def _repacked(vecs, old, w):
+    """The packed values of vecs, read at the width old, packed at w."""
+    return {e: _pack(dict(_unpack(v, old)), w) for e, v in vecs.items()}
+
+
+def _widen(w, bound, state):
     """The least doubling of the width w with bound < 2^(w-1), each
-    packed value of the {key: (vecs, bound)} `states` repacked to it."""
+    packed value of the {key: (vecs, bound)} `state` repacked to it in
+    place."""
     old = w
     while bound >> (w - 1):
         w *= 2
-    for state in states:
-        for vecs, _ in state.values():
-            for e, v in vecs.items():
-                vecs[e] = _pack(dict(_unpack(v, old)), w)
+    for vecs, _ in state.values():
+        vecs.update(_repacked(vecs, old, w))
     return w
 
 
@@ -339,75 +368,132 @@ def _branch(table, lam, A, end=()):
     exponent vector of A's variables, the t-polynomial at t = 2^w
     (Kronecker substitution), so x and t*x in X(1-t) cancel at the step
     that meets them.  A letter a sends mu to nu with a^{|mu/nu|} times
-    the c of nu in F_mu[X - 1] (minus letters, which go first) or
-    F_mu[X + 1]; that is one product of ints per exponent vector, the
-    letter's power of t a left shift.  Each letter's power of t is
-    counted from the lowest power t^low among the letters, so every
-    packed polynomial has nonnegative powers (the tables' c are
-    polynomials in t), and t^{low (|lam| - |end|)} is put back once,
-    when the last state is unpacked.  The signed coefficients are read
-    as balanced digits, exact while each lies in (-2^(w-1), 2^(w-1));
-    so is the test of a packed value for zero.  Each state carries a
-    bound on the 1-norm of its t-polynomials, which bounds every
-    coefficient: the sum over the entries that reach it of the
-    source's bound times the 1-norm of c, as the 1-norm of a product is
-    at most the product of the 1-norms.  Before a product would let a
-    bound reach 2^(w-1), w doubles and the states are repacked
-    (`_widen`).  Each entry brings the 1-norm of c and c packed at
-    t = 2^_ENTRY_WIDTH; while w is that width the factor is the packed
-    c shifted left, and at any other w, or read at t = 0, c is packed
-    here.  A span of powers of t, (|lam| - |end|) times the highest
-    letter power of t less the lowest, over _MAX_SPAN raises ValueError.
+    the c of nu in F_mu[X - 1] (minus letters) or F_mu[X + 1]; that is
+    one product of ints per exponent vector, the letter's power of t a
+    left shift, and the shift of the exponent vectors by d = |mu/nu|
+    times the letter's is built the first time a step uses that d.
+    Each letter's power of t is counted from the lowest power t^low
+    among the letters, so every packed polynomial has nonnegative
+    powers (the tables' c are polynomials in t), and
+    t^{low (|lam| - |end|)} is put back once, when the last state is
+    unpacked.  The signed coefficients are read as balanced digits,
+    exact while each lies in (-2^(w-1), 2^(w-1)); so is the test of a
+    packed value for zero.  Each state carries a bound on the 1-norm of
+    its t-polynomials, which bounds every coefficient: the sum over the
+    entries that reach it of the source's bound times the 1-norm of c,
+    as the 1-norm of a product is at most the product of the 1-norms.
+    Before a product would let a bound reach 2^(w-1), w doubles: the
+    state being built is repacked in place (`_widen`), and each source
+    state into a new dict as the step reads it, so a walk never writes
+    to the state it starts from.  Each entry brings the 1-norm of c
+    and c packed at t = 2^_ENTRY_WIDTH; while w is that width the
+    factor is the packed c shifted left, and at any other w, or read at
+    t = 0, c is packed here.  A span of powers of t, (|lam| - |end|)
+    times the highest letter power of t less the lowest, over
+    _MAX_SPAN raises ValueError.
+
+    Letter order: F_{lam/end}(A) does not depend on it.  A's variable
+    letters go first, then its variable-free letters (powers of t),
+    minus letters before plus ones in each group.  When A has both, the
+    state reached after the variable letters (`_walked`) is kept for
+    the memo's lifetime, keyed by the table, lam, end, those letters,
+    the signs of the powers of t still to come, t^low and the orbit
+    flag, and each alphabet walks its own powers of
+    t from it: `factorization_sides` walks t^r - X for r = 0 and r = 1,
+    and the residual at t^{k+r} - X, from one walk of -X.  No window
+    below bounds a variable letter when powers of t follow, so the kept
+    state is the one the whole walk reaches.
 
     The table is asked only for the nu in a window of sizes, so it
     computes no pair the walk would drop; off the orbit path the window
     is [0, |mu|].  A nu not containing `end` is dropped, and the last
     letter's window holds |end| alone.  A horizontal strip shortens mu by
-    at most one part, so over strips a nu with more parts than len(end)
-    plus the letters left is dropped.
+    at most one part, so a nu with more parts than len(end) plus the
+    parts the letters left can take off is dropped.
 
     Orbit rule: when end is empty and A is `_symmetric`, F(A) is
     symmetric in A's variables, so only the coefficients whose variable
     letters' exponents weakly decrease in letter order are computed.
     A state is then keyed by mu and the exponent `cap` of the last
     variable letter.  At a variable letter the window starts at
-    |mu| - cap, so d = |mu/nu| is at most `cap`, and once no power-of-t
-    letter is left it ends where |nu| exceeds the exponent of the
-    letter, d or `cap`, times the variable letters left.  Each of these
-    dominant coefficients is copied to the permutations of its
-    exponents at the end.  Any other alphabet or `end` walks every
-    exponent vector, with `cap` fixed at |lam|.
+    |mu| - cap, so d = |mu/nu| is at most `cap`, and when A has no
+    power of t it ends where |nu| exceeds d times the variable letters
+    left.  Each of these dominant coefficients is copied to the
+    permutations of its exponents at the end.  Any other alphabet or
+    `end` walks every exponent vector, with `cap` fixed at |lam|.
     """
     lam, end = normalize(lam), normalize(end)
     vars = A.var_names()
     letters = [(l, True) for l in A.minus] + [(l, False) for l in A.plus]
+    head = tuple([x for x in letters if x[0].mono])
+    tail = [x for x in letters if not x[0].mono]
     orbit = not end and _symmetric(A)
-    last_t = max((k for k, (l, _) in enumerate(letters, 1) if not l.mono), default=0)
-    var_left = sum(1 for l, _ in letters if l.mono)
     t_exps = [l.t_exp for l, _ in letters] or [0]
-    low, end_size = min(t_exps), sum(end)
-    if (span := (sum(lam) - end_size) * (max(t_exps) - low)) > _MAX_SPAN:
+    low = min(t_exps)
+    if (span := (sum(lam) - sum(end)) * (max(t_exps) - low)) > _MAX_SPAN:
         raise ValueError(f"{lam} on {A}: the powers of t span {span}, over {_MAX_SPAN}")
-    w = _WIDTH
-    state = {(lam, sum(lam)): ({(0,) * len(vars): 1}, 1)}
+    if head and tail:
+        after = tuple([minus for _, minus in tail])
+        start = _walked(table, lam, end, head, after, vars, low, orbit)
+        state, w = _walk(table, lam, end, tail, (), vars, low, orbit, start)
+    else:
+        state, w = _walk(table, lam, end, letters, (), vars, low, orbit)
+    offset = low * (sum(lam) - sum(end))
+    polys = {
+        e: list(_unpack(v, w, offset))
+        for (mu, _), (vecs, _) in state.items() if mu == end
+        for e, v in vecs.items()
+    }
+    if orbit:
+        terms = _orbits(polys)
+    else:
+        terms = {(s, *e): c for e, pairs in polys.items() for s, c in pairs}
+    return XPoly._trusted(vars, terms)
+
+
+@cache
+def _walked(table, lam, end, head, after, vars, low, orbit):
+    """The state and width that `_walk` reaches from lam over the
+    variable letters `head`, with powers of t of the signs `after` still
+    to come: one per memo lifetime, shared by every alphabet with those
+    variable letters, signs and lowest power of t, which reads it and
+    never writes to it."""
+    return _walk(table, lam, end, head, after, vars, low, orbit)
+
+
+def _walk(table, lam, end, letters, after, vars, low, orbit, start=None):
+    """The state and width that the steps of `_branch` reach by adding
+    `letters` to `start` (a state and its width; by default lam alone,
+    at width _WIDTH), with powers of t of the signs `after` (True for
+    minus) still to come."""
+    state, w = start or ({(lam, sum(lam)): ({(0,) * len(vars): 1}, 1)}, _WIDTH)
+    end_size = sum(end)
+    var_left = sum(1 for l, _ in letters if l.mono)
+    signs = [minus for _, minus in letters] + list(after)
+    # the most parts each letter left can take off a partition inside
+    # lam: one per horizontal strip, len(lam) per other letter
+    takes = [1 if table.strips and not minus else len(lam) for minus in signs]
+    room = sum(takes)
     for k, (l, minus) in enumerate(letters, 1):
         exps = tuple(l.mono.count(v) for v in vars)
-        shifts = [tuple([d * e for e in exps]) for d in range(sum(lam) + 1)]
+        shifts = {}
         t_rel = l.t_exp - low
-        last = k == len(letters)
-        strips = table.strips and not minus
-        longest = len(end) + len(letters) - k if strips else len(lam)
+        last = k == len(letters) and not after
+        room -= takes[k - 1]
+        longest = len(end) + room
         capped = orbit and bool(l.mono)
         var_left -= bool(l.mono)
-        bounded = orbit and k >= last_t
+        bounded = capped and not after
         read = table.minus if minus else table.plus
         t_zero = table.t_zero
-        new = {}
+        new, packed_at = {}, w
         for (mu, cap), (vecs, bound) in state.items():
+            if w != packed_at:
+                vecs = _repacked(vecs, packed_at, w)
             size = sum(mu)
             lo, hi = size - cap if capped else 0, size
             if bounded:
-                hi = size * var_left // (var_left + 1) if capped else cap * var_left
+                hi = size * var_left // (var_left + 1)
             if last:
                 lo, hi = max(lo, end_size), min(hi, end_size)
             for nu, s, c, norm, packed in read(mu, range(lo, hi + 1)):
@@ -424,10 +510,14 @@ def _branch(table, lam, A, end=()):
                         to = new[key] = [{}, 0]
                     to[1] += bound * norm
                     if to[1] >> (w - 1):
-                        w = _widen(w, to[1], state, new)
+                        old, w = w, _widen(w, to[1], new)
+                        vecs = _repacked(vecs, old, w)
                     if w != _ENTRY_WIDTH and not t_zero:
                         packed = _pack(c.coeffs, w)
-                    _mul_packed(to[0], vecs, shifts[d], packed << w * d * t_rel)
+                    shift = shifts.get(d)
+                    if shift is None:
+                        shift = shifts[d] = tuple([d * e for e in exps])
+                    _mul_packed(to[0], vecs, shift, packed << w * d * t_rel)
         state = {}
         for mu_cap, (acc, bound) in new.items():
             if not end or contains(mu_cap[0], end):
@@ -435,17 +525,7 @@ def _branch(table, lam, A, end=()):
                     acc = {e: v for e, v in acc.items() if v}
                 if acc:
                     state[mu_cap] = acc, bound
-    offset = low * (sum(lam) - end_size)
-    polys = {
-        e: list(_unpack(v, w, offset))
-        for (mu, _), (vecs, _) in state.items() if mu == end
-        for e, v in vecs.items()
-    }
-    if orbit:
-        terms = _orbits(polys)
-    else:
-        terms = {(s, *e): c for e, pairs in polys.items() for s, c in pairs}
-    return XPoly._trusted(vars, terms)
+    return state, w
 
 
 @cache
@@ -482,7 +562,6 @@ def qprime_on_alphabet(lam, A):
     return _branch(_SHIFTS, lam, A)
 
 
-@cache
 def skew_qprime(lam, mu, A):
     """Q'_{lam/mu} evaluated at the alphabet A: the coefficient of Q'_mu
     in Q'_lam[X + A], one letter of A at a time (see `_branch`)."""

@@ -178,8 +178,9 @@ def b_poly(lam):
     return prod(map(t_factorial, multiplicities(_descending(lam)).values()), start=L_ONE)
 
 
-@cache
 def t_factorial(m):
+    """(1 - t)(1 - t^2)...(1 - t^m).  Not memoized: only `b_poly`
+    reads it, and that is."""
     res = L_ONE
     for j in range(1, m + 1):
         res = res * (L_ONE - LaurentPoly.t_power(j))

@@ -438,6 +438,42 @@ ALPHABETS = st.builds(
 SMALL_PARTITIONS = st.integers(0, 4).flatmap(lambda m: st.sampled_from(partitions_of(m)))
 
 
+VARIABLE_LETTERS = st.builds(
+    lambda k, names: letter(k, *names),
+    st.integers(-1, 1),
+    st.sampled_from([("x1",), ("x2",), ("y1",), ("x1", "x2")]),
+)
+POWERS_OF_T = st.builds(letter, st.integers(-2, 3))
+
+
+def signed_alphabet(letters):
+    """An alphabet of up to three letters drawn from `letters` on each
+    side; a letter drawn on both sides cancels."""
+    side = st.lists(letters, max_size=3)
+    return st.builds(lambda plus, minus: Alphabet(tuple(plus), tuple(minus)), side, side)
+
+
+class TestBranchingRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(lambda m: st.sampled_from(partitions_of(m))),
+        signed_alphabet(VARIABLE_LETTERS),
+        signed_alphabet(POWERS_OF_T),
+    )
+    @example(lam=(3, 2, 1), M=parse_alphabet("x1+x2"), T=parse_alphabet("1"))
+    @example(lam=(2, 2, 1), M=parse_alphabet("-x1-x2"), T=parse_alphabet("t^-1+t^2"))
+    @example(lam=(3, 1), M=parse_alphabet("x1+x2-x1"), T=parse_alphabet("1+t-t"))
+    @example(lam=(2, 1), M=parse_alphabet("x1-y1"), T=parse_alphabet("t^3"))
+    def test_variables_then_powers_of_t(self, lam, M, T):
+        """Q'_lam[M + T] = sum over mu inside lam of Q'_{lam/mu}(M) Q'_mu(T)
+        for variable parts M and power-of-t tails T, whatever the order of
+        the letters of M + T (`_branch` walks M's letters first)."""
+        want = XPoly()
+        for mu in subpartitions(lam):
+            want = want + skew_qprime(lam, mu, M) * qprime_on_alphabet(mu, T)
+        assert qprime_on_alphabet(lam, M + T) == want
+
+
 class TestAlphabetOracles:
     """The one-letter iteration against the charge route read through
     Jacobi-Trudi determinants, on random signed alphabets."""
@@ -575,8 +611,9 @@ class TestOrbitPath:
     @given(PARTITIONS_TO_7, SYMMETRIC_ALPHABETS)
     def test_computes_only_kept_values(self, lam, A):
         """Every entry the Q' table hands `_branch` is multiplied into a
-        state at once, by one packed product, and the one-letter skew
-        values asked for are exactly the plus entries."""
+        state at once, by one packed product; from cold plus rows, the
+        one-letter skew values computed are exactly the offered plus
+        pairs, each computed once."""
         log, asked, mul_packed = [], [], hl._mul_packed
 
         def offered(read, side):
@@ -595,6 +632,7 @@ class TestOrbitPath:
             plus=offered(hl._SHIFTS.plus, "plus"),
             minus=offered(hl._SHIFTS.minus, "minus"),
         )
+        hl._plus_row.cache_clear()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(hl, "skew_qprime_one", skew)
             m.setattr(hl, "_mul_packed", lambda *a: log.append(None) or mul_packed(*a))
@@ -602,12 +640,14 @@ class TestOrbitPath:
         assert got == qprime_on_alphabet(lam, A)
         offers, muls = log[::2], log[1::2]
         assert None not in offers and muls == [None] * len(offers)
-        plus = [(mu, nu) for side, mu, nu in offers if side == "plus"]
-        assert sorted(asked) == sorted(plus)
+        plus = {(mu, nu) for side, mu, nu in offers if side == "plus"}
+        assert len(asked) == len(set(asked))
+        assert set(asked) == plus
 
     def test_skew_values_computed_from_cold_memos(self):
         # all of add_one(mu) at every state would make it 339
         skew_qprime_one.cache_clear()
+        hl._plus_row.cache_clear()
         plane_partition_qprime((4, 3, 2, 1), 4)
         assert skew_qprime_one.cache_info().misses == 170
 
@@ -633,7 +673,8 @@ class TestPackedWalk:
     @given(SMALL_PARTITIONS, ALPHABETS)
     def test_widening_from_two_bits(self, lam, A):
         # At w = 2 a digit holds -1, 0 or 1, so any bound of 2 or more
-        # widens and repacks the states first.
+        # widens and repacks the states first; no kept state may skip it.
+        hl._walked.cache_clear()
         widened, widen = [], hl._widen
         with pytest.MonkeyPatch.context() as m:
             m.setattr(hl, "_WIDTH", 2)
@@ -691,6 +732,24 @@ class TestPackedWalk:
             got = branch_all(A, lam)
         assert got == oracles_all(A, lam)
 
+    @pytest.mark.parametrize("head", ["x1+x2", "-x1-x2", "x1-y1", "x1*x2+t*x1"])
+    def test_kept_state_survives_a_widening_walk(self, head):
+        """Walks from a kept state (`_walked`) widen their own copy: after
+        a second alphabet with the same variable letters widens its tail,
+        the first alphabet walked again reads what it read before."""
+        lam, widened, widen = (3, 2, 1), [], hl._widen
+        first, second = parse_alphabet(head + "+1+1"), parse_alphabet(head + "+t^3+1")
+        hl._walked.cache_clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hl, "_WIDTH", 2)
+            want = hl._branch(hl._SHIFTS, lam, first)
+            m.setattr(hl, "_widen", lambda *a: widened.append(1) or widen(*a))
+            got = hl._branch(hl._SHIFTS, lam, second)
+            assert widened and hl._walked.cache_info()[:2] == (1, 1)  # hits, misses
+            assert hl._branch(hl._SHIFTS, lam, first) == want
+        assert want == qprime_on_alphabet_by_schur(lam, first)
+        assert got == qprime_on_alphabet_by_schur(lam, second)
+
     def test_wide_span_is_refused(self):
         """A span of powers of t over `_MAX_SPAN` is refused before the
         walk packs anything; the limit itself is read."""
@@ -739,20 +798,37 @@ class TestTableEntries:
                     want = [e for e in terms(mu) if e[1] in window]
                     assert list(read(mu, window)) == want, (mu, lo, hi)
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_plus_window_is_the_filtered_row(self, m):
+        # each row starts cold, and the windows fill it across reads
+        for mu in partitions_of(m):
+            hl._plus_row.cache_clear()
+            for lo, hi in itertools.product(range(-1, m + 2), repeat=2):
+                window = range(lo, hi + 1)
+                want = [
+                    hl._entry(nu, sum(nu), skew_qprime_one(mu, nu))
+                    for nu in subpartitions(mu)
+                    if sum(nu) in window
+                ]
+                assert hl._add_one_terms(mu, window) == want, (mu, lo, hi)
+
     CASES = [
         (lam, parse_alphabet(text))
         for lam in partitions_up_to(5)
-        for text in ["t^2-x1-x2", "1-x1", "x1+x2-y1", "(x1+x2)*(1-t)", "x1+x2+y1"]
+        for text in ["t^2-x1-x2", "1-x1", "x1+x2-y1", "(x1+x2)*(1-t)", "x1+x2+y1", "x1+x2+1"]
     ]
 
     def test_rows_outlive_a_change_of_starting_width(self):
-        """Rows memoized by walks that start at one width serve walks
-        that start at another, both ways, with no memo cleared between;
-        each value equals the walk from cold rows at the default width."""
+        """Rows and kept states memoized by walks that start at one
+        width serve walks that start at another, both ways, with no memo
+        cleared between; each value equals the walk from cold rows at the
+        default width."""
 
         def clear_rows():
             hl._sub_one_terms.cache_clear()
             hl._strip_terms.cache_clear()
+            hl._plus_row.cache_clear()
+            hl._walked.cache_clear()
 
         clear_rows()
         want = [branch_all(A, lam) for lam, A in self.CASES]
